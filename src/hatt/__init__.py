@@ -46,6 +46,7 @@ from .recompress import (
     rank1_decompose,
     recompress_hadamard,
     svd_variant,
+    tt_hadamard_dot,
     tt_rounding,
 )
 from .tt import (

@@ -13,7 +13,15 @@ import numpy as np
 from .dense import DenseTensor, brute_force_max  # noqa: F401  (re-exported oracle)
 from .indexing import check_shape
 from .linalg import scale_columns, truncated_svd
-from .recompress import DIRECT, hatt, normalize_targets, rand_orth, svd_variant, tt_rounding
+from .recompress import (
+    DIRECT,
+    hatt,
+    normalize_targets,
+    rand_orth,
+    svd_variant,
+    tt_hadamard_dot,
+    tt_rounding,
+)
 from .tt import TTTensor, tt_dot, tt_hadamard, tt_norm, tt_add, tt_ones, tt_scale
 
 
@@ -231,10 +239,10 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
     Iterates v <- recompress(y ⊙ v, ell) / ||...||, starting from the all-ones
     rank-1 tensor; the estimate is the Rayleigh-style readout
     <v, y ⊙ v> / <v, v>, which converges to the dominant element when it is
-    positive and separated.  The hatt recompressors consume (y, v) directly;
-    the baselines materialize the product first.  Stops after `max_iter`
-    iterations or when the estimate's relative change drops below
-    `rel_change_tol`.
+    positive and separated.  The readout and the hatt recompressors consume
+    (y, v) directly; the baselines materialize the product first.  Stops
+    after `max_iter` iterations or when the estimate's relative change drops
+    below `rel_change_tol`.
     """
     if recompressor not in RECOMPRESSORS:
         raise ValueError(f"unknown recompressor {recompressor!r}; known: {RECOMPRESSORS}")
@@ -262,7 +270,7 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
             else:
                 w = rand_orth(product, tuple(eff), seed=step_seed, ledger=ledger)
         denom = tt_dot(v, v)
-        estimate = tt_dot(v, tt_hadamard(y, v)) / denom
+        estimate = tt_hadamard_dot(v, y, v) / denom
         history.append(estimate)
         norm = tt_norm(w)
         if norm == 0.0:

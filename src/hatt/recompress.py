@@ -123,6 +123,12 @@ def rank1_decompose(w, variant, ledger=None):
 
 # --- sketches ---------------------------------------------------------------
 
+# Mode slices per slab in the Hadamard-avoiding kernels.  Larger slabs call
+# BLAS fewer times, but their intermediates grow with the slab: at 8 slices
+# the tracemalloc peak of hatt-2 on hilbert_tt(5, 8, 20) squared rises from
+# 0.57 to 0.95 MiB, above the 0.64 MiB of a per-slice loop.
+_SLAB = 4
+
 
 def partial_contraction_rl(a, r, ledger=None):
     """Right-to-left partial contractions of a TT tensor against a sketch.
@@ -154,9 +160,16 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
 
     Produces exactly the matrices :func:`partial_contraction_rl` would give
     for the materialized product (the rank-1 re-expression step is an
-    identity unless the svd variant truncates).  Per mode slice the recursion
-    applies the Kronecker-times-vector trick to pairs of factor slices, so
-    the work scales with r + s instead of r * s.
+    identity unless the svd variant truncates).  Each rank-1 term g of
+    W^(k) folds into an r_k x s_k matrix U_g, and the product core applied
+    to it is the Kronecker-times-vector trick ``Y(i) U_g Z(i)^T``, so the
+    work scales with r + s instead of r * s.  Per core that is three BLAS
+    calls per slab of at most 4 mode slices: one GEMM applies every U_g^T
+    to the slab's Z slices at once (Z as an (s1 n) x s2 matrix against the
+    refolded terms), one ``np.matmul`` batched over (Z row, slice) applies
+    the Y slices, and one GEMM accumulates the slab's share of W^(k-1)
+    against the sketch core's slices.  Slabs keep every intermediate a
+    fraction of a factor core.
     """
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
@@ -173,68 +186,98 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
     h_last = np.einsum("ai,bi->abi", y_last, z_last).reshape(-1, y.shape[d - 1])
     mats[d - 2] = matmul(h_last, h_unfold(r.cores[d - 1]).T, ledger)
     for k in range(d - 1, 1, -1):
-        yc, zc, rc = y.cores[k - 1], z.cores[k - 1], r.cores[k - 1]
-        n = yc.mode_size
+        yc, zc, rc = y.cores[k - 1].values, z.cores[k - 1].values, r.cores[k - 1].values
+        r1, n, r2 = yc.shape
+        s1, s2 = zc.shape[0], zc.shape[2]
+        l1 = rc.shape[0]
         rep = rank1_decompose(mats[k - 1], variant, ledger)
         terms = rep.n_terms
-        r1, r2 = yc.left_rank, yc.right_rank
-        s1, s2 = zc.left_rank, zc.right_rank
-        # column g of rep.u folded column-major into an s2 x r2 matrix
-        u_fold = rep.u.T.reshape(terms, r2, s2).transpose(0, 2, 1)
-        w_left = np.empty((r1 * s1, n * terms))
-        w_right = np.empty((rc.left_rank, n * terms))
-        for i in range(1, n + 1):
-            ys, zs = yc.slice(i), zc.slice(i)
-            block = slice((i - 1) * terms, i * terms)
-            if variant.kind == "direct":
-                w_right[:, block] = rc.slice(i)
-            else:
-                w_right[:, block] = matmul(rc.slice(i), rep.v, ledger)
-            # vec(Z(i) @ u_fold[g] @ Y(i)^T) over all g: the Kronecker-apply
-            # trick, batched via broadcast products
-            t = (zs @ u_fold) @ ys.T
-            w_left[:, block] = t.transpose(0, 2, 1).reshape(terms, r1 * s1).T
-            if ledger is not None:
-                ledger.add_matmul(terms * (s1 * (2 * s2 - 1) * r2
-                                           + s1 * (2 * r2 - 1) * r1))
-        if variant.kind == "svd":
-            w_right = scale_columns(w_right, np.tile(rep.sigma, n), ledger)
-        mats[k - 2] = matmul(w_left, w_right.T, ledger)
+        # column g of rep.u is U_g (r2 x s2, C order); refold to s2 x (r2, g)
+        u_fold = rep.u.reshape(r2, s2, terms).transpose(1, 0, 2).reshape(s2, r2 * terms)
+        # right factor: column (i, g) is R(i) v_g sigma_g (R(i)'s column g
+        # for the direct variant)
+        if variant.kind == "direct":
+            right = h_unfold(rc)
+        else:
+            right = matmul(rc.reshape(l1 * n, -1), rep.v, ledger)
+            right = scale_columns(right, rep.sigma, ledger).reshape(l1, n * terms)
+        if ledger is not None:
+            ledger.add_matmul(n * terms * (s1 * (2 * s2 - 1) * r2 + s1 * (2 * r2 - 1) * r1)
+                              + r1 * s1 * (2 * n * terms - 1) * l1)
+        acc = np.zeros((r1 * s1, l1))
+        buf = np.empty(r1 * s1 * min(n, _SLAB) * terms)
+        for i0 in range(0, n, _SLAB):
+            blk = slice(i0, min(i0 + _SLAB, n))
+            nb = blk.stop - i0
+            # Z side: t[c, i, b, g] = (Z(i) U_g^T)[c, b]
+            t = (zc[:, blk].reshape(s1 * nb, s2) @ u_fold).reshape(s1, nb, r2, terms)
+            # Y side, batched over (c, i): left[a, c, i, g] = (Y(i) U_g Z(i)^T)[a, c]
+            left = buf[:r1 * s1 * nb * terms].reshape(r1, s1, nb, terms)
+            np.matmul(yc[:, blk].transpose(1, 0, 2), t, out=left.transpose(1, 2, 0, 3))
+            acc += left.reshape(r1 * s1, nb * terms) @ right[:, i0 * terms:blk.stop * terms].T
+        mats[k - 2] = acc
     return SketchSet(mats)
 
 
 # --- core update without the product core -----------------------------------
 
 
+def _contract_slabs(m, yv, zv, ledger=None):
+    """Rows of m times kron(Y(i), Z(i)) for every slice i, as an array of
+    shape (rows, n, r2 s2); m has r1 s1 columns (Y index slow)."""
+    r1, n, r2 = yv.shape
+    s1, s2 = zv.shape[0], zv.shape[2]
+    rows = m.shape[0]
+    if ledger is not None:
+        ledger.add_matmul(n * rows * (s2 * (2 * s1 - 1) * r1 + s2 * (2 * r1 - 1) * r2))
+    out = np.empty((rows, n, r2 * s2))
+    m_rows = m.reshape(rows * r1, s1)
+    for i0 in range(0, n, _SLAB):
+        blk = slice(i0, min(i0 + _SLAB, n))
+        nb = blk.stop - i0
+        # Z side: p[g, a, i, e] = sum_c m[g, (a, c)] Z(i)[c, e]
+        p = (m_rows @ zv[:, blk].reshape(s1, nb * s2)).reshape(rows, r1, nb, s2)
+        # Y side, batched over (g, i): out[g, i] = Y(i)^T p[g, :, i, :]
+        np.matmul(yv[:, blk].transpose(1, 2, 0), p.transpose(0, 2, 1, 3),
+                  out=out[:, blk].reshape(rows, nb, r2, s2))
+    return out
+
+
 def contract_m_onto_pkp(m, ycore, zcore, ledger=None):
     """Contract an l x (r1 s1) matrix onto the implicit product core.
 
-    Returns the TT core with slices ``m @ kron(Y(i), Z(i))`` computed row by
-    row through the Kronecker-times-vector trick; neither the Kronecker slice
-    nor the product core is formed.
+    Returns the TT core with slices ``m @ kron(Y(i), Z(i))``; neither the
+    Kronecker slice nor the product core is formed.  Row g of m folds into
+    an r1 x s1 matrix M_g and its product with the Kronecker slice is
+    ``Y(i)^T M_g Z(i)``.  Per slab of at most 4 mode slices that is one
+    GEMM, m as an (l r1) x s1 matrix against the slab's Z slices as an
+    s1 x (n s2) matrix, then one ``np.matmul`` batched over (row, slice)
+    that applies the Y slices and writes straight into the output core.
     """
     m = np.asarray(m)
     if ycore.mode_size != zcore.mode_size:
         raise ValueError(f"mode mismatch {ycore.mode_size} vs {zcore.mode_size}")
     r1, s1 = ycore.left_rank, zcore.left_rank
-    r2, s2 = ycore.right_rank, zcore.right_rank
     if m.ndim != 2 or m.shape[1] != r1 * s1:
         raise ValueError(f"matrix columns {m.shape} incompatible with ranks {r1}*{s1}")
-    n = ycore.mode_size
-    rows = m.shape[0]
-    # row g of m folded column-major into an s1 x r1 matrix
-    m_fold = m.reshape(rows, r1, s1).transpose(0, 2, 1)
-    out = np.empty((rows, n, r2 * s2))
-    for i in range(1, n + 1):
-        ys, zs = ycore.slice(i), zcore.slice(i)
-        # row g of m times kron(Y(i), Z(i)) == vec(Z(i)^T @ m_fold[g] @ Y(i)),
-        # batched over the rows via broadcast products
-        t = (zs.T @ m_fold) @ ys
-        out[:, i - 1, :] = t.transpose(0, 2, 1).reshape(rows, r2 * s2)
-        if ledger is not None:
-            ledger.add_matmul(rows * (s2 * (2 * s1 - 1) * r1
-                                      + s2 * (2 * r1 - 1) * r2))
-    return TTCore(out, copy=False)
+    return TTCore(_contract_slabs(m, ycore.values, zcore.values, ledger), copy=False)
+
+
+def tt_hadamard_dot(x, y, z):
+    """Inner product <x, y ⊙ z> without forming the product's cores.
+
+    The carry after core k is the (l_k x r_k s_k) contraction of the first k
+    cores of x against those of y ⊙ z; each step applies it to the implicit
+    product core like :func:`contract_m_onto_pkp` and closes the mode
+    against x's core with one GEMM.
+    """
+    if not x.shape == y.shape == z.shape:
+        raise ValueError(f"shape mismatch {x.shape}, {y.shape}, {z.shape}")
+    c = np.ones((1, 1))
+    for cx, cy, cz in zip(x.cores, y.cores, z.cores):
+        slabs = _contract_slabs(c, cy.values, cz.values)
+        c = v_unfold(cx).T @ slabs.reshape(-1, slabs.shape[2])
+    return float(c[0, 0])
 
 
 # --- target chains ----------------------------------------------------------
@@ -255,11 +298,12 @@ def normalize_targets(targets, d):
     return check_rank_chain(chain, d)
 
 
-def _clamp_targets(targets, shape, rank_products=None):
+def _clamp_targets(targets, shape, rank_products=None, stacklevel=3):
     """Clamp a target chain to what a left-orthogonal sweep can realize.
 
     Interior rank l_k cannot exceed l_{k-1} * n_k (QR width), nor the rank
-    r_k s_k of the implicit product when given; clamping warns.
+    r_k s_k of the implicit product when given; clamping warns, at
+    `stacklevel` (the caller of the public function by default).
     """
     d = len(shape)
     out = [1]
@@ -276,8 +320,26 @@ def _clamp_targets(targets, shape, rank_products=None):
     if clamped:
         desc = ", ".join(f"l_{k}: {a} -> {b}" for k, a, b in clamped)
         warnings.warn(f"target ranks clamped to feasible values ({desc})",
-                      TargetRankWarning, stacklevel=3)
+                      TargetRankWarning, stacklevel=stacklevel)
     return tuple(out)
+
+
+def _fit_sketch(sketch, shape, ranks):
+    """A caller-supplied sketch tensor, fitted to the tensor being rounded.
+
+    Its shape must be `shape`.  An interior rank l_k above what the sweep
+    can use, the rank `ranks[k]` of the tensor being rounded or the QR width
+    l_{k-1} n_k, is clamped as :func:`_clamp_targets` clamps drawn targets
+    (with a :class:`TargetRankWarning` naming the bond), by keeping the
+    leading rows and columns of the sketch's cores.
+    """
+    if sketch.shape != tuple(shape):
+        raise ValueError(f"sketch tensor shape {sketch.shape} does not match {tuple(shape)}")
+    chain = _clamp_targets(sketch.ranks, shape, ranks, stacklevel=4)
+    if chain == sketch.ranks:
+        return sketch
+    return TTTensor([c.values[:chain[k], :, :chain[k + 1]]
+                     for k, c in enumerate(sketch.cores)])
 
 
 def _draw_sketch_tensor(shape, targets, seed):
@@ -353,6 +415,8 @@ def _orthogonalize_sweep(first_core, sketches, next_core_fn, d, ledger):
         q = econ_qr(sketched, q_only=True, ledger=ledger).q
         cores.append(q.reshape(r1, n, q.shape[1]))
         m = matmul(q.T, cur_mat, ledger)
+        # drop the current core first, so it never coexists with the next
+        del cur, cur_mat, sketched
         cur = next_core_fn(k, m)
     cores.append(cur)
     return TTTensor(cores)
@@ -364,15 +428,15 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     Sketches come from :func:`partial_contraction_rl` against a gaussian TT
     tensor with the target ranks (drawn from `seed`, or supplied explicitly
     via `sketch_tt`).  If a sketched matrix is rank deficient the QR keeps
-    its full width; ranks are only reduced where the matrix itself is wider
-    than tall.
+    its full width.  A `sketch_tt` rank above the rank of `a` or above
+    l_{k-1} n_k is clamped with a :class:`TargetRankWarning`.
     """
     d = a.d
     if sketch_tt is None:
         targets = _clamp_targets(normalize_targets(targets, d), a.shape)
         sketch = _draw_sketch_tensor(a.shape, targets, seed)
     else:
-        sketch = sketch_tt
+        sketch = _fit_sketch(sketch_tt, a.shape, a.ranks)
     if d == 1:
         return TTTensor([c.values for c in a.cores])
     sketches = partial_contraction_rl(a, sketch, ledger)
@@ -392,8 +456,8 @@ def hatt(y, z, targets=None, variant=DIRECT, seed=None, sketch_tt=None, ledger=N
     materialized product with the same sketch tensor; the sketches come from
     :func:`hpcrl` and the core updates from :func:`contract_m_onto_pkp`, so
     the only product-sized object ever formed is the first core
-    (1 x n_1 x r_1 s_1).  Target ranks above the product rank r_k s_k are
-    clamped with a :class:`TargetRankWarning`.
+    (1 x n_1 x r_1 s_1).  Target ranks, or `sketch_tt` ranks, above the
+    product rank r_k s_k are clamped with a :class:`TargetRankWarning`.
     """
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
@@ -403,7 +467,7 @@ def hatt(y, z, targets=None, variant=DIRECT, seed=None, sketch_tt=None, ledger=N
         targets = _clamp_targets(normalize_targets(targets, d), y.shape, products)
         sketch = _draw_sketch_tensor(y.shape, targets, seed)
     else:
-        sketch = sketch_tt
+        sketch = _fit_sketch(sketch_tt, y.shape, products)
     if d == 1:
         return TTTensor([pkp_cores(y.cores[0], z.cores[0])])
     sketches = hpcrl(y, z, sketch, variant, ledger)

@@ -146,10 +146,26 @@ def partial_contracted_product(x, k, l):
 
 
 def tt_to_dense(x):
-    """Materialize a TT tensor as a DenseTensor (dense cap enforced)."""
+    """Materialize a TT tensor as a DenseTensor (dense cap enforced).
+
+    Cores 1..p are contracted left to right and cores p+1..d right to left,
+    and one GEMM joins the two partial products.  The split p is the one
+    whose largest intermediate is smallest, so no intermediate carries a
+    large trailing (or leading) rank when a smaller split exists.
+    """
     check_dense(x.size, "TT reconstruction")
-    out = partial_contracted_product(x, 1, x.d)
-    return DenseTensor(out.reshape(x.shape), copy=False)
+    d, shape, ranks = x.d, x.shape, x.ranks
+    # left[j]: size of cores 1..j contracted; right[j]: cores j+1..d
+    left = [int(np.prod(shape[:j], dtype=np.int64)) * ranks[j] for j in range(d + 1)]
+    right = [ranks[j] * int(np.prod(shape[j:], dtype=np.int64)) for j in range(d + 1)]
+    p = min(range(1, d + 1), key=lambda j: max(left[1:j + 1] + right[j:]))
+    head = partial_contracted_product(x, 1, p).reshape(-1, ranks[p])
+    tail = np.ones((1, 1))
+    for core in reversed(x.cores[p:]):
+        check_dense(core.left_rank * core.mode_size * tail.shape[1],
+                    "partial contracted product")
+        tail = (v_unfold(core) @ tail).reshape(core.left_rank, -1)
+    return DenseTensor((head @ tail).reshape(shape), copy=False)
 
 
 def tt_hadamard(y, z):
@@ -205,12 +221,17 @@ def tt_ones(shape):
 
 
 def tt_dot(y, z):
-    """Inner product of two TT tensors, contracted core by core."""
+    """Inner product of two TT tensors, contracted core by core.
+
+    The carry C (r_{k-1} x s_{k-1}) takes two GEMMs per core:
+    ``U = C^T H<Y_k>`` refolded to (s_{k-1} n_k) x r_k, then ``C = U^T V<Z_k>``.
+    """
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     c = np.ones((1, 1))
     for cy, cz in zip(y.cores, z.cores):
-        c = np.einsum("ab,aic,bid->cd", c, cy.values, cz.values)
+        u = (c.T @ h_unfold(cy)).reshape(-1, cy.right_rank)
+        c = u.T @ v_unfold(cz)
     return float(c[0, 0])
 
 
@@ -364,23 +385,29 @@ def load_tt(path):
                 tokens.extend(line.split())
     it = iter(tokens)
 
+    def take():
+        try:
+            return next(it)
+        except StopIteration:
+            raise ValueError(f"malformed container: {path} ends early") from None
+
     def expect(tag):
-        got = next(it)
+        got = take()
         if got != tag:
             raise ValueError(f"malformed container: expected {tag!r}, got {got!r}")
 
     expect("d")
-    d = int(next(it))
+    d = int(take())
     expect("n")
-    shape = [int(next(it)) for _ in range(d)]
+    shape = [int(take()) for _ in range(d)]
     expect("r")
-    ranks = [int(next(it)) for _ in range(d + 1)]
+    ranks = [int(take()) for _ in range(d + 1)]
     cores = []
     for k in range(1, d + 1):
         expect("core")
-        if int(next(it)) != k:
+        if int(take()) != k:
             raise ValueError("malformed container: core blocks out of order")
         count = ranks[k - 1] * shape[k - 1] * ranks[k]
-        vals = np.array([float(next(it)) for _ in range(count)])
+        vals = np.array([float(take()) for _ in range(count)])
         cores.append(vals.reshape(ranks[k - 1], shape[k - 1], ranks[k]))
     return TTTensor(cores)

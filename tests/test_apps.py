@@ -8,6 +8,7 @@ from hatt import (
     brute_force_max,
     fourier_tt,
     hadamard_dense,
+    hatt,
     hilbert_tt,
     power_iteration_max,
     relative_error,
@@ -237,3 +238,13 @@ def test_fourier_recompression_per_seed_monotone():
                 for ell in (2, 4, 6)]
         for a, b in zip(errs, errs[1:]):
             assert b <= 1.10 * a, (seed, errs)
+
+
+@pytest.mark.filterwarnings("ignore::hatt.TargetRankWarning")
+def test_fourier_error_at_the_dense_cap():
+    # 10^6 elements fit the dense cap; the rank-16 reconstruction must not
+    # build a larger intermediate on the way
+    y, z = fourier_tt(FourierSpec((10,) * 6, n_terms=20))
+    x = hatt(y, z, 16, seed=0)
+    err = relative_error(x, tt_hadamard(y, z))
+    assert err <= 1e-6

@@ -1,0 +1,146 @@
+"""Property tests of the Hadamard-avoiding kernels over random ragged inputs.
+
+Each kernel is checked against an oracle that forms what the kernel avoids
+(the product cores, the Kronecker slices, the dense tensors) and against
+the per-slice loop it replaced, whose flop charges it must repeat exactly.
+Mode sizes come from {1, 3, 5, 9}, so the 4-slice slabs rarely divide them.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hatt import (
+    DIRECT,
+    FlopLedger,
+    TTCore,
+    contract_m_onto_pkp,
+    gaussian_tt,
+    hpcrl,
+    partial_contraction_rl,
+    rank1_decompose,
+    svd_variant,
+    tt_dot,
+    tt_hadamard,
+    tt_hadamard_dot,
+    tt_to_dense,
+)
+from hatt.linalg import matmul, scale_columns
+from hatt.tt import h_unfold
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+MODES = st.sampled_from((1, 3, 5, 9))
+RANKS = st.integers(1, 4)
+SEEDS = st.integers(0, 2**31 - 1)
+VARIANTS = st.sampled_from((DIRECT, svd_variant(rel_tol=0.0)))
+
+
+@st.composite
+def trains(draw, count):
+    """`count` gaussian TT tensors of one random shape, each with its own
+    random rank chain."""
+    d = draw(st.integers(2, 5))
+    shape = tuple(draw(MODES) for _ in range(d))
+    seed = draw(SEEDS)
+    return [gaussian_tt(shape, (1,) + tuple(draw(RANKS) for _ in range(d - 1)) + (1,),
+                        seed=seed + j)
+            for j in range(count)]
+
+
+def rel_gap(a, b):
+    return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
+
+
+# --- the per-slice loops the kernels replaced, kept as references ------------
+
+
+def loop_hpcrl(y, z, r, variant, ledger):
+    d = y.d
+    mats = [None] * (d - 1)
+    h_last = np.einsum("ai,bi->abi", y.cores[d - 1].values[:, :, 0],
+                       z.cores[d - 1].values[:, :, 0]).reshape(-1, y.shape[d - 1])
+    mats[d - 2] = matmul(h_last, h_unfold(r.cores[d - 1]).T, ledger)
+    for k in range(d - 1, 1, -1):
+        yc, zc, rc = y.cores[k - 1], z.cores[k - 1], r.cores[k - 1]
+        n = yc.mode_size
+        rep = rank1_decompose(mats[k - 1], variant, ledger)
+        terms = rep.n_terms
+        r1, r2 = yc.left_rank, yc.right_rank
+        s1, s2 = zc.left_rank, zc.right_rank
+        u_fold = rep.u.T.reshape(terms, r2, s2).transpose(0, 2, 1)
+        w_left = np.empty((r1 * s1, n * terms))
+        w_right = np.empty((rc.left_rank, n * terms))
+        for i in range(1, n + 1):
+            block = slice((i - 1) * terms, i * terms)
+            if variant.kind == "direct":
+                w_right[:, block] = rc.slice(i)
+            else:
+                w_right[:, block] = matmul(rc.slice(i), rep.v, ledger)
+            t = (zc.slice(i) @ u_fold) @ yc.slice(i).T
+            w_left[:, block] = t.transpose(0, 2, 1).reshape(terms, r1 * s1).T
+            ledger.add_matmul(terms * (s1 * (2 * s2 - 1) * r2 + s1 * (2 * r2 - 1) * r1))
+        if variant.kind == "svd":
+            w_right = scale_columns(w_right, np.tile(rep.sigma, n), ledger)
+        mats[k - 2] = matmul(w_left, w_right.T, ledger)
+    return mats
+
+
+def loop_contract(m, ycore, zcore, ledger):
+    r1, s1 = ycore.left_rank, zcore.left_rank
+    r2, s2 = ycore.right_rank, zcore.right_rank
+    rows = m.shape[0]
+    m_fold = m.reshape(rows, r1, s1).transpose(0, 2, 1)
+    out = np.empty((rows, ycore.mode_size, r2 * s2))
+    for i in range(1, ycore.mode_size + 1):
+        t = (zcore.slice(i).T @ m_fold) @ ycore.slice(i)
+        out[:, i - 1, :] = t.transpose(0, 2, 1).reshape(rows, r2 * s2)
+        ledger.add_matmul(rows * (s2 * (2 * s1 - 1) * r1 + s2 * (2 * r1 - 1) * r2))
+    return out
+
+
+def counts(ledger):
+    return ledger.matmul_flops, ledger.qr_flops, ledger.svd_flops
+
+
+# --- properties ---------------------------------------------------------------
+
+
+@SETTINGS
+@given(trains(3), VARIANTS)
+def test_hpcrl_matches_materialized_product_and_loop(tts, variant):
+    y, z, sketch = tts
+    ledger, loop_ledger = FlopLedger(), FlopLedger()
+    got = hpcrl(y, z, sketch, variant, ledger)
+    ref = partial_contraction_rl(tt_hadamard(y, z), sketch)
+    loop = loop_hpcrl(y, z, sketch, variant, loop_ledger)
+    tol = 1e-12 if variant.kind == "direct" else 1e-11
+    for w, w_ref, w_loop in zip(got.mats, ref.mats, loop):
+        assert rel_gap(w, w_ref) <= tol
+        assert rel_gap(w, w_loop) <= 1e-12
+    assert counts(ledger) == counts(loop_ledger)
+
+
+@SETTINGS
+@given(st.tuples(RANKS, RANKS, RANKS, RANKS), MODES, st.integers(1, 6), SEEDS)
+def test_contract_m_matches_kron_slices_and_loop(ranks, n, rows, seed):
+    r1, r2, s1, s2 = ranks
+    rng = np.random.default_rng(seed)
+    y = TTCore(rng.normal(size=(r1, n, r2)))
+    z = TTCore(rng.normal(size=(s1, n, s2)))
+    m = rng.normal(size=(rows, r1 * s1))
+    ledger, loop_ledger = FlopLedger(), FlopLedger()
+    got = contract_m_onto_pkp(m, y, z, ledger).values
+    for i in range(1, n + 1):
+        want = m @ np.kron(y.slice(i), z.slice(i))
+        assert rel_gap(got[:, i - 1, :], want) <= 1e-13
+    assert rel_gap(got, loop_contract(m, y, z, loop_ledger)) <= 1e-13
+    assert counts(ledger) == counts(loop_ledger)
+
+
+@SETTINGS
+@given(trains(3))
+def test_inner_products_match_dense(tts):
+    x, y, z = (tt_to_dense(t).values for t in tts)
+    for got, terms in ((tt_dot(tts[0], tts[1]), x * y),
+                       (tt_hadamard_dot(*tts), x * y * z)):
+        assert abs(got - terms.sum()) <= 1e-12 * max(np.abs(terms).sum(), 1e-300)

@@ -267,6 +267,19 @@ def test_hatt_equals_rand_orth_with_shared_sketch(rng):
         assert err <= 1e-11
 
 
+def test_caller_sketch_is_fitted_to_the_product():
+    y = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=62)
+    sketch = gaussian_tt(y.shape, (1, 4, 16, 4, 1), seed=63)  # l_2 = 16 > r s = 9
+    with pytest.warns(TargetRankWarning, match="l_2: 16 -> 9"):
+        via_hatt = hatt(y, y, sketch_tt=sketch)
+    with pytest.warns(TargetRankWarning, match="l_2: 16 -> 9"):
+        via_baseline = rand_orth(tt_hadamard(y, y), sketch_tt=sketch)
+    assert via_hatt.ranks == via_baseline.ranks == (1, 4, 9, 4, 1)
+    assert relative_error(via_hatt, via_baseline) <= 1e-11
+    with pytest.raises(ValueError, match="sketch tensor shape"):
+        hatt(y, y, sketch_tt=gaussian_tt((4, 4, 4, 5), (1, 2, 2, 2, 1), seed=64))
+
+
 def test_hatt_clamps_excessive_targets():
     y = gaussian_tt((4, 4, 4), (1, 2, 2, 1), seed=70)
     z = gaussian_tt((4, 4, 4), (1, 2, 2, 1), seed=71)

@@ -264,3 +264,32 @@ def test_dense_cap_on_reconstruction():
     with dense_limit(100):
         with pytest.raises(ResourceLimitError):
             tt_to_dense(tt)
+
+
+def test_tt_to_dense_of_high_rank_product_under_cap():
+    # 32768 elements behind rank-400 bonds: a left-to-right sweep would
+    # carry the trailing rank into a 1.6e6-element intermediate
+    from hatt import hilbert_tt
+
+    h = hilbert_tt(5, 8, 20)
+    dense = tt_to_dense(h)
+    got = tt_to_dense(tt_hadamard(h, h))
+    want = hadamard_dense(dense, dense)
+    assert np.max(np.abs(got.values - want.values)) <= 1e-14 * np.max(np.abs(want.values))
+
+
+def test_tt_to_dense_ragged_ranks_match_slices(rng):
+    for d in (1, 2, 3, 4):
+        shape = tuple(int(n) for n in rng.integers(1, 4, size=d))
+        tt = gaussian_tt(shape, random_chain(rng, d, 5), seed=int(rng.integers(0, 1000)))
+        assert np.allclose(tt_to_dense(tt).values, dense_from_slices(tt), atol=1e-13)
+
+
+def test_load_truncated_container(tmp_path):
+    tt = gaussian_tt((3, 3, 3, 3), (1, 2, 2, 2, 1), seed=15)
+    path = tmp_path / "tensor.tt"
+    save_tt(tt, path)
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:40]))
+    with pytest.raises(ValueError, match="malformed container"):
+        load_tt(path)
