@@ -6,8 +6,8 @@ kernels, seeded random TT generation, three recompression sweeps
 experiment generators, and a benchmark CLI (``hatt-bench``).
 """
 
-from .dense import DenseTensor, brute_force_max, hadamard_dense, kron_dense, refold, unfold
-from .indexing import mat_vector, multi_index, multi_index_inv, vec
+from .dense import DenseTensor, brute_force_max, hadamard_dense
+from .indexing import multi_index
 from .limits import (
     ResourceLimitError,
     core_cap,
@@ -22,8 +22,6 @@ from .linalg import (
     QrResult,
     SvdResult,
     econ_qr,
-    kron_apply_vec,
-    lq,
     matmul,
     tri_matmul,
     truncated_svd,
@@ -32,6 +30,7 @@ from .rand_tt import RandomSpec, gaussian_tt, random_tt, uniform_chain, uniform_
 from .recompress import (
     ALGORITHMS,
     DIRECT,
+    RECOMPRESSORS,
     Rank1Rep,
     Rank1Variant,
     RecompressReport,
@@ -42,6 +41,7 @@ from .recompress import (
     hatt,
     hpcrl,
     partial_contraction_rl,
+    predicted_flops,
     rand_orth,
     rank1_decompose,
     recompress_hadamard,
@@ -50,18 +50,14 @@ from .recompress import (
     tt_rounding,
 )
 from .tt import (
-    OrthFlag,
     TTCore,
     TTTensor,
-    contract_mode1,
     h_unfold,
     left_orthogonality_defect,
     load_tt,
-    orth_flag,
     partial_contracted_product,
     pkp_cores,
     relative_error,
-    right_orthogonality_defect,
     save_tt,
     tt_add,
     tt_dot,

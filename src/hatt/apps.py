@@ -6,6 +6,7 @@ to verify results exactly.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,15 +15,17 @@ from .dense import DenseTensor, brute_force_max  # noqa: F401  (re-exported orac
 from .indexing import check_shape
 from .linalg import scale_columns, truncated_svd
 from .recompress import (
-    DIRECT,
-    hatt,
+    TargetRankWarning,
+    _clamp_targets,
+    _runner,
     normalize_targets,
-    rand_orth,
-    svd_variant,
     tt_hadamard_dot,
-    tt_rounding,
 )
-from .tt import TTTensor, tt_dot, tt_hadamard, tt_norm, tt_add, tt_ones, tt_scale
+from .tt import TTTensor, tt_add, tt_norm, tt_ones, tt_scale
+
+# Not used here: perfbench/tracing.py wraps these names on this module.
+from .recompress import hatt, rand_orth, tt_rounding  # noqa: F401
+from .tt import tt_dot, tt_hadamard  # noqa: F401
 
 
 def tt_svd(x, targets=None, rel_tol=None, ledger=None):
@@ -218,9 +221,6 @@ def hilbert_tt(d, n, r):
 
 # --- power iteration for the largest element ---------------------------------
 
-RECOMPRESSORS = ("tt-rounding", "rand-orth", "hatt-1", "hatt-2")
-
-
 @dataclass
 class PowerIterResult:
     estimate: float
@@ -236,41 +236,27 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
                         max_terms=None, rel_change_tol=1e-12, ledger=None):
     """Estimate the largest element of a nonnegative-dominant TT tensor.
 
-    Iterates v <- recompress(y ⊙ v, ell) / ||...||, starting from the all-ones
-    rank-1 tensor; the estimate is the Rayleigh-style readout
-    <v, y ⊙ v> / <v, v>, which converges to the dominant element when it is
-    positive and separated.  The readout and the hatt recompressors consume
-    (y, v) directly; the baselines materialize the product first.  Stops
-    after `max_iter` iterations or when the estimate's relative change drops
-    below `rel_change_tol`.
+    Iterates v <- recompress(y ⊙ v, ell) / ||...||, starting from the
+    unit-norm constant tensor; the estimate is the Rayleigh-style readout
+    <v, y ⊙ v> (v has unit norm), which converges to the dominant element
+    when it is positive and separated.  The readout and the hatt
+    recompressors consume (y, v) directly; the baselines materialize the
+    product first.  Stops after `max_iter` iterations or when the estimate's
+    relative change drops below `rel_change_tol`.
     """
-    if recompressor not in RECOMPRESSORS:
-        raise ValueError(f"unknown recompressor {recompressor!r}; known: {RECOMPRESSORS}")
-    v = tt_ones(y.shape)
+    run = _runner(recompressor)
+    chain = normalize_targets(ell, y.d)
+    v = tt_scale(tt_ones(y.shape), 1.0 / math.sqrt(y.size))
     history = []
     prev = None
     for t in range(1, max_iter + 1):
-        # effective targets never exceed the product's rank chain
-        chain = normalize_targets(ell, y.d)
         products = tuple(a * b for a, b in zip(y.ranks, v.ranks))
-        eff = [1]
-        for k in range(1, y.d):
-            eff.append(min(chain[k], products[k], eff[k - 1] * y.shape[k - 1]))
-        eff.append(1)
-        step_seed = _iteration_seed(seed, t)
-        if recompressor == "hatt-2":
-            w = hatt(y, v, tuple(eff), DIRECT, seed=step_seed, ledger=ledger)
-        elif recompressor == "hatt-1":
-            w = hatt(y, v, tuple(eff), svd_variant(max_terms), seed=step_seed,
-                     ledger=ledger)
-        else:
-            product = tt_hadamard(y, v)
-            if recompressor == "tt-rounding":
-                w = tt_rounding(product, tuple(eff), ledger=ledger)
-            else:
-                w = rand_orth(product, tuple(eff), seed=step_seed, ledger=ledger)
-        denom = tt_dot(v, v)
-        estimate = tt_hadamard_dot(v, y, v) / denom
+        with warnings.catch_warnings():
+            # the iterate starts at rank 1, so early chains are clamped
+            warnings.simplefilter("ignore", TargetRankWarning)
+            targets = _clamp_targets(chain, y.shape, products)
+        w = run(y, v, targets, _iteration_seed(seed, t), max_terms, ledger)
+        estimate = tt_hadamard_dot(v, y, v)
         history.append(estimate)
         norm = tt_norm(w)
         if norm == 0.0:

@@ -40,7 +40,8 @@ from .linalg import FlopLedger
 from .recompress import (
     ALGORITHMS,
     TargetRankWarning,
-    flop_model,
+    _runner,
+    predicted_flops,
     recompress_hadamard,
 )
 from .rand_tt import gaussian_tt, uniform_chain, uniform_tt
@@ -149,7 +150,6 @@ class Scenario:
     n: int = None
     ranks: tuple = None
     targets: tuple = None
-    variant: str = None
     max_terms: int = None
     fourier_terms: int = None
     max_iter: int = 100
@@ -157,7 +157,6 @@ class Scenario:
     core_cap: int = None
     out: str = None
     strict: bool = False
-    sequential_timing: bool = False
     flop_report: bool = False
     fixtures: str = None
 
@@ -173,24 +172,18 @@ class Scenario:
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         for alg in self.algorithms:
-            if alg not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {alg!r}; known: {ALGORITHMS}")
+            _runner(alg)
 
 
 def _cell(config, algorithm, y, z, targets, seed, reference, d, n, r, s, ell):
     """Run one (algorithm, seed) cell; a resource-capped cell becomes a marker row."""
-    max_terms = config.max_terms if algorithm == "hatt-1" else None
-    if algorithm == "hatt-1":
-        terms = min(max_terms or ell, ell)
-        predicted = flop_model("hatt-1", d, n, r, s, ell, n_terms=terms)
-    else:
-        predicted = flop_model(algorithm, d, n, r, s, ell)
+    predicted = predicted_flops(algorithm, d, n, r, s, ell, config.max_terms)
     try:
         with warnings.catch_warnings():
             # clamped targets are visible in the output_ranks column
             warnings.simplefilter("ignore", TargetRankWarning)
             _, rep = recompress_hadamard(
-                algorithm, y, z, targets, seed=seed, max_terms=max_terms,
+                algorithm, y, z, targets, seed=seed, max_terms=config.max_terms,
                 reference=reference,
             )
     except ResourceLimitError:
@@ -291,11 +284,7 @@ def run_example3(config):
                     seed=seed, max_terms=config.max_terms, ledger=ledger,
                 )
                 elapsed = time.perf_counter() - start
-                if alg == "hatt-1":
-                    terms = min(config.max_terms or ell, ell)
-                    per_iter = flop_model(alg, d, n, r, ell, ell, n_terms=terms)
-                else:
-                    per_iter = flop_model(alg, d, n, r, ell, ell)
+                per_iter = predicted_flops(alg, d, n, r, ell, ell, config.max_terms)
                 rows.append(ResultRow(
                     f"{config.name}-{kind}", alg, d, n, r, ell, ell, seed,
                     rel_error=abs(res.estimate - exact) / abs(exact),

@@ -44,8 +44,6 @@ def build_parser():
                         help="input rank sweep (scenario-dependent)")
     parser.add_argument("--targets", type=_int_list, default=None,
                         help="target rank sweep (scenario-dependent)")
-    parser.add_argument("--variant", choices=("svd", "direct"), default=None,
-                        help="sketch rank-1 decomposition variant (hatt-1 only)")
     parser.add_argument("--max-terms", type=int, default=None,
                         help="retained rank-1 terms for the svd sketch variant")
     parser.add_argument("--dense-cap", type=int, default=None,
@@ -60,9 +58,6 @@ def build_parser():
                         help="print a measured-vs-predicted flop table")
     parser.add_argument("--strict", action="store_true",
                         help="treat resource-capped cells as fatal (exit 1)")
-    parser.add_argument("--sequential-timing", action="store_true",
-                        help="force sequential cell execution (the default; "
-                             "kept for compatibility)")
     parser.add_argument("--fixtures", default=None,
                         help="directory for saving/reloading input TT tensors")
     return parser
@@ -76,12 +71,6 @@ def cli_parse(argv):
     algorithms = ALGORITHMS if args.algorithms is None else tuple(
         a.strip() for a in args.algorithms.split(",") if a.strip()
     )
-    if args.variant is not None and "hatt-1" not in algorithms:
-        parser.error("--variant applies to hatt-1 only; hatt-2 always uses the "
-                     "direct sketch representation")
-    if args.variant == "direct" and "hatt-1" in algorithms:
-        parser.error("hatt-1 is defined by the svd sketch representation; "
-                     "drop --variant or use --algorithms hatt-2")
     if args.max_terms is not None and args.max_terms < 1:
         parser.error("--max-terms must be >= 1")
     try:
@@ -93,7 +82,6 @@ def cli_parse(argv):
             n=args.n,
             ranks=args.ranks,
             targets=args.targets,
-            variant=args.variant,
             max_terms=args.max_terms,
             fourier_terms=args.fourier_terms,
             max_iter=args.max_iter,
@@ -101,7 +89,6 @@ def cli_parse(argv):
             core_cap=args.core_cap,
             out=args.out,
             strict=args.strict,
-            sequential_timing=args.sequential_timing,
             flop_report=args.flop_report,
             fixtures=args.fixtures,
         )

@@ -53,49 +53,11 @@ class DenseTensor:
         return f"DenseTensor(shape={self.shape})"
 
 
-def unfold(x, k):
-    """Matricize a tensor at split position k.
-
-    Rows are indexed by the multi-index over modes 1..k, columns by the
-    multi-index over modes k+1..d (both last-index-fastest), so the result is
-    a plain C-order reshape.
-    """
-    values = x.values if isinstance(x, DenseTensor) else np.asarray(x)
-    d = values.ndim
-    if not 1 <= k <= d - 1:
-        raise IndexError(f"split position {k} out of range 1..{d - 1}")
-    rows = int(np.prod(values.shape[:k]))
-    return values.reshape(rows, -1)
-
-
-def refold(mat, shape):
-    """Inverse of :func:`unfold`: reshape a matricization back to a tensor."""
-    shape = check_shape(shape)
-    mat = np.asarray(mat)
-    if mat.size != np.prod(shape):
-        raise ValueError(f"cannot refold {mat.size} elements into shape {shape}")
-    return DenseTensor(mat.reshape(shape))
-
-
 def hadamard_dense(y, z):
     """Elementwise product of two equal-shape dense tensors."""
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     return DenseTensor(y.values * z.values, copy=False)
-
-
-def kron_dense(y, q):
-    """Kronecker product of two order-d dense tensors.
-
-    The entry at interleaved multi-index (i_1 j_1, ..., i_d j_d) is the
-    product of the factor entries; np.kron implements exactly this blockwise
-    layout for n-d arrays.
-    """
-    if y.order != q.order:
-        raise ValueError(f"order mismatch {y.order} vs {q.order}")
-    out_size = y.size * q.size
-    check_dense(out_size, "Kronecker product")
-    return DenseTensor(np.kron(y.values, q.values), copy=False)
 
 
 def brute_force_max(x):

@@ -1,18 +1,10 @@
-"""1-based multi-index arithmetic and column-major vector folding.
+"""1-based multi-index arithmetic.
 
-Two distinct layout conventions coexist in this package and are kept
-deliberately separate:
-
-* tensor multi-indexing is *last-index-fastest*:
-  ``(i_1, ..., i_d) -> i_d + (i_{d-1}-1) n_d + ... + (i_1-1) n_2...n_d``,
-  which coincides with C-order flattening of a numpy array (plus 1);
-* matrix vectorization is *column-major*: ``vec`` stacks columns, and
-  ``mat_vector`` is its inverse, filling an m x n matrix column by column.
-
-All indices entering or leaving this module are 1-based.
+Tensor multi-indexing is *last-index-fastest*:
+``(i_1, ..., i_d) -> i_d + (i_{d-1}-1) n_d + ... + (i_1-1) n_2...n_d``,
+which coincides with C-order flattening of a numpy array (plus 1).  All
+indices entering or leaving this module are 1-based.
 """
-
-import numpy as np
 
 
 def check_shape(shape):
@@ -40,34 +32,3 @@ def multi_index(indices, shape):
         stride *= dims[k + 1]
         flat += (idx[k] - 1) * stride
     return flat
-
-
-def multi_index_inv(flat, shape):
-    """Inverse of :func:`multi_index`: 1-based flat position to 1-based indices."""
-    dims = check_shape(shape)
-    total = int(np.prod(dims))
-    flat = int(flat)
-    if not 1 <= flat <= total:
-        raise IndexError(f"flat index {flat} out of range 1..{total}")
-    rem = flat - 1
-    idx = []
-    for n in reversed(dims):
-        idx.append(rem % n + 1)
-        rem //= n
-    return tuple(reversed(idx))
-
-
-def vec(mat):
-    """Stack the columns of a matrix into a vector (column 1 first)."""
-    mat = np.asarray(mat)
-    if mat.ndim != 2:
-        raise ValueError("vec expects a matrix")
-    return mat.ravel(order="F")
-
-
-def mat_vector(v, m, n):
-    """Fold a length-m*n vector into an m x n matrix, filling column by column."""
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size != m * n:
-        raise ValueError(f"cannot fold vector of size {v.size} into {m} x {n}")
-    return v.reshape((m, n), order="F")

@@ -1,4 +1,4 @@
-"""Instrumented dense kernels: multiplication, QR/LQ, truncated SVD.
+"""Instrumented dense kernels: multiplication, QR, truncated SVD.
 
 Every kernel takes an optional :class:`FlopLedger` and charges a closed-form
 flop count:
@@ -20,8 +20,6 @@ each left singular vector is nonnegative.
 from dataclasses import dataclass
 
 import numpy as np
-
-from .indexing import mat_vector, vec
 
 SVD_COST_FACTOR = 14
 
@@ -145,16 +143,6 @@ def econ_qr(x, q_only=False, ledger=None):
     return QrResult(q, r)
 
 
-def lq(x, ledger=None):
-    """LQ factorization: x = L Q with Q having orthonormal rows.
-
-    Implemented as the economy QR of x^T; L's diagonal is nonnegative.
-    """
-    x = np.asarray(x, dtype=float)
-    res = econ_qr(x.T, ledger=ledger)
-    return res.r.T, res.q.T
-
-
 def truncated_svd(x, target_rank=None, max_terms=None, ledger=None, rank_tol=1e-12):
     """Leading singular triplets of a matrix.
 
@@ -195,21 +183,3 @@ def truncated_svd(x, target_rank=None, max_terms=None, ledger=None, rank_tol=1e-
             v[:, j] = -v[:, j]
     return SvdResult(u, s, v, tail)
 
-
-def kron_apply_vec(a, b, v, ledger=None):
-    """Apply a Kronecker product to a vector without materializing it.
-
-    Computes ``(a kron b) v`` as ``vec(b V a^T)`` where V is v folded
-    column-major into an s x n matrix (a is m x n, b is r x s, v has length
-    n*s).  Costs two small matrix products instead of an (mr x ns) one.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    v = np.asarray(v)
-    m, n = a.shape
-    r, s = b.shape
-    if v.ndim != 1 or v.size != n * s:
-        raise ValueError(f"vector length {v.size} incompatible with {n * s}")
-    folded = mat_vector(v, s, n)
-    out = matmul(matmul(b, folded, ledger), a.T, ledger)
-    return vec(out)

@@ -20,7 +20,9 @@ columns as they are.
 
 :func:`flop_model` gives leading-order operation counts for these algorithms
 (plus two non-implemented baselines kept for comparison) so measured ledgers
-can be checked against predictions.
+can be checked against predictions.  :data:`RECOMPRESSORS` is the one place
+that maps an algorithm name (tt-rounding, rand-orth, hatt-1, hatt-2) to the
+code that runs it.
 """
 
 import time
@@ -546,9 +548,56 @@ def flop_model(algorithm, d, n, r, s, ell, n_terms=None):
     return int(round(val))
 
 
-# --- reporting ---------------------------------------------------------------
+# --- the algorithm table -----------------------------------------------------
+#
+# Each runner recompresses y ⊙ z as `(y, z, targets, seed, max_terms, ledger)`.
+# The baselines materialize the product inside the runner, so a timed call
+# includes that step.  Runners look the sweeps up by module name at call time,
+# so a function swapped into this module (a tracer's wrapper) is seen.
 
-ALGORITHMS = ("tt-rounding", "rand-orth", "hatt-1", "hatt-2")
+
+def _run_tt_rounding(y, z, targets, seed, max_terms, ledger):
+    return tt_rounding(tt_hadamard(y, z), targets, ledger=ledger)
+
+
+def _run_rand_orth(y, z, targets, seed, max_terms, ledger):
+    return rand_orth(tt_hadamard(y, z), targets, seed=seed, ledger=ledger)
+
+
+def _run_hatt1(y, z, targets, seed, max_terms, ledger):
+    return hatt(y, z, targets, svd_variant(max_terms), seed=seed, ledger=ledger)
+
+
+def _run_hatt2(y, z, targets, seed, max_terms, ledger):
+    return hatt(y, z, targets, DIRECT, seed=seed, ledger=ledger)
+
+
+RECOMPRESSORS = {
+    "tt-rounding": _run_tt_rounding,
+    "rand-orth": _run_rand_orth,
+    "hatt-1": _run_hatt1,
+    "hatt-2": _run_hatt2,
+}
+ALGORITHMS = tuple(RECOMPRESSORS)
+
+
+def _runner(algorithm):
+    """The runner of a named algorithm; an unknown name is a ValueError."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
+    return RECOMPRESSORS[algorithm]
+
+
+def predicted_flops(algorithm, d, n, r, s, ell, max_terms=None):
+    """:func:`flop_model` for one run of `algorithm` at target rank ell.
+
+    hatt-1 keeps min(max_terms or ell, ell) rank-1 terms per sketch; the
+    other algorithms ignore `max_terms`.
+    """
+    return flop_model(algorithm, d, n, r, s, ell, n_terms=min(max_terms or ell, ell))
+
+
+# --- reporting ---------------------------------------------------------------
 
 
 @dataclass
@@ -564,8 +613,7 @@ class RecompressReport:
     seed: int = None
 
 
-def recompress_hadamard(algorithm, y, z, targets, seed=None, max_terms=None,
-                        rel_tol=1e-10, reference=None):
+def recompress_hadamard(algorithm, y, z, targets, seed=None, max_terms=None, reference=None):
     """Run one recompression of y ⊙ z and report on it.
 
     The baselines (tt-rounding, rand-orth) materialize the Hadamard product
@@ -573,33 +621,15 @@ def recompress_hadamard(algorithm, y, z, targets, seed=None, max_terms=None,
     actually be used.  `reference` (a DenseTensor, or a TT tensor) enables
     the relative-error column; pass None to skip it.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}; known: {ALGORITHMS}")
+    run = _runner(algorithm)
     ledger = FlopLedger()
-    d, n = y.d, max(y.shape)
-    r, s = max(y.ranks), max(z.ranks)
-    ell_chain = normalize_targets(targets, d)
-    ell = max(ell_chain)
+    d = y.d
+    ell = max(normalize_targets(targets, d))
     start = time.perf_counter()
-    if algorithm == "hatt-2":
-        out = hatt(y, z, targets, DIRECT, seed=seed, ledger=ledger)
-    elif algorithm == "hatt-1":
-        out = hatt(y, z, targets, svd_variant(max_terms, rel_tol), seed=seed,
-                   ledger=ledger)
-    else:
-        product = tt_hadamard(y, z)
-        if algorithm == "tt-rounding":
-            out = tt_rounding(product, targets, ledger=ledger)
-        else:
-            out = rand_orth(product, targets, seed=seed, ledger=ledger)
+    out = run(y, z, targets, seed, max_terms, ledger)
     elapsed = time.perf_counter() - start
-    if algorithm == "hatt-1":
-        terms = min(max_terms or ell, ell)
-        predicted = flop_model("hatt-1", d, n, r, s, ell, n_terms=terms)
-    else:
-        predicted = flop_model(algorithm, d, n, r, s, ell)
-    err = None
-    if reference is not None:
-        err = relative_error(out, reference)
+    predicted = predicted_flops(algorithm, d, max(y.shape), max(y.ranks), max(z.ranks), ell,
+                                max_terms)
+    err = None if reference is None else relative_error(out, reference)
     return out, RecompressReport(algorithm, out.ranks, err, elapsed, ledger,
                                  predicted, seed)

@@ -118,19 +118,6 @@ def pkp_cores(y, z):
     return TTCore(out, copy=False)
 
 
-def contract_mode1(a, b, k=1):
-    """Contract the trailing k modes of `a` against the leading k modes of `b`."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if k < 1 or k > min(a.ndim, b.ndim):
-        raise ValueError(f"cannot contract {k} modes")
-    if a.shape[a.ndim - k:] != b.shape[:k]:
-        raise ValueError(
-            f"mode mismatch: trailing {a.shape[a.ndim - k:]} vs leading {b.shape[:k]}"
-        )
-    return np.tensordot(a, b, axes=k)
-
-
 def partial_contracted_product(x, k, l):
     """Contract cores k..l (1-based, inclusive) into one array.
 
@@ -140,7 +127,7 @@ def partial_contracted_product(x, k, l):
         raise IndexError(f"core range {k}..{l} out of range 1..{x.d}")
     out = x.cores[k - 1].values
     for j in range(k, l):
-        out = contract_mode1(out, x.cores[j].values)
+        out = np.tensordot(out, x.cores[j].values, axes=1)
         check_dense(out.size, "partial contracted product")
     return out
 
@@ -276,73 +263,12 @@ def relative_error(x_approx, x_ref, method="auto"):
     return tt_norm(diff) / ref_norm
 
 
-class OrthFlag:
-    """Orthogonality classification of a TT tensor.
-
-    kind is one of 'none', 'left_orthogonal_up_to', 'right_orthogonal_from';
-    k is the last left-orthogonal core (resp. first right-orthogonal core).
-    A core j is left-orthogonal when V<G_j> has orthonormal columns and
-    right-orthogonal when H<G_j> has orthonormal rows.
-    """
-
-    def __init__(self, kind, k=None):
-        if kind not in ("none", "left_orthogonal_up_to", "right_orthogonal_from"):
-            raise ValueError(f"unknown orthogonality kind {kind!r}")
-        self.kind = kind
-        self.k = k
-
-    def __eq__(self, other):
-        return isinstance(other, OrthFlag) and (self.kind, self.k) == (other.kind, other.k)
-
-    def __repr__(self):
-        return f"OrthFlag({self.kind!r}, k={self.k})"
-
-
-def _core_is_left_orthogonal(core, tol):
-    v = v_unfold(core)
-    return float(np.max(np.abs(v.T @ v - np.eye(v.shape[1])))) <= tol
-
-
-def _core_is_right_orthogonal(core, tol):
-    h = h_unfold(core)
-    return float(np.max(np.abs(h @ h.T - np.eye(h.shape[0])))) <= tol
-
-
-def orth_flag(x, tol=1e-10):
-    """Classify a TT tensor's orthogonality by scanning its cores."""
-    k_left = 0
-    for core in x.cores[:-1]:
-        if not _core_is_left_orthogonal(core, tol):
-            break
-        k_left += 1
-    if k_left > 0:
-        return OrthFlag("left_orthogonal_up_to", k_left)
-    k_right = x.d + 1
-    for j in range(x.d, 1, -1):
-        if not _core_is_right_orthogonal(x.cores[j - 1], tol):
-            break
-        k_right = j
-    if k_right <= x.d:
-        return OrthFlag("right_orthogonal_from", k_right)
-    return OrthFlag("none")
-
-
 def left_orthogonality_defect(x):
     """max_k ||V<G_k>^T V<G_k> - I||_max over cores 1..d-1 (0 for d = 1)."""
     defect = 0.0
     for core in x.cores[:-1]:
         v = v_unfold(core)
         g = v.T @ v
-        defect = max(defect, float(np.max(np.abs(g - np.eye(g.shape[0])))))
-    return defect
-
-
-def right_orthogonality_defect(x):
-    """max_k ||H<G_k> H<G_k>^T - I||_max over cores 2..d (0 for d = 1)."""
-    defect = 0.0
-    for core in x.cores[1:]:
-        h = h_unfold(core)
-        g = h @ h.T
         defect = max(defect, float(np.max(np.abs(g - np.eye(g.shape[0])))))
     return defect
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from hatt import (
     DenseTensor,
     FourierSpec,
     SeparableFunctionSpec,
+    TargetRankWarning,
     brute_force_max,
     fourier_tt,
     hadamard_dense,
@@ -179,6 +182,24 @@ def test_power_iteration_scale_homogeneous():
     res_scaled = power_iteration_max(tt_scale(y, 7.0), 3, max_iter=40,
                                      recompressor="tt-rounding", seed=2)
     assert res_scaled.estimate == pytest.approx(7.0 * res.estimate, rel=1e-10)
+
+
+def test_power_iteration_first_readout_is_the_mean():
+    # the iterate starts as the unit-norm constant tensor
+    spec = SeparableFunctionSpec("alpine", 3, 8)
+    res = power_iteration_max(separable_tt(spec), 4, max_iter=1, recompressor="hatt-2")
+    mean = separable_dense(spec).values.mean()
+    assert abs(res.history[0] - mean) <= 1e-12 * abs(mean)
+
+
+@pytest.mark.parametrize("alg", ["hatt-2", "rand-orth"])
+def test_power_iteration_clamps_to_the_product_ranks(alg):
+    # the iterate's rank grows from 1, and every recompression is asked for
+    # ranks the product has, so none clamps again
+    y = separable_tt(SeparableFunctionSpec("qing", 4, 6))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TargetRankWarning)
+        power_iteration_max(y, 5, max_iter=5, recompressor=alg)
 
 
 def test_power_iteration_backends_agree():

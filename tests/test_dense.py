@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 
@@ -9,39 +7,7 @@ from hatt import (
     brute_force_max,
     dense_limit,
     hadamard_dense,
-    kron_dense,
-    multi_index,
-    refold,
-    unfold,
 )
-
-
-def test_unfold_shape():
-    x = DenseTensor(np.zeros((2, 3, 4)))
-    assert unfold(x, 2).shape == (6, 4)
-
-
-def test_unfold_entry_lookup(rng):
-    x = DenseTensor(rng.normal(size=(2, 3, 4)))
-    for k in (1, 2):
-        mat = unfold(x, k)
-        for idx in itertools.product(range(1, 3), range(1, 4), range(1, 5)):
-            row = multi_index(idx[:k], x.shape[:k])
-            col = multi_index(idx[k:], x.shape[k:])
-            assert mat[row - 1, col - 1] == x.value_at(idx)
-
-
-def test_unfold_refold_roundtrip(rng):
-    x = DenseTensor(rng.normal(size=(2, 2, 2)))
-    assert np.array_equal(refold(unfold(x, 1), x.shape).values, x.values)
-
-
-def test_unfold_bounds():
-    x = DenseTensor(np.zeros((2, 3, 4)))
-    with pytest.raises(IndexError):
-        unfold(x, 3)
-    with pytest.raises(IndexError):
-        unfold(x, 0)
 
 
 def test_hadamard_identity(rng):
@@ -53,28 +19,6 @@ def test_hadamard_identity(rng):
 def test_hadamard_shape_mismatch():
     with pytest.raises(ValueError):
         hadamard_dense(DenseTensor(np.ones((2, 2))), DenseTensor(np.ones((2, 3))))
-
-
-def test_kron_shape():
-    y = DenseTensor(np.ones((2, 3)))
-    q = DenseTensor(np.ones((4, 5)))
-    assert kron_dense(y, q).shape == (8, 15)
-
-
-def test_kron_entries(rng):
-    y = DenseTensor(rng.normal(size=(2, 2)))
-    q = DenseTensor(rng.normal(size=(3, 2)))
-    out = kron_dense(y, q)
-    # interleaved multi-index: out(i1j1, i2j2) = y(i1,i2) q(j1,j2)
-    for i1, i2 in itertools.product(range(1, 3), range(1, 3)):
-        for j1, j2 in itertools.product(range(1, 4), range(1, 3)):
-            got = out.value_at(((i1 - 1) * 3 + j1, (i2 - 1) * 2 + j2))
-            assert got == pytest.approx(y.value_at((i1, i2)) * q.value_at((j1, j2)))
-
-
-def test_kron_order_mismatch():
-    with pytest.raises(ValueError):
-        kron_dense(DenseTensor(np.ones((2, 2))), DenseTensor(np.ones((2, 2, 2))))
 
 
 def test_dense_cap():

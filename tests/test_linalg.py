@@ -4,8 +4,6 @@ import pytest
 from hatt import (
     FlopLedger,
     econ_qr,
-    kron_apply_vec,
-    lq,
     matmul,
     tri_matmul,
     truncated_svd,
@@ -94,24 +92,6 @@ def test_econ_qr_rejects_nonfinite():
         econ_qr(np.array([[np.inf, 1.0], [0.0, 1.0]]))
 
 
-def test_lq_identity():
-    l_mat, q = lq(np.eye(3))
-    assert np.allclose(l_mat, np.eye(3)) and np.allclose(q, np.eye(3))
-
-
-def test_lq_row_example():
-    l_mat, q = lq(np.array([[3.0, 4.0]]))
-    assert np.allclose(l_mat, [[5.0]])
-    assert np.allclose(q, [[0.6, 0.8]])
-
-
-def test_lq_properties(rng):
-    x = rng.normal(size=(4, 9))
-    l_mat, q = lq(x)
-    assert np.linalg.norm(l_mat @ q - x) / np.linalg.norm(x) <= 1e-13
-    assert np.max(np.abs(q @ q.T - np.eye(4))) <= 1e-13
-
-
 def test_truncated_svd_diag():
     res = truncated_svd(np.diag([3.0, 2.0, 1.0]), target_rank=2)
     assert np.allclose(res.s, [3.0, 2.0])
@@ -163,35 +143,3 @@ def test_truncated_svd_sign_determinism(rng):
         nz = np.nonzero(col)[0]
         assert col[nz[0]] >= 0
 
-
-def test_kron_apply_identity():
-    v = np.array([1.0, 2.0, 3.0, 4.0])
-    assert np.allclose(kron_apply_vec(np.eye(2), np.eye(2), v), v)
-
-
-def test_kron_apply_scalar():
-    assert np.allclose(kron_apply_vec(np.array([[2.0]]), np.array([[3.0]]),
-                                      np.array([5.0])), [30.0])
-
-
-def test_kron_apply_matches_materialized(rng):
-    for trial in range(10):
-        m, n, r, s = rng.integers(1, 6, size=4)
-        a = rng.normal(size=(m, n))
-        b = rng.normal(size=(r, s))
-        v = rng.normal(size=n * s)
-        direct = np.kron(a, b) @ v
-        assert np.allclose(kron_apply_vec(a, b, v), direct, atol=1e-13)
-
-
-def test_kron_apply_length_error():
-    with pytest.raises(ValueError):
-        kron_apply_vec(np.ones((2, 2)), np.ones((2, 2)), np.ones(5))
-
-
-def test_kron_apply_ledger_two_products(rng):
-    ledger = FlopLedger()
-    kron_apply_vec(rng.normal(size=(2, 3)), rng.normal(size=(4, 5)),
-                   rng.normal(size=15), ledger)
-    # vec trick: (4x5)(5x3) then (4x3)(3x2)
-    assert ledger.matmul_flops == 4 * 9 * 3 + 4 * 5 * 2

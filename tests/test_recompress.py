@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from hatt import (
+    ALGORITHMS,
     DIRECT,
     FlopLedger,
     TargetRankWarning,
@@ -13,6 +16,8 @@ from hatt import (
     hatt,
     hpcrl,
     partial_contraction_rl,
+    power_iteration_max,
+    predicted_flops,
     rand_orth,
     rank1_decompose,
     recompress_hadamard,
@@ -28,6 +33,7 @@ from hatt import (
 from hatt.recompress import normalize_targets
 from hatt.tt import TTCore, TTTensor, h_unfold
 from hatt.apps import hilbert_tt
+from hatt.bench import Scenario
 from conftest import random_pair
 
 
@@ -344,6 +350,54 @@ def test_flop_measurements_match_model():
                 model = flop_model(name, 7, 10, r, r, ell)
                 ratio = rep.flops_measured.matmul_flops / model
                 assert 0.65 <= ratio <= 1.35, (name, r, ell, ratio)
+
+
+@pytest.mark.parametrize("r, ell", [(4, 4), (6, 8), (10, 20), (20, 10)])
+def test_sketch_flop_models_match_ledgers(r, ell):
+    y = gaussian_tt((10,) * 7, (1,) + (r,) * 6 + (1,), seed=1)
+    z = gaussian_tt((10,) * 7, (1,) + (r,) * 6 + (1,), seed=2)
+    sketch = gaussian_tt((10,) * 7, (1,) + (ell,) * 6 + (1,), seed=3)
+    runs = {
+        "partial-contraction-rl": lambda led: partial_contraction_rl(tt_hadamard(y, z),
+                                                                     sketch, led),
+        # every sketch matrix has full column rank ell, so hpcrl-1 keeps ell terms
+        "hpcrl-1": lambda led: hpcrl(y, z, sketch, svd_variant(), led),
+        "hpcrl-2": lambda led: hpcrl(y, z, sketch, DIRECT, led),
+    }
+    for name, run in runs.items():
+        ledger = FlopLedger()
+        run(ledger)
+        ratio = ledger.total() / flop_model(name, 7, 10, r, r, ell, n_terms=ell)
+        assert 0.65 <= ratio <= 1.35, (name, r, ell, ratio)
+
+
+# the direct call each algorithm name stands for
+DIRECT_CALLS = {
+    "tt-rounding": lambda y, z, t, seed: tt_rounding(tt_hadamard(y, z), t),
+    "rand-orth": lambda y, z, t, seed: rand_orth(tt_hadamard(y, z), t, seed=seed),
+    "hatt-1": lambda y, z, t, seed: hatt(y, z, t, svd_variant(2), seed=seed),
+    "hatt-2": lambda y, z, t, seed: hatt(y, z, t, DIRECT, seed=seed),
+}
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_recompressor_table(name):
+    y = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
+    z = gaussian_tt((4,) * 4, (1, 2, 2, 2, 1), seed=2)
+    out, rep = recompress_hadamard(name, y, z, 3, seed=5, max_terms=2)
+    want = DIRECT_CALLS[name](y, z, 3, 5)
+    assert out.ranks == want.ranks
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(out.cores, want.cores))
+    assert rep.flops_predicted == predicted_flops(name, 4, 4, 3, 2, 3, max_terms=2)
+    # an unknown name is the same ValueError from every entry point
+    bad = name.upper()
+    message = re.escape(f"unknown algorithm {bad!r}")
+    with pytest.raises(ValueError, match=message):
+        recompress_hadamard(bad, y, z, 3, seed=5)
+    with pytest.raises(ValueError, match=message):
+        power_iteration_max(y, 2, recompressor=bad)
+    with pytest.raises(ValueError, match=message):
+        Scenario("custom", algorithms=(bad,))
 
 
 def test_normalize_targets_forms():

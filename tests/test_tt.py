@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 
 from hatt import (
-    OrthFlag,
     TTCore,
     TTTensor,
-    contract_mode1,
     gaussian_tt,
     h_unfold,
     hadamard_dense,
-    left_orthogonality_defect,
     load_tt,
-    orth_flag,
     partial_contracted_product,
     pkp_cores,
     relative_error,
@@ -90,24 +86,6 @@ def test_pkp_entries_exhaustive(rng):
 def test_pkp_mode_mismatch():
     with pytest.raises(ValueError):
         pkp_cores(TTCore(np.ones((1, 2, 1))), TTCore(np.ones((1, 3, 1))))
-
-
-def test_contract_mode1_shape(rng):
-    a = rng.normal(size=(1, 2, 3))
-    b = rng.normal(size=(3, 2, 1))
-    assert contract_mode1(a, b).shape == (1, 2, 2, 1)
-
-
-def test_contract_identity_core(rng):
-    a = rng.normal(size=(2, 3, 4))
-    eye_core = np.eye(4).reshape(4, 1, 4)
-    out = contract_mode1(a, eye_core)
-    assert np.allclose(out.reshape(2, 3, 4), a)
-
-
-def test_contract_mode_mismatch():
-    with pytest.raises(ValueError):
-        contract_mode1(np.ones((2, 3)), np.ones((4, 2)))
 
 
 def test_tt_to_dense_hand_example():
@@ -227,17 +205,6 @@ def test_relative_error_zero_reference():
     y = tt_ones((2, 2))
     with pytest.raises(ZeroDivisionError):
         relative_error(y, zero)
-
-
-def test_orth_flag_classification():
-    y = gaussian_tt((3, 3, 3), (1, 2, 2, 1), seed=13)
-    assert orth_flag(y) == OrthFlag("none")
-    from hatt import tt_rounding
-
-    rounded = tt_rounding(y, 2)
-    flag = orth_flag(rounded)
-    assert flag.kind == "left_orthogonal_up_to" and flag.k == 2
-    assert left_orthogonality_defect(rounded) <= 1e-10
 
 
 def test_serialization_roundtrip(tmp_path, rng):
