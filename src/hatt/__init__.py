@@ -7,7 +7,6 @@ experiment generators, and a benchmark CLI (``hatt-bench``).
 """
 
 from .dense import DenseTensor, brute_force_max, hadamard_dense
-from .indexing import multi_index
 from .limits import (
     ResourceLimitError,
     core_cap,

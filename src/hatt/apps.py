@@ -16,7 +16,6 @@ from .indexing import check_shape
 from .linalg import scale_columns, truncated_svd
 from .recompress import (
     TargetRankWarning,
-    _clamp_targets,
     _runner,
     normalize_targets,
     tt_hadamard_dot,
@@ -250,12 +249,10 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
     history = []
     prev = None
     for t in range(1, max_iter + 1):
-        products = tuple(a * b for a, b in zip(y.ranks, v.ranks))
         with warnings.catch_warnings():
             # the iterate starts at rank 1, so early chains are clamped
             warnings.simplefilter("ignore", TargetRankWarning)
-            targets = _clamp_targets(chain, y.shape, products)
-        w = run(y, v, targets, _iteration_seed(seed, t), max_terms, ledger)
+            w = run(y, v, chain, _iteration_seed(seed, t), max_terms, ledger)
         estimate = tt_hadamard_dot(v, y, v)
         history.append(estimate)
         norm = tt_norm(w)

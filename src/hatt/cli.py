@@ -51,7 +51,7 @@ def build_parser():
     parser.add_argument("--core-cap", type=int, default=None,
                         help="per-TT-core element-count cap (example2 default: 2000000)")
     parser.add_argument("--fourier-terms", type=int, default=None,
-                        help="number of series terms for example1 (default 6)")
+                        help="number of series terms for example1 (default 12)")
     parser.add_argument("--max-iter", type=int, default=100,
                         help="power-iteration cap for example3")
     parser.add_argument("--flop-report", action="store_true",

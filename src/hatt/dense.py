@@ -1,13 +1,12 @@
 """Dense d-way tensors and their products; the brute-force oracle layer.
 
 Values are stored in C order, which matches the package's last-index-fastest
-multi-index convention: element ``(i_1, ..., i_d)`` (1-based) sits at C-order
-flat position ``multi_index(i, shape) - 1``.
+multi-index convention.
 """
 
 import numpy as np
 
-from .indexing import check_shape, multi_index
+from .indexing import check_shape
 from .limits import check_dense
 
 
@@ -34,17 +33,8 @@ class DenseTensor:
         return self.values.shape
 
     @property
-    def order(self):
-        return self.values.ndim
-
-    @property
     def size(self):
         return self.values.size
-
-    def value_at(self, indices):
-        """Element at a 1-based multi-index."""
-        multi_index(indices, self.shape)  # bounds check
-        return float(self.values[tuple(i - 1 for i in indices)])
 
     def norm(self):
         return float(np.linalg.norm(self.values))

@@ -44,17 +44,6 @@ class FlopLedger:
     def total(self):
         return self.matmul_flops + self.qr_flops + self.svd_flops
 
-    def reset(self):
-        self.matmul_flops = self.qr_flops = self.svd_flops = 0
-
-    def copy(self):
-        return FlopLedger(self.matmul_flops, self.qr_flops, self.svd_flops)
-
-    def merge(self, other):
-        self.matmul_flops += other.matmul_flops
-        self.qr_flops += other.qr_flops
-        self.svd_flops += other.svd_flops
-
     def __repr__(self):
         return (
             f"FlopLedger(matmul={self.matmul_flops}, qr={self.qr_flops}, "
@@ -118,13 +107,13 @@ def scale_columns(a, w, ledger=None):
     return a * w[np.newaxis, :]
 
 
-def econ_qr(x, q_only=False, ledger=None):
+def econ_qr(x, ledger=None):
     """Economy QR with a nonnegative-diagonal sign convention.
 
     For m >= n returns Q (m x n, orthonormal columns) and R (n x n upper
     triangular); for m < n, Q is m x m and R is m x n upper trapezoidal.
-    `q_only` marks that the caller discards R; the flop charge is the
-    explicit-Q Householder cost either way.
+    The flop charge is the explicit-Q Householder cost, whether or not the
+    caller uses R.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:

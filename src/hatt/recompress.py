@@ -181,11 +181,8 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
     if d < 2:
         return SketchSet([])
     mats = [None] * (d - 1)
-    # last pair of cores: right ranks are 1, so the product's horizontal
-    # matricization is an outer product of the factors' slices
-    y_last = y.cores[d - 1].values[:, :, 0]
-    z_last = z.cores[d - 1].values[:, :, 0]
-    h_last = np.einsum("ai,bi->abi", y_last, z_last).reshape(-1, y.shape[d - 1])
+    # the last product core has right rank 1: r_d s_d x n_d entries only
+    h_last = h_unfold(pkp_cores(y.cores[d - 1], z.cores[d - 1]))
     mats[d - 2] = matmul(h_last, h_unfold(r.cores[d - 1]).T, ledger)
     for k in range(d - 1, 1, -1):
         yc, zc, rc = y.cores[k - 1].values, z.cores[k - 1].values, r.cores[k - 1].values
@@ -300,25 +297,24 @@ def normalize_targets(targets, d):
     return check_rank_chain(chain, d)
 
 
-def _clamp_targets(targets, shape, rank_products=None, stacklevel=3):
-    """Clamp a target chain to what a left-orthogonal sweep can realize.
+def _clamp_targets(targets, shape, ranks, stacklevel=3):
+    """The output ranks of every rounding sweep: the one rank rule of the package.
 
-    Interior rank l_k cannot exceed l_{k-1} * n_k (QR width), nor the rank
-    r_k s_k of the implicit product when given; clamping warns, at
-    `stacklevel` (the caller of the public function by default).
+    l_k = min(t_k, ranks[k], l_{k-1} n_k) from left to right, then
+    l_k = min(l_k, l_{k+1} n_{k+1}) from right to left, where `ranks` are
+    the TT ranks of the tensor being rounded: no sweep returns a rank above
+    the tensor's own, or one its neighbouring bonds cannot realize.
+    Clamping warns, at `stacklevel` (the caller of the public function by
+    default).
     """
     d = len(shape)
     out = [1]
-    clamped = []
     for k in range(1, d):
-        t = targets[k]
-        if rank_products is not None and t > rank_products[k]:
-            t = rank_products[k]
-        t = min(t, out[k - 1] * shape[k - 1])
-        if t != targets[k]:
-            clamped.append((k, targets[k], t))
-        out.append(t)
+        out.append(min(targets[k], ranks[k], out[k - 1] * shape[k - 1]))
     out.append(1)
+    for k in range(d - 1, 0, -1):
+        out[k] = min(out[k], out[k + 1] * shape[k])
+    clamped = [(k, targets[k], out[k]) for k in range(1, d) if out[k] != targets[k]]
     if clamped:
         desc = ", ".join(f"l_{k}: {a} -> {b}" for k, a, b in clamped)
         warnings.warn(f"target ranks clamped to feasible values ({desc})",
@@ -329,15 +325,13 @@ def _clamp_targets(targets, shape, rank_products=None, stacklevel=3):
 def _fit_sketch(sketch, shape, ranks):
     """A caller-supplied sketch tensor, fitted to the tensor being rounded.
 
-    Its shape must be `shape`.  An interior rank l_k above what the sweep
-    can use, the rank `ranks[k]` of the tensor being rounded or the QR width
-    l_{k-1} n_k, is clamped as :func:`_clamp_targets` clamps drawn targets
-    (with a :class:`TargetRankWarning` naming the bond), by keeping the
-    leading rows and columns of the sketch's cores.
+    Its shape must be `shape`.  Its ranks are clamped by
+    :func:`_clamp_targets` (with a :class:`TargetRankWarning` naming the
+    bond), by keeping the leading rows and columns of the sketch's cores.
     """
     if sketch.shape != tuple(shape):
         raise ValueError(f"sketch tensor shape {sketch.shape} does not match {tuple(shape)}")
-    chain = _clamp_targets(sketch.ranks, shape, ranks, stacklevel=4)
+    chain = _clamp_targets(sketch.ranks, shape, ranks, stacklevel=5)
     if chain == sketch.ranks:
         return sketch
     return TTTensor([c.values[:chain[k], :, :chain[k + 1]]
@@ -350,6 +344,16 @@ def _draw_sketch_tensor(shape, targets, seed):
     return random_tt(RandomSpec(tuple(shape), tuple(targets), "gaussian", int(seed)))
 
 
+def _sketch(shape, ranks, targets, seed, sketch_tt):
+    """The sketch tensor of a randomized sweep over a tensor of TT `ranks`:
+    `sketch_tt` fitted to it, or one drawn from `seed` at the clamped
+    `targets`."""
+    if sketch_tt is not None:
+        return _fit_sketch(sketch_tt, shape, ranks)
+    chain = _clamp_targets(normalize_targets(targets, len(shape)), shape, ranks, stacklevel=4)
+    return _draw_sketch_tensor(shape, chain, seed)
+
+
 # --- the three sweeps -------------------------------------------------------
 
 
@@ -360,11 +364,12 @@ def tt_rounding(a, targets, ledger=None):
     passing the triangular factor into the next core.  Sweep 2 (left to
     right) QR-factorizes each vertical matricization, truncates the
     triangular factor by SVD at the bond target, keeps Q @ U as the new core
-    and pushes sigma V^T into the next core.  Output ranks are
-    min(target, feasible) per bond and cores 1..d-1 are left-orthogonal.
+    and pushes sigma V^T into the next core.  Output ranks are the targets
+    clamped to the ranks of `a` and to feasible values (with a
+    :class:`TargetRankWarning`), and cores 1..d-1 are left-orthogonal.
     """
     d = a.d
-    targets = normalize_targets(targets, d)
+    targets = _clamp_targets(normalize_targets(targets, d), a.shape, a.ranks)
     if d == 1:
         return TTTensor([c.values for c in a.cores])
     cores = [c.values for c in a.cores]
@@ -390,7 +395,7 @@ def tt_rounding(a, targets, ledger=None):
         r1, n, r2 = core.shape
         res = econ_qr(core.reshape(r1 * n, r2), ledger=ledger)
         q, rmat = res.q, res.r
-        bond = min(targets[k], min(rmat.shape))
+        bond = targets[k]
         svd = truncated_svd(rmat, target_rank=bond, ledger=ledger)
         cores[k - 1] = matmul(q, svd.u, ledger).reshape(r1, n, bond)
         carry = scale_columns(svd.v, svd.s, ledger).T
@@ -414,7 +419,7 @@ def _orthogonalize_sweep(first_core, sketches, next_core_fn, d, ledger):
         r1, n, r2 = cur.shape
         cur_mat = cur.reshape(r1 * n, r2)
         sketched = matmul(cur_mat, sketches[k], ledger)
-        q = econ_qr(sketched, q_only=True, ledger=ledger).q
+        q = econ_qr(sketched, ledger=ledger).q
         cores.append(q.reshape(r1, n, q.shape[1]))
         m = matmul(q.T, cur_mat, ledger)
         # drop the current core first, so it never coexists with the next
@@ -430,15 +435,12 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     Sketches come from :func:`partial_contraction_rl` against a gaussian TT
     tensor with the target ranks (drawn from `seed`, or supplied explicitly
     via `sketch_tt`).  If a sketched matrix is rank deficient the QR keeps
-    its full width.  A `sketch_tt` rank above the rank of `a` or above
-    l_{k-1} n_k is clamped with a :class:`TargetRankWarning`.
+    its full width.  Target ranks, or `sketch_tt` ranks, above the ranks of
+    `a` or above feasible values are clamped with a
+    :class:`TargetRankWarning`.
     """
     d = a.d
-    if sketch_tt is None:
-        targets = _clamp_targets(normalize_targets(targets, d), a.shape)
-        sketch = _draw_sketch_tensor(a.shape, targets, seed)
-    else:
-        sketch = _fit_sketch(sketch_tt, a.shape, a.ranks)
+    sketch = _sketch(a.shape, a.ranks, targets, seed, sketch_tt)
     if d == 1:
         return TTTensor([c.values for c in a.cores])
     sketches = partial_contraction_rl(a, sketch, ledger)
@@ -457,24 +459,20 @@ def hatt(y, z, targets=None, variant=DIRECT, seed=None, sketch_tt=None, ledger=N
     Identical in exact arithmetic to :func:`rand_orth` applied to the
     materialized product with the same sketch tensor; the sketches come from
     :func:`hpcrl` and the core updates from :func:`contract_m_onto_pkp`, so
-    the only product-sized object ever formed is the first core
-    (1 x n_1 x r_1 s_1).  Target ranks, or `sketch_tt` ranks, above the
-    product rank r_k s_k are clamped with a :class:`TargetRankWarning`.
+    the only product cores ever formed are the boundary ones
+    (1 x n_1 x r_1 s_1 and r_{d-1} s_{d-1} x n_d x 1).  Target ranks, or `sketch_tt` ranks, above the
+    product rank r_k s_k or above feasible values are clamped with a
+    :class:`TargetRankWarning`.
     """
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     d = y.d
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
-    if sketch_tt is None:
-        targets = _clamp_targets(normalize_targets(targets, d), y.shape, products)
-        sketch = _draw_sketch_tensor(y.shape, targets, seed)
-    else:
-        sketch = _fit_sketch(sketch_tt, y.shape, products)
+    sketch = _sketch(y.shape, products, targets, seed, sketch_tt)
     if d == 1:
         return TTTensor([pkp_cores(y.cores[0], z.cores[0])])
     sketches = hpcrl(y, z, sketch, variant, ledger)
-    first = np.einsum("ic,id->icd", y.cores[0].values[0], z.cores[0].values[0])
-    first = first.reshape(1, y.shape[0], products[1])
+    first = pkp_cores(y.cores[0], z.cores[0]).values
 
     def next_core(k, m):
         return contract_m_onto_pkp(m, y.cores[k], z.cores[k], ledger).values

@@ -194,8 +194,8 @@ def test_power_iteration_first_readout_is_the_mean():
 
 @pytest.mark.parametrize("alg", ["hatt-2", "rand-orth"])
 def test_power_iteration_clamps_to_the_product_ranks(alg):
-    # the iterate's rank grows from 1, and every recompression is asked for
-    # ranks the product has, so none clamps again
+    # the iterate's rank grows from 1, so early recompressions clamp; the
+    # power iteration expects that and lets no warning escape
     y = separable_tt(SeparableFunctionSpec("qing", 4, 6))
     with warnings.catch_warnings():
         warnings.simplefilter("error", TargetRankWarning)

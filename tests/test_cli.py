@@ -21,20 +21,6 @@ def test_parse_scenario_alias():
     assert config.name == "appendixF"
 
 
-def test_variant_requires_hatt1():
-    with pytest.raises(SystemExit) as err:
-        cli_parse(["--scenario", "example1", "--algorithms", "hatt-2",
-                   "--variant", "svd"])
-    assert err.value.code == 2
-
-
-def test_variant_direct_conflicts_with_hatt1():
-    with pytest.raises(SystemExit) as err:
-        cli_parse(["--scenario", "example1", "--algorithms", "hatt-1",
-                   "--variant", "direct"])
-    assert err.value.code == 2
-
-
 def test_unknown_flag_usage_error():
     with pytest.raises(SystemExit) as err:
         cli_parse(["--scenario", "example1", "--frobnicate"])

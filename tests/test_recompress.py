@@ -181,7 +181,8 @@ def test_contract_m_flop_charge():
 def test_tt_rounding_lossless():
     y, z = (gaussian_tt((3, 3, 3), (1, 2, 2, 1), seed=s) for s in (30, 31))
     a = tt_hadamard(y, z)
-    out = tt_rounding(a, 4)
+    with pytest.warns(TargetRankWarning, match="l_1: 4 -> 3, l_2: 4 -> 3"):
+        out = tt_rounding(a, 4)
     assert relative_error(out, tt_to_dense(a)) <= 1e-12
     assert out.ranks == (1, 3, 3, 1)  # feasibility-capped at both bonds
 
@@ -262,6 +263,8 @@ def test_hatt_error_versus_rounding(rng):
     assert np.mean(errs) <= 3.0 * base
 
 
+# random product ranks can fall below the sketch's, which clamps it
+@pytest.mark.filterwarnings("ignore::hatt.TargetRankWarning")
 def test_hatt_equals_rand_orth_with_shared_sketch(rng):
     for trial in range(3):
         y, z = random_pair(rng, 4, 3, 3)
@@ -276,10 +279,11 @@ def test_hatt_equals_rand_orth_with_shared_sketch(rng):
 def test_caller_sketch_is_fitted_to_the_product():
     y = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=62)
     sketch = gaussian_tt(y.shape, (1, 4, 16, 4, 1), seed=63)  # l_2 = 16 > r s = 9
-    with pytest.warns(TargetRankWarning, match="l_2: 16 -> 9"):
+    with pytest.warns(TargetRankWarning, match="l_2: 16 -> 9") as from_hatt:
         via_hatt = hatt(y, y, sketch_tt=sketch)
-    with pytest.warns(TargetRankWarning, match="l_2: 16 -> 9"):
+    with pytest.warns(TargetRankWarning, match="l_2: 16 -> 9") as from_baseline:
         via_baseline = rand_orth(tt_hadamard(y, y), sketch_tt=sketch)
+    assert {w.filename for w in [*from_hatt, *from_baseline]} == {__file__}
     assert via_hatt.ranks == via_baseline.ranks == (1, 4, 9, 4, 1)
     assert relative_error(via_hatt, via_baseline) <= 1e-11
     with pytest.raises(ValueError, match="sketch tensor shape"):
@@ -292,6 +296,21 @@ def test_hatt_clamps_excessive_targets():
     with pytest.warns(TargetRankWarning):
         out = hatt(y, z, 9, seed=72)  # 9 > r s = 4
     assert max(out.ranks) <= 4
+
+
+@pytest.mark.parametrize("shape, rank, target, want", [
+    ((5,) * 4, 2, 6, (1, 4, 4, 4, 1)),  # no sweep exceeds the product rank 4
+    ((4, 4, 4, 2), 3, 9, (1, 4, 8, 2, 1)),  # l_3 <= n_4 and l_2 <= l_3 n_3
+])
+def test_sweeps_share_one_rank_rule(shape, rank, target, want):
+    chain = (1,) + (rank,) * (len(shape) - 1) + (1,)
+    y, z = (gaussian_tt(shape, chain, seed=s) for s in (76, 77))
+    product = tt_hadamard(y, z)
+    with pytest.warns(TargetRankWarning) as record:
+        outs = [hatt(y, z, target, seed=78), rand_orth(product, target, seed=78),
+                tt_rounding(product, target)]
+    assert [out.ranks for out in outs] == [want] * 3
+    assert len(record) == 3 and {w.filename for w in record} == {__file__}
 
 
 def test_hatt_avoids_product_cores():

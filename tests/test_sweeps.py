@@ -26,6 +26,7 @@ from hatt import (
     recompress_hadamard,
     save_tt,
     tt_hadamard,
+    tt_rounding,
     tt_to_dense,
 )
 
@@ -50,18 +51,14 @@ def rel_gap(a, b):
 
 
 def full_rank_sketch(drawn, product):
-    """`drawn` cut to the leading rows and columns of its cores so that every
-    sketched matrix has full column rank: no sketch rank above the product's
-    unfolding rank, and a chain the sketch's cores realize from both sides.
-    Above that, QR completes the basis from rounding noise, differently in
-    the two sweeps."""
+    """`drawn` cut to the leading rows and columns of its cores so that no
+    sketch rank exceeds the product's unfolding rank, which keeps every
+    sketched matrix of full column rank once the sweeps clamp the rest.
+    Above that rank, QR completes the basis from rounding noise, differently
+    in the two sweeps."""
     shape, dense = product.shape, tt_to_dense(product).values
     chain = [1] + [min(drawn.ranks[k], np.linalg.matrix_rank(
         dense.reshape(math.prod(shape[:k]), -1))) for k in range(1, len(shape))] + [1]
-    for k in range(1, len(shape)):
-        chain[k] = min(chain[k], chain[k - 1] * shape[k - 1])
-    for k in range(len(shape) - 1, 0, -1):
-        chain[k] = min(chain[k], chain[k + 1] * shape[k])
     return TTTensor([c.values[:chain[k], :, :chain[k + 1]] for k, c in enumerate(drawn.cores)])
 
 
@@ -76,6 +73,20 @@ def test_hatt_equals_rand_orth_on_the_product(tts):
     assert got.ranks == want.ranks
     for a, b in zip(got.cores, want.cores):
         assert rel_gap(a.values, b.values) <= 1e-12
+
+
+@SETTINGS
+@given(trains(2), st.data())
+def test_sweeps_return_equal_ranks(tts, data):
+    y, z = tts
+    targets = (1,) + tuple(data.draw(st.integers(1, 20)) for _ in range(y.d - 1)) + (1,)
+    seed = data.draw(st.integers(0, 2**31 - 1))
+    product = tt_hadamard(y, z)
+    ranks = {hatt(y, z, targets, seed=seed).ranks, rand_orth(product, targets, seed=seed).ranks,
+             tt_rounding(product, targets).ranks}
+    assert len(ranks) == 1
+    (got,) = ranks
+    assert all(a <= min(b, t) for a, b, t in zip(got, product.ranks, targets))
 
 
 @SETTINGS
