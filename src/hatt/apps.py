@@ -65,6 +65,8 @@ def tt_svd(x, targets=None, rel_tol=None, ledger=None):
 
 # --- trigonometric-series products -------------------------------------------
 
+COEFF_LOW, COEFF_HIGH = 0.1, 10.1
+
 
 @dataclass(frozen=True)
 class FourierSpec:
@@ -73,15 +75,14 @@ class FourierSpec:
     y(t) = sum_j a_j sin(j t) and z(t) = sum_j b_j cos(j t) are sampled at
     t_i = 2 pi i / N, i = 1..N with N = prod(shape), then folded into d-way
     tensors by the multi-index convention.  Coefficients default to seeded
-    uniform draws from [0.1, 10.1]; pass explicit `a`, `b` to override.
+    uniform draws from [COEFF_LOW, COEFF_HIGH); pass explicit `a`, `b` to
+    override.
     """
 
     shape: tuple
     n_terms: int = 60
     a: tuple = None
     b: tuple = None
-    coeff_low: float = 0.1
-    coeff_high: float = 10.1
     svd_tol: float = 1e-12
 
     def __post_init__(self):
@@ -101,8 +102,8 @@ def fourier_coefficients(spec, seed=0):
         b = np.asarray(spec.b, dtype=float)
         return a, b
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(777,)))
-    a = rng.uniform(spec.coeff_low, spec.coeff_high, size=spec.n_terms)
-    b = rng.uniform(spec.coeff_low, spec.coeff_high, size=spec.n_terms)
+    a = rng.uniform(COEFF_LOW, COEFF_HIGH, size=spec.n_terms)
+    b = rng.uniform(COEFF_LOW, COEFF_HIGH, size=spec.n_terms)
     return a, b
 
 

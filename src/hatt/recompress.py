@@ -165,13 +165,11 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
     identity unless the svd variant truncates).  Each rank-1 term g of
     W^(k) folds into an r_k x s_k matrix U_g, and the product core applied
     to it is the Kronecker-times-vector trick ``Y(i) U_g Z(i)^T``, so the
-    work scales with r + s instead of r * s.  Per core that is three BLAS
-    calls per slab of at most 4 mode slices: one GEMM applies every U_g^T
-    to the slab's Z slices at once (Z as an (s1 n) x s2 matrix against the
-    refolded terms), one ``np.matmul`` batched over (Z row, slice) applies
-    the Y slices, and one GEMM accumulates the slab's share of W^(k-1)
-    against the sketch core's slices.  Slabs keep every intermediate a
-    fraction of a factor core.
+    work scales with r + s instead of r * s.  That is the kernel of
+    :func:`contract_m_onto_pkp` applied to the transposed factor cores;
+    each slab of mode slices is then closed against the sketch core's
+    slices into W^(k-1).  Slabs keep every intermediate a fraction of a
+    factor core.
     """
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
@@ -186,34 +184,28 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
     mats[d - 2] = matmul(h_last, h_unfold(r.cores[d - 1]).T, ledger)
     for k in range(d - 1, 1, -1):
         yc, zc, rc = y.cores[k - 1].values, z.cores[k - 1].values, r.cores[k - 1].values
-        r1, n, r2 = yc.shape
-        s1, s2 = zc.shape[0], zc.shape[2]
+        r1, n, _ = yc.shape
+        s1 = zc.shape[0]
         l1 = rc.shape[0]
         rep = rank1_decompose(mats[k - 1], variant, ledger)
         terms = rep.n_terms
-        # column g of rep.u is U_g (r2 x s2, C order); refold to s2 x (r2, g)
-        u_fold = rep.u.reshape(r2, s2, terms).transpose(1, 0, 2).reshape(s2, r2 * terms)
-        # right factor: column (i, g) is R(i) v_g sigma_g (R(i)'s column g
-        # for the direct variant)
+        # right[g, i] is R(i) v_g sigma_g (R(i)'s column g for the direct variant)
         if variant.kind == "direct":
-            right = h_unfold(rc)
+            right = rc
         else:
             right = matmul(rc.reshape(l1 * n, -1), rep.v, ledger)
-            right = scale_columns(right, rep.sigma, ledger).reshape(l1, n * terms)
+            right = scale_columns(right, rep.sigma, ledger).reshape(l1, n, terms)
+        right = right.transpose(2, 1, 0)
         if ledger is not None:
-            ledger.add_matmul(n * terms * (s1 * (2 * s2 - 1) * r2 + s1 * (2 * r2 - 1) * r1)
-                              + r1 * s1 * (2 * n * terms - 1) * l1)
+            ledger.add_matmul(r1 * s1 * (2 * n * terms - 1) * l1)
+        u_t = np.ascontiguousarray(rep.u.T)
+        yt, zt = yc.transpose(2, 1, 0), zc.transpose(2, 1, 0)
         acc = np.zeros((r1 * s1, l1))
-        buf = np.empty(r1 * s1 * min(n, _SLAB) * terms)
         for i0 in range(0, n, _SLAB):
             blk = slice(i0, min(i0 + _SLAB, n))
-            nb = blk.stop - i0
-            # Z side: t[c, i, b, g] = (Z(i) U_g^T)[c, b]
-            t = (zc[:, blk].reshape(s1 * nb, s2) @ u_fold).reshape(s1, nb, r2, terms)
-            # Y side, batched over (c, i): left[a, c, i, g] = (Y(i) U_g Z(i)^T)[a, c]
-            left = buf[:r1 * s1 * nb * terms].reshape(r1, s1, nb, terms)
-            np.matmul(yc[:, blk].transpose(1, 0, 2), t, out=left.transpose(1, 2, 0, 3))
-            acc += left.reshape(r1 * s1, nb * terms) @ right[:, i0 * terms:blk.stop * terms].T
+            # x[g, i] = kron(Y(i), Z(i)) @ rep.u[:, g]
+            x = _contract_slabs(u_t, yt[:, blk], zt[:, blk], ledger)
+            acc += x.reshape(-1, r1 * s1).T @ right[:, blk].reshape(-1, l1)
         mats[k - 2] = acc
     return SketchSet(mats)
 
@@ -223,7 +215,11 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
 
 def _contract_slabs(m, yv, zv, ledger=None):
     """Rows of m times kron(Y(i), Z(i)) for every slice i, as an array of
-    shape (rows, n, r2 s2); m has r1 s1 columns (Y index slow)."""
+    shape (rows, n, r2 s2); m has r1 s1 columns (Y index slow).
+
+    The one Kronecker-times-matrix kernel: :func:`contract_m_onto_pkp`
+    applies the product core with it from the left, :func:`hpcrl` (on the
+    transposed factor cores) from the right."""
     r1, n, r2 = yv.shape
     s1, s2 = zv.shape[0], zv.shape[2]
     rows = m.shape[0]
@@ -370,8 +366,6 @@ def tt_rounding(a, targets, ledger=None):
     """
     d = a.d
     targets = _clamp_targets(normalize_targets(targets, d), a.shape, a.ranks)
-    if d == 1:
-        return TTTensor([c.values for c in a.cores])
     cores = [c.values for c in a.cores]
     # right-to-left orthogonalization
     for k in range(d, 1, -1):
@@ -441,8 +435,6 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     """
     d = a.d
     sketch = _sketch(a.shape, a.ranks, targets, seed, sketch_tt)
-    if d == 1:
-        return TTTensor([c.values for c in a.cores])
     sketches = partial_contraction_rl(a, sketch, ledger)
 
     def next_core(k, m):
@@ -469,8 +461,6 @@ def hatt(y, z, targets=None, variant=DIRECT, seed=None, sketch_tt=None, ledger=N
     d = y.d
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
     sketch = _sketch(y.shape, products, targets, seed, sketch_tt)
-    if d == 1:
-        return TTTensor([pkp_cores(y.cores[0], z.cores[0])])
     sketches = hpcrl(y, z, sketch, variant, ledger)
     first = pkp_cores(y.cores[0], z.cores[0]).values
 

@@ -238,7 +238,7 @@ def relative_error(x_approx, x_ref, method="auto"):
     from .limits import dense_cap
 
     ref_dense = isinstance(x_ref, DenseTensor)
-    shape = x_ref.shape if ref_dense else x_ref.shape
+    shape = x_ref.shape
     if x_approx.shape != shape:
         raise ValueError(f"shape mismatch {x_approx.shape} vs {shape}")
     if method not in ("auto", "dense", "tt"):

@@ -3,10 +3,14 @@
 Each kernel is checked against an oracle that forms what the kernel avoids
 (the product cores, the Kronecker slices, the dense tensors) and against
 the per-slice loop it replaced, whose flop charges it must repeat exactly.
-Mode sizes come from {1, 3, 5, 9}, so the 4-slice slabs rarely divide them.
+Mode sizes come from {1, 3, 4, 5, 8, 9}: 4 and 8 fill every 4-slice slab,
+the others leave a partial last one.
 """
 
+import tracemalloc
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +33,7 @@ from hatt.linalg import matmul, scale_columns
 from hatt.tt import h_unfold
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
-MODES = st.sampled_from((1, 3, 5, 9))
+MODES = st.sampled_from((1, 3, 4, 5, 8, 9))
 RANKS = st.integers(1, 4)
 SEEDS = st.integers(0, 2**31 - 1)
 VARIANTS = st.sampled_from((DIRECT, svd_variant(rel_tol=0.0)))
@@ -144,3 +148,20 @@ def test_inner_products_match_dense(tts):
     for got, terms in ((tt_dot(tts[0], tts[1]), x * y),
                        (tt_hadamard_dot(*tts), x * y * z)):
         assert abs(got - terms.sum()) <= 1e-12 * max(np.abs(terms).sum(), 1e-300)
+
+
+@pytest.mark.parametrize("variant", (DIRECT, svd_variant(rel_tol=0.0)), ids=("direct", "svd"))
+def test_hpcrl_peak_stays_below_one_unslabbed_intermediate(variant):
+    # applying every rank-1 term to every slice of a product core at once
+    # forms ell x n x (r s) entries, which dominate at these sizes; the
+    # 4-slice slabs keep hpcrl well below one such array
+    d, n, r, ell = 4, 128, 8, 8
+    y, z = (gaussian_tt((n,) * d, (1,) + (r,) * (d - 1) + (1,), seed=s) for s in (1, 2))
+    sketch = gaussian_tt((n,) * d, (1,) + (ell,) * (d - 1) + (1,), seed=3)
+    tracemalloc.start()
+    try:
+        hpcrl(y, z, sketch, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ell * n * r * r * np.dtype(float).itemsize
