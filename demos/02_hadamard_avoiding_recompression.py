@@ -42,7 +42,7 @@ w_direct = hpcrl(y, z, sketch, DIRECT)
 w_materialized = partial_contraction_rl(tt_hadamard(y, z), sketch)
 worst = max(
     np.linalg.norm(a - b) / np.linalg.norm(a)
-    for a, b in zip(w_materialized.mats, w_direct.mats)
+    for a, b in zip(w_materialized, w_direct)
 )
 print(f"sketch matrices, factor route vs materialized route: {worst:.2e}")
 

@@ -10,9 +10,9 @@ Run with: python demos/04_power_iteration.py
 
 import time
 
+from hatt.dense import brute_force_max
 from hatt.apps import (
     SeparableFunctionSpec,
-    brute_force_max,
     power_iteration_max,
     separable_dense,
     separable_tt,

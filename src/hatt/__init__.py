@@ -7,15 +7,7 @@ experiment generators, and a benchmark CLI (``hatt-bench``).
 """
 
 from .dense import DenseTensor, brute_force_max, hadamard_dense
-from .limits import (
-    ResourceLimitError,
-    core_cap,
-    core_limit,
-    dense_cap,
-    dense_limit,
-    set_core_cap,
-    set_dense_cap,
-)
+from .limits import ResourceLimitError, core_limit, dense_cap, dense_limit
 from .linalg import (
     FlopLedger,
     QrResult,
@@ -30,10 +22,8 @@ from .recompress import (
     ALGORITHMS,
     DIRECT,
     RECOMPRESSORS,
-    Rank1Rep,
     Rank1Variant,
     RecompressReport,
-    SketchSet,
     TargetRankWarning,
     contract_m_onto_pkp,
     flop_model,

@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, brute_force_max  # noqa: F401  (re-exported oracle)
+from .dense import DenseTensor
 from .indexing import check_shape
 from .linalg import scale_columns, truncated_svd
+from .rand_tt import uniform_chain
 from .recompress import (
     TargetRankWarning,
     _runner,
@@ -66,6 +67,7 @@ def tt_svd(x, targets=None, rel_tol=None, ledger=None):
 # --- trigonometric-series products -------------------------------------------
 
 COEFF_LOW, COEFF_HIGH = 0.1, 10.1
+SVD_TOL = 1e-12  # relative reconstruction error of each sampled series in TT form
 
 
 @dataclass(frozen=True)
@@ -74,16 +76,12 @@ class FourierSpec:
 
     y(t) = sum_j a_j sin(j t) and z(t) = sum_j b_j cos(j t) are sampled at
     t_i = 2 pi i / N, i = 1..N with N = prod(shape), then folded into d-way
-    tensors by the multi-index convention.  Coefficients default to seeded
-    uniform draws from [COEFF_LOW, COEFF_HIGH); pass explicit `a`, `b` to
-    override.
+    tensors by the multi-index convention.  The coefficients are seeded
+    uniform draws from [COEFF_LOW, COEFF_HIGH).
     """
 
     shape: tuple
     n_terms: int = 60
-    a: tuple = None
-    b: tuple = None
-    svd_tol: float = 1e-12
 
     def __post_init__(self):
         object.__setattr__(self, "shape", check_shape(self.shape))
@@ -96,11 +94,7 @@ class FourierSpec:
 
 
 def fourier_coefficients(spec, seed=0):
-    """The (a, b) coefficient pair for a spec, drawing seeded ones if unset."""
-    if spec.a is not None and spec.b is not None:
-        a = np.asarray(spec.a, dtype=float)
-        b = np.asarray(spec.b, dtype=float)
-        return a, b
+    """The seeded (a, b) coefficient pair of a spec."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(777,)))
     a = rng.uniform(COEFF_LOW, COEFF_HIGH, size=spec.n_terms)
     b = rng.uniform(COEFF_LOW, COEFF_HIGH, size=spec.n_terms)
@@ -110,7 +104,7 @@ def fourier_coefficients(spec, seed=0):
 def fourier_tt(spec, seed=0, ledger=None):
     """Sample the series pair, fold, and convert to TT form.
 
-    Returns (Y, Z); reconstruction of each matches its samples to svd_tol.
+    Returns (Y, Z); each reconstructs its samples to relative error SVD_TOL.
     """
     a, b = fourier_coefficients(spec, seed)
     n = spec.num_samples
@@ -118,8 +112,8 @@ def fourier_tt(spec, seed=0, ledger=None):
     harmonics = np.arange(1, len(a) + 1)
     y = np.sin(np.outer(t, harmonics)) @ a
     z = np.cos(np.outer(t, harmonics)) @ b
-    y_tt = tt_svd(DenseTensor(y.reshape(spec.shape)), rel_tol=spec.svd_tol, ledger=ledger)
-    z_tt = tt_svd(DenseTensor(z.reshape(spec.shape)), rel_tol=spec.svd_tol, ledger=ledger)
+    y_tt = tt_svd(DenseTensor(y.reshape(spec.shape)), rel_tol=SVD_TOL, ledger=ledger)
+    z_tt = tt_svd(DenseTensor(z.reshape(spec.shape)), rel_tol=SVD_TOL, ledger=ledger)
     return y_tt, z_tt
 
 
@@ -208,7 +202,7 @@ def hilbert_tt(d, n, r):
     """
     if min(d, n, r) < 1:
         raise ValueError("d, n, r must be positive")
-    ranks = [1] + [r] * (d - 1) + [1] if d > 1 else [1, 1]
+    ranks = uniform_chain(d, r)
     cores = []
     for k in range(1, d + 1):
         r1, r2 = ranks[k - 1], ranks[k]

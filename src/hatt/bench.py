@@ -92,22 +92,6 @@ class ResultRow:
             num(self.flops_predicted, "{:d}"), ranks,
         ]
 
-    @classmethod
-    def from_csv(cls, fields):
-        if len(fields) != len(CSV_COLUMNS):
-            raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(fields)}")
-        (scenario, algorithm, d, n, r, s, ell, seed, err, wall, meas, pred,
-         ranks) = fields
-        return cls(
-            scenario, algorithm, int(d), int(n), int(r), int(s), int(ell),
-            int(seed),
-            None if err == "" else float(err),
-            None if wall == "" else float(wall),
-            None if meas == "" else int(meas),
-            None if pred == "" else int(pred),
-            None if ranks == "capped" else tuple(int(x) for x in ranks.split("-")),
-        )
-
 
 def write_csv(rows, target):
     """Write rows to a path or file object; returns the CSV text."""
@@ -123,20 +107,6 @@ def write_csv(rows, target):
     elif target is not None:
         target.write(text)
     return text
-
-
-def read_csv(source):
-    """Parse rows from a path or CSV text."""
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(str(source)):
-        with open(source) as fh:
-            text = fh.read()
-    else:
-        text = source
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != CSV_COLUMNS:
-        raise ValueError(f"unexpected CSV header {header}")
-    return [ResultRow.from_csv(fields) for fields in reader if fields]
 
 
 @dataclass

@@ -8,6 +8,9 @@ Two independent caps:
 * the *core cap* bounds the element count of any single TT core.  It is
   disabled by default and exists to demonstrate, and test, that the
   Hadamard-avoiding sweep never materializes a product core.
+
+Both caps are changed only for the extent of a ``with`` block, through
+:func:`dense_limit` and :func:`core_limit` (None disables a cap).
 """
 
 import os
@@ -28,24 +31,6 @@ def dense_cap():
     return _dense_cap
 
 
-def set_dense_cap(n):
-    """Set the dense element-count cap (None disables it). Returns the old value."""
-    global _dense_cap
-    old, _dense_cap = _dense_cap, None if n is None else int(n)
-    return old
-
-
-def core_cap():
-    return _core_cap
-
-
-def set_core_cap(n):
-    """Set the per-core element-count cap (None disables it). Returns the old value."""
-    global _core_cap
-    old, _core_cap = _core_cap, None if n is None else int(n)
-    return old
-
-
 def check_dense(n_elements, what="dense tensor"):
     if _dense_cap is not None and n_elements > _dense_cap:
         raise ResourceLimitError(
@@ -62,17 +47,21 @@ def check_core(n_elements):
 
 @contextmanager
 def dense_limit(n):
-    old = set_dense_cap(n)
+    """Cap dense arrays at n elements inside the block (None: no cap)."""
+    global _dense_cap
+    old, _dense_cap = _dense_cap, None if n is None else int(n)
     try:
         yield
     finally:
-        set_dense_cap(old)
+        _dense_cap = old
 
 
 @contextmanager
 def core_limit(n):
-    old = set_core_cap(n)
+    """Cap single TT cores at n elements inside the block (None: no cap)."""
+    global _core_cap
+    old, _core_cap = _core_cap, None if n is None else int(n)
     try:
         yield
     finally:
-        set_core_cap(old)
+        _core_cap = old

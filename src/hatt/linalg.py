@@ -27,10 +27,10 @@ SVD_COST_FACTOR = 14
 class FlopLedger:
     """Mutable flop counters; integers, monotone within a session."""
 
-    def __init__(self, matmul_flops=0, qr_flops=0, svd_flops=0):
-        self.matmul_flops = int(matmul_flops)
-        self.qr_flops = int(qr_flops)
-        self.svd_flops = int(svd_flops)
+    def __init__(self):
+        self.matmul_flops = 0
+        self.qr_flops = 0
+        self.svd_flops = 0
 
     def add_matmul(self, flops):
         self.matmul_flops += int(flops)
@@ -62,7 +62,6 @@ class SvdResult:
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-    tail_error: float
 
     @property
     def n_terms(self):
@@ -137,9 +136,7 @@ def truncated_svd(x, target_rank=None, max_terms=None, ledger=None, rank_tol=1e-
 
     Keeps ``min(target_rank or numeric rank, max_terms or inf)`` triplets,
     where the numeric rank drops singular values sigma_i <= rank_tol * sigma_1.
-    `tail_error` is the Frobenius norm of the discarded tail
-    (sqrt of the sum of squared dropped singular values).  Ties keep the
-    earlier-indexed triplets.
+    Ties keep the earlier-indexed triplets.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -161,7 +158,6 @@ def truncated_svd(x, target_rank=None, max_terms=None, ledger=None, rank_tol=1e-
     if max_terms is not None:
         keep = min(keep, int(max_terms))
     keep = max(keep, 1) if s.size else 0
-    tail = float(np.sqrt(np.sum(s[keep:] ** 2)))
     u, s, v = u[:, :keep].copy(), s[:keep].copy(), vt[:keep].T.copy()
     # sign convention: first nonzero entry of each left singular vector >= 0
     for j in range(keep):
@@ -170,5 +166,5 @@ def truncated_svd(x, target_rank=None, max_terms=None, ledger=None, rank_tol=1e-
         if nz.size and col[nz[0]] < 0:
             u[:, j] = -col
             v[:, j] = -v[:, j]
-    return SvdResult(u, s, v, tail)
+    return SvdResult(u, s, v)
 

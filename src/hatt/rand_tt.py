@@ -77,6 +77,4 @@ def uniform_tt(shape, ranks, seed=0):
 
 def uniform_chain(d, r):
     """Rank chain (1, r, ..., r, 1) of length d + 1."""
-    if d == 1:
-        return (1, 1)
     return (1,) + (int(r),) * (d - 1) + (1,)

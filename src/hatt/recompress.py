@@ -19,10 +19,9 @@ before the recursion step, the "direct" flavour (HaTT-2) uses the sketch
 columns as they are.
 
 :func:`flop_model` gives leading-order operation counts for these algorithms
-(plus two non-implemented baselines kept for comparison) so measured ledgers
-can be checked against predictions.  :data:`RECOMPRESSORS` is the one place
-that maps an algorithm name (tt-rounding, rand-orth, hatt-1, hatt-2) to the
-code that runs it.
+and their sketch passes, so measured ledgers can be checked against
+predictions.  :data:`RECOMPRESSORS` is the one place that maps an algorithm
+name (tt-rounding, rand-orth, hatt-1, hatt-2) to the code that runs it.
 """
 
 import time
@@ -40,7 +39,7 @@ from .linalg import (
     tri_matmul,
     truncated_svd,
 )
-from .rand_tt import RandomSpec, check_rank_chain, random_tt
+from .rand_tt import RandomSpec, check_rank_chain, random_tt, uniform_chain
 from .tt import (
     TTCore,
     TTTensor,
@@ -54,20 +53,6 @@ from .tt import (
 
 class TargetRankWarning(UserWarning):
     """A requested target rank was clamped to a feasible value."""
-
-
-@dataclass
-class SketchSet:
-    """Partial-contraction matrices W^(1)..W^(d-1); mats[k-1] is W^(k)."""
-
-    mats: list
-
-    def __len__(self):
-        return len(self.mats)
-
-    def __getitem__(self, k):
-        """W^(k), 1-based."""
-        return self.mats[k - 1]
 
 
 @dataclass(frozen=True)
@@ -135,18 +120,19 @@ _SLAB = 4
 def partial_contraction_rl(a, r, ledger=None):
     """Right-to-left partial contractions of a TT tensor against a sketch.
 
-    W^(k) contracts cores k+1..d of `a` with cores k+1..d of `r`; the
-    recursion per core is: fold W^(k) into the k-th core of `a` from the
-    right (one product against the vertical matricization), then contract
-    the mode against the k-th core of `r` (one product against the
-    horizontal matricization of `r`).  The temporary folded core exists only
-    as a matrix.
+    Returns the list [W^(1), ..., W^(d-1)], so W^(k) is item k-1.  W^(k)
+    contracts cores k+1..d of `a` with cores k+1..d of `r`; the recursion
+    per core is: fold W^(k) into the k-th core of `a` from the right (one
+    product against the vertical matricization), then contract the mode
+    against the k-th core of `r` (one product against the horizontal
+    matricization of `r`).  The temporary folded core exists only as a
+    matrix.
     """
     if a.shape != r.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {r.shape}")
     d = a.d
     if d < 2:
-        return SketchSet([])
+        return []
     mats = [None] * (d - 1)
     mats[d - 2] = matmul(h_unfold(a.cores[d - 1]), h_unfold(r.cores[d - 1]).T, ledger)
     for k in range(d - 1, 1, -1):
@@ -154,7 +140,7 @@ def partial_contraction_rl(a, r, ledger=None):
         b = matmul(v_unfold(core), mats[k - 1], ledger)
         bh = b.reshape(core.left_rank, -1)
         mats[k - 2] = matmul(bh, h_unfold(r.cores[k - 1]).T, ledger)
-    return SketchSet(mats)
+    return mats
 
 
 def hpcrl(y, z, r, variant=DIRECT, ledger=None):
@@ -177,11 +163,11 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
         raise ValueError(f"shape mismatch against sketch tensor: {y.shape} vs {r.shape}")
     d = y.d
     if d < 2:
-        return SketchSet([])
+        return []
     mats = [None] * (d - 1)
     # the last product core has right rank 1: r_d s_d x n_d entries only
-    h_last = h_unfold(pkp_cores(y.cores[d - 1], z.cores[d - 1]))
-    mats[d - 2] = matmul(h_last, h_unfold(r.cores[d - 1]).T, ledger)
+    mats[d - 2] = matmul(h_unfold(pkp_cores(y.cores[d - 1], z.cores[d - 1])),
+                         h_unfold(r.cores[d - 1]).T, ledger)
     for k in range(d - 1, 1, -1):
         yc, zc, rc = y.cores[k - 1].values, z.cores[k - 1].values, r.cores[k - 1].values
         r1, n, _ = yc.shape
@@ -207,7 +193,7 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
             x = _contract_slabs(u_t, yt[:, blk], zt[:, blk], ledger)
             acc += x.reshape(-1, r1 * s1).T @ right[:, blk].reshape(-1, l1)
         mats[k - 2] = acc
-    return SketchSet(mats)
+    return mats
 
 
 # --- core update without the product core -----------------------------------
@@ -283,7 +269,7 @@ def normalize_targets(targets, d):
     if targets is None:
         raise ValueError("target ranks are required (or pass an explicit sketch tensor)")
     if np.isscalar(targets):
-        chain = (1,) + (int(targets),) * (d - 1) + (1,) if d > 1 else (1, 1)
+        chain = uniform_chain(d, targets)
     else:
         targets = tuple(int(t) for t in targets)
         if len(targets) == d - 1:
@@ -403,6 +389,7 @@ def tt_rounding(a, targets, ledger=None):
 def _orthogonalize_sweep(first_core, sketches, next_core_fn, d, ledger):
     """Shared left-to-right randomized sweep.
 
+    `sketches[k - 1]` is the sketch matrix W^(k) of bond k.
     `next_core_fn(k, m)` must return the (k+1)-th core contracted against m
     (an array of shape (rows(m), n_{k+1}, tail ranks)).  Returns the output
     cores; every core except the last has orthonormal vertical matricization.
@@ -412,7 +399,7 @@ def _orthogonalize_sweep(first_core, sketches, next_core_fn, d, ledger):
     for k in range(1, d):
         r1, n, r2 = cur.shape
         cur_mat = cur.reshape(r1 * n, r2)
-        sketched = matmul(cur_mat, sketches[k], ledger)
+        sketched = matmul(cur_mat, sketches[k - 1], ledger)
         q = econ_qr(sketched, ledger=ledger).q
         cores.append(q.reshape(r1, n, q.shape[1]))
         m = matmul(q.T, cur_mat, ledger)
@@ -474,9 +461,7 @@ def hatt(y, z, targets=None, variant=DIRECT, seed=None, sketch_tt=None, ledger=N
 
 MODEL_ALGORITHMS = (
     "tt-rounding",
-    "orth-rand",
     "rand-orth",
-    "two-sided",
     "hatt-1",
     "hatt-2",
     "partial-contraction-rl",
@@ -491,9 +476,7 @@ def flop_model(algorithm, d, n, r, s, ell, n_terms=None):
 
     `n_terms` is the retained rank-1 term count of the svd sketch variant
     (required for hatt-1 / hpcrl-1); their ell^2-order SVD term uses the
-    calibrated bucket constant and is approximate by nature.  orth-rand and
-    two-sided are modeled for comparison only and have no implementation
-    here.
+    calibrated bucket constant and is approximate by nature.
     """
     if min(d, n, r, s, ell) < 1:
         raise ValueError("flop model arguments must be positive")
@@ -504,12 +487,8 @@ def flop_model(algorithm, d, n, r, s, ell, n_terms=None):
         big_r = int(n_terms)
     if name == "tt-rounding":
         val = (d - 2) * n * (5 * r**3 * s**3 + 6 * r**2 * s**2 * ell + 2 * r * s * ell**2)
-    elif name == "orth-rand":
-        val = (d - 2) * n * (5 * r**3 * s**3 + 2 * r**2 * s**2 * ell + 4 * r * s * ell**2)
     elif name == "rand-orth":
         val = (d - 2) * n * (4 * r**2 * s**2 * ell + 6 * r * s * ell**2)
-    elif name == "two-sided":
-        val = (d - 2) * n * (6 * r**2 * s**2 * ell + 6 * r * s * ell**2)
     elif name == "hatt-2":
         val = (d - 2) * n * r * s * ell * (4 * r + 4 * s + 6 * ell)
     elif name == "hatt-1":

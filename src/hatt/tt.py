@@ -14,7 +14,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .indexing import check_shape
-from .limits import check_core, check_dense
+from .limits import check_core, check_dense, dense_cap
 
 
 class TTCore:
@@ -227,35 +227,26 @@ def tt_norm(y):
     return float(np.sqrt(max(tt_dot(y, y), 0.0)))
 
 
-def relative_error(x_approx, x_ref, method="auto"):
+def relative_error(x_approx, x_ref):
     """Relative Frobenius error ||approx - ref||_F / ||ref||_F.
 
-    `x_ref` may be a TT tensor or a DenseTensor.  With method="auto" the
-    dense path is used whenever the element count fits the dense cap (it is
-    the numerically safer route for very small errors); method="tt" forces
-    the TT-difference path.
+    `x_ref` may be a TT tensor or a DenseTensor.  The size picks the path:
+    a DenseTensor reference, or a tensor whose element count fits the dense
+    cap, is compared densely (the numerically safer route for very small
+    errors); a larger TT reference through the norm of the TT difference.
     """
-    from .limits import dense_cap
-
     ref_dense = isinstance(x_ref, DenseTensor)
     shape = x_ref.shape
     if x_approx.shape != shape:
         raise ValueError(f"shape mismatch {x_approx.shape} vs {shape}")
-    if method not in ("auto", "dense", "tt"):
-        raise ValueError(f"unknown method {method!r}")
-    size = int(np.prod(shape, dtype=np.int64))
-    if method == "auto":
-        cap = dense_cap()
-        method = "dense" if (ref_dense or cap is None or size <= cap) else "tt"
-    if method == "dense":
+    cap = dense_cap()
+    if ref_dense or cap is None or int(np.prod(shape, dtype=np.int64)) <= cap:
         ref = x_ref if ref_dense else tt_to_dense(x_ref)
         ref_norm = ref.norm()
         if ref_norm == 0.0:
             raise ZeroDivisionError("reference tensor has zero norm")
         diff = tt_to_dense(x_approx).values - ref.values
         return float(np.linalg.norm(diff) / ref_norm)
-    if ref_dense:
-        raise ValueError("TT-path relative error needs a TT reference")
     ref_norm = tt_norm(x_ref)
     if ref_norm == 0.0:
         raise ZeroDivisionError("reference tensor has zero norm")

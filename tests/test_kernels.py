@@ -118,7 +118,7 @@ def test_hpcrl_matches_materialized_product_and_loop(tts, variant):
     ref = partial_contraction_rl(tt_hadamard(y, z), sketch)
     loop = loop_hpcrl(y, z, sketch, variant, loop_ledger)
     tol = 1e-12 if variant.kind == "direct" else 1e-11
-    for w, w_ref, w_loop in zip(got.mats, ref.mats, loop):
+    for w, w_ref, w_loop in zip(got, ref, loop):
         assert rel_gap(w, w_ref) <= tol
         assert rel_gap(w, w_loop) <= 1e-12
     assert counts(ledger) == counts(loop_ledger)

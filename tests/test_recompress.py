@@ -40,7 +40,7 @@ from conftest import random_pair
 def sketch_rel_errors(a, b):
     return [
         np.linalg.norm(wa - wb) / max(np.linalg.norm(wa), 1e-300)
-        for wa, wb in zip(a.mats, b.mats)
+        for wa, wb in zip(a, b)
     ]
 
 
@@ -51,7 +51,7 @@ def test_partial_contraction_zero_input():
     zero = TTTensor([np.zeros((1, 3, 2)), np.zeros((2, 3, 2)), np.zeros((2, 3, 1))])
     sketch = gaussian_tt((3, 3, 3), (1, 2, 2, 1), seed=0)
     w = partial_contraction_rl(zero, sketch)
-    assert all(np.all(m == 0.0) for m in w.mats)
+    assert all(np.all(m == 0.0) for m in w)
 
 
 def test_partial_contraction_matches_definition(rng):
@@ -64,19 +64,19 @@ def test_partial_contraction_matches_definition(rng):
     tail_a = partial_contracted_product(a, 2, 3).reshape(3, -1)
     tail_r = partial_contracted_product(r, 2, 3).reshape(2, -1)
     direct = tail_a @ tail_r.T
-    assert np.linalg.norm(w[1] - direct) / np.linalg.norm(direct) <= 1e-12
+    assert np.linalg.norm(w[0] - direct) / np.linalg.norm(direct) <= 1e-12
 
 
 def test_partial_contraction_slice_form_agrees(rng):
     a = gaussian_tt((3, 3, 3, 3), (1, 3, 3, 3, 1), seed=3)
     r = gaussian_tt((3, 3, 3, 3), (1, 2, 2, 2, 1), seed=4)
     w = partial_contraction_rl(a, r)
-    # slice recursion: W^(k-1) = sum_i A^(k)(i) W^(k) R^(k)(i)^T
+    # slice recursion: W^(k-1) = sum_i A^(k)(i) W^(k) R^(k)(i)^T, W^(k) = w[k - 1]
     for k in range(a.d - 1, 1, -1):
-        acc = np.zeros_like(w[k - 1])
+        acc = np.zeros_like(w[k - 2])
         for i in range(1, 4):
-            acc += a.cores[k - 1].slice(i) @ w[k] @ r.cores[k - 1].slice(i).T
-        assert np.max(np.abs(acc - w[k - 1])) <= 1e-13 * max(1.0, np.max(np.abs(w[k - 1])))
+            acc += a.cores[k - 1].slice(i) @ w[k - 1] @ r.cores[k - 1].slice(i).T
+        assert np.max(np.abs(acc - w[k - 2])) <= 1e-13 * max(1.0, np.max(np.abs(w[k - 2])))
 
 
 # --- rank-1 representations ---------------------------------------------------
@@ -99,7 +99,7 @@ def test_rank1_svd_hilbert_truncation():
     # sketches of a Hilbert-type square have fast singular decay
     y = hilbert_tt(4, 5, 8)
     sketch = gaussian_tt(y.shape, (1, 10, 10, 10, 1), seed=5)
-    w = hpcrl(y, y, sketch, DIRECT)[2]
+    w = hpcrl(y, y, sketch, DIRECT)[1]
     rep = rank1_decompose(w, svd_variant(max_terms=5))
     assert rep.n_terms <= 5
     recon = rep.u @ np.diag(rep.sigma) @ rep.v.T
@@ -447,4 +447,4 @@ def test_hpcrl_last_core_uses_boundary_pkp(rng):
     got = hpcrl(y, z, sketch, DIRECT)
     last = h_unfold(tt_hadamard(y, z).cores[-1])
     direct = last @ h_unfold(sketch.cores[-1]).T
-    assert np.allclose(got[2], direct, atol=1e-13)
+    assert np.allclose(got[-1], direct, atol=1e-13)

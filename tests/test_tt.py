@@ -6,6 +6,7 @@ import pytest
 from hatt import (
     TTCore,
     TTTensor,
+    dense_limit,
     gaussian_tt,
     h_unfold,
     hadamard_dense,
@@ -195,8 +196,9 @@ def test_relative_error_trivial_cases():
 def test_relative_error_dual_path(rng):
     for trial in range(4):
         y, z = random_pair(rng, 3, 3, 3)
-        dense = relative_error(y, z, method="dense")
-        tt_path = relative_error(y, z, method="tt")
+        dense = relative_error(y, z)
+        with dense_limit(1):  # 27 elements exceed the cap: the TT-difference path
+            tt_path = relative_error(y, z)
         assert tt_path == pytest.approx(dense, rel=1e-10, abs=1e-12)
 
 
@@ -259,4 +261,37 @@ def test_load_truncated_container(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     path.write_text("".join(lines[:40]))
     with pytest.raises(ValueError, match="malformed container"):
+        load_tt(path)
+
+
+# --- the finiteness invariant ---------------------------------------------------
+
+NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+
+
+@NON_FINITE
+def test_core_rejects_non_finite(bad):
+    values = np.ones((1, 3, 2))
+    values[0, 1, 1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        TTCore(values)
+
+
+@NON_FINITE
+def test_tensor_from_raw_arrays_rejects_non_finite(bad):
+    last = np.ones((2, 3, 1))
+    last[1, 2, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        TTTensor([np.ones((1, 3, 2)), last])
+
+
+@NON_FINITE
+def test_load_rejects_non_finite(tmp_path, bad):
+    tt = gaussian_tt((3, 3), (1, 2, 1), seed=16)
+    path = tmp_path / "tensor.tt"
+    save_tt(tt, path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[-1] = f"{bad}\n"  # the last entry of the last core
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError, match="non-finite"):
         load_tt(path)
