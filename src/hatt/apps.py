@@ -21,7 +21,7 @@ from .recompress import (
     normalize_targets,
     tt_hadamard_dot,
 )
-from .tt import TTTensor, tt_add, tt_norm, tt_ones, tt_scale
+from .tt import TTCore, TTTensor, tt_add, tt_ones, tt_scale
 
 # Not used here: perfbench/tracing.py wraps these names on this module.
 from .recompress import hatt, rand_orth, tt_rounding  # noqa: F401
@@ -237,6 +237,12 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
     recompressors consume (y, v) directly; the baselines materialize the
     product first.  Stops after `max_iter` iterations or when the estimate's
     relative change drops below `rel_change_tol`.
+
+    Every recompressor returns cores 1..d-1 left-orthogonal, so the norm of
+    an iterate is the Frobenius norm of its last core, which is also the
+    core that is rescaled.  That norm is taken after dividing by the core's
+    largest entry, so it neither overflows nor underflows while it is
+    representable, and the estimate scales with y.
     """
     run = _runner(recompressor)
     chain = normalize_targets(ell, y.d)
@@ -250,10 +256,13 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
             w = run(y, v, chain, _iteration_seed(seed, t), max_terms, ledger)
         estimate = tt_hadamard_dot(v, y, v)
         history.append(estimate)
-        norm = tt_norm(w)
-        if norm == 0.0:
+        last = w.cores[-1].values
+        top = np.max(np.abs(last))
+        if top == 0.0:
             raise ArithmeticError("power iteration collapsed to a zero iterate")
-        v = tt_scale(w, 1.0 / norm)
+        last = last / top
+        last /= np.linalg.norm(last)
+        v = TTTensor(w.cores[:-1] + (TTCore._trusted(last),))
         if prev is not None and abs(estimate - prev) <= rel_change_tol * abs(prev):
             return PowerIterResult(estimate, t, history)
         prev = estimate

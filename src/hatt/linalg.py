@@ -121,10 +121,11 @@ def econ_qr(x, ledger=None):
         raise ValueError("econ_qr input contains non-finite values")
     m, n = x.shape
     q, r = np.linalg.qr(x, mode="reduced")
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    q = q * signs[np.newaxis, :]
-    r = r * signs[:, np.newaxis]
+    negative = np.diagonal(r) < 0
+    if negative.any():
+        signs = np.where(negative, -1.0, 1.0)
+        q *= signs
+        r *= signs[:, np.newaxis]
     if ledger is not None:
         t = min(m, n)
         ledger.add_qr(round(4 * m * n * t - 4 * t**3 / 3))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .indexing import check_shape
-from .tt import TTTensor
+from .tt import TTCore, TTTensor
 
 KINDS = ("gaussian", "uniform")
 
@@ -63,7 +63,8 @@ def random_tt(spec):
             core = rng.normal(0.0, sigma, size=(l_prev, n, l_next))
         else:
             core = rng.uniform(0.0, 1.0, size=(l_prev, n, l_next))
-        cores.append(core)
+        # draws are finite by construction, so they skip the finiteness scan
+        cores.append(TTCore._trusted(core))
     return TTTensor(cores)
 
 

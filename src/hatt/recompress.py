@@ -110,11 +110,25 @@ def rank1_decompose(w, variant, ledger=None):
 
 # --- sketches ---------------------------------------------------------------
 
-# Mode slices per slab in the Hadamard-avoiding kernels.  Larger slabs call
-# BLAS fewer times, but their intermediates grow with the slab: at 8 slices
+# Mode slices per slab in the Hadamard-avoiding kernels: as many as keep a
+# slab's intermediates within _SLAB_BUDGET elements, but at least _MIN_SLAB.
+# Small cores then take one slab per core, so a kernel pays its per-call
+# overhead once per core.  Large cores keep 4-slice slabs: at 8 slices
 # the tracemalloc peak of hatt-2 on hilbert_tt(5, 8, 20) squared rises from
-# 0.57 to 0.95 MiB, above the 0.64 MiB of a per-slice loop.
-_SLAB = 4
+# 0.57 to 0.95 MiB, and the 2-slice slabs that the budget alone gives at
+# r = s = 20, ell = 10 were no faster there in interleaved timings.
+_SLAB_BUDGET = 8192
+_MIN_SLAB = 4
+
+
+def _slab_size(rows, yv, zv):
+    """Mode slices per slab when `rows` rows meet the product of the cores
+    yv (r1 x n x r2) and zv (s1 x n x s2); one row of one slice takes at
+    most max(r1, r2) s2 elements in either intermediate of
+    :func:`_contract_slabs`."""
+    n = yv.shape[1]
+    width = max(yv.shape[0], yv.shape[2]) * zv.shape[2]
+    return min(n, max(_MIN_SLAB, _SLAB_BUDGET // (rows * width)))
 
 
 def partial_contraction_rl(a, r, ledger=None):
@@ -187,8 +201,9 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
         u_t = np.ascontiguousarray(rep.u.T)
         yt, zt = yc.transpose(2, 1, 0), zc.transpose(2, 1, 0)
         acc = np.zeros((r1 * s1, l1))
-        for i0 in range(0, n, _SLAB):
-            blk = slice(i0, min(i0 + _SLAB, n))
+        step = _slab_size(terms, yt, zt)
+        for i0 in range(0, n, step):
+            blk = slice(i0, min(i0 + step, n))
             # x[g, i] = kron(Y(i), Z(i)) @ rep.u[:, g]
             x = _contract_slabs(u_t, yt[:, blk], zt[:, blk], ledger)
             acc += x.reshape(-1, r1 * s1).T @ right[:, blk].reshape(-1, l1)
@@ -213,8 +228,9 @@ def _contract_slabs(m, yv, zv, ledger=None):
         ledger.add_matmul(n * rows * (s2 * (2 * s1 - 1) * r1 + s2 * (2 * r1 - 1) * r2))
     out = np.empty((rows, n, r2 * s2))
     m_rows = m.reshape(rows * r1, s1)
-    for i0 in range(0, n, _SLAB):
-        blk = slice(i0, min(i0 + _SLAB, n))
+    step = _slab_size(rows, yv, zv)
+    for i0 in range(0, n, step):
+        blk = slice(i0, min(i0 + step, n))
         nb = blk.stop - i0
         # Z side: p[g, a, i, e] = sum_c m[g, (a, c)] Z(i)[c, e]
         p = (m_rows @ zv[:, blk].reshape(s1, nb * s2)).reshape(rows, r1, nb, s2)
@@ -230,10 +246,11 @@ def contract_m_onto_pkp(m, ycore, zcore, ledger=None):
     Returns the TT core with slices ``m @ kron(Y(i), Z(i))``; neither the
     Kronecker slice nor the product core is formed.  Row g of m folds into
     an r1 x s1 matrix M_g and its product with the Kronecker slice is
-    ``Y(i)^T M_g Z(i)``.  Per slab of at most 4 mode slices that is one
-    GEMM, m as an (l r1) x s1 matrix against the slab's Z slices as an
-    s1 x (n s2) matrix, then one ``np.matmul`` batched over (row, slice)
-    that applies the Y slices and writes straight into the output core.
+    ``Y(i)^T M_g Z(i)``.  Per slab of mode slices (see :func:`_slab_size`)
+    that is one GEMM, m as an (l r1) x s1 matrix against the slab's Z
+    slices as an s1 x (n s2) matrix, then one ``np.matmul`` batched over
+    (row, slice) that applies the Y slices and writes straight into the
+    output core.  The output is not scanned for non-finite values.
     """
     m = np.asarray(m)
     if ycore.mode_size != zcore.mode_size:
@@ -241,7 +258,7 @@ def contract_m_onto_pkp(m, ycore, zcore, ledger=None):
     r1, s1 = ycore.left_rank, zcore.left_rank
     if m.ndim != 2 or m.shape[1] != r1 * s1:
         raise ValueError(f"matrix columns {m.shape} incompatible with ranks {r1}*{s1}")
-    return TTCore(_contract_slabs(m, ycore.values, zcore.values, ledger), copy=False)
+    return TTCore._trusted(_contract_slabs(m, ycore.values, zcore.values, ledger))
 
 
 def tt_hadamard_dot(x, y, z):
@@ -383,7 +400,16 @@ def tt_rounding(a, targets, ledger=None):
         cores[k] = matmul(carry, nxt.reshape(r2, -1), ledger).reshape(
             bond, nxt.shape[1], nxt.shape[2]
         )
-    return TTTensor(cores)
+    return _sweep_result(cores)
+
+
+def _sweep_result(cores):
+    """The output tensor of a rounding sweep.  Cores 1..d-1 are built from
+    orthonormal factors of matrices that ``econ_qr`` found finite; only the
+    last core can overflow, so it alone is scanned."""
+    if not np.all(np.isfinite(cores[-1])):
+        raise ValueError("the recompressed tensor overflows float64")
+    return TTTensor([TTCore._trusted(c) for c in cores])
 
 
 def _orthogonalize_sweep(first_core, sketches, next_core_fn, d, ledger):
@@ -407,7 +433,7 @@ def _orthogonalize_sweep(first_core, sketches, next_core_fn, d, ledger):
         del cur, cur_mat, sketched
         cur = next_core_fn(k, m)
     cores.append(cur)
-    return TTTensor(cores)
+    return _sweep_result(cores)
 
 
 def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):

@@ -8,6 +8,15 @@ slices ``G_1(i_1) G_2(i_2) ... G_d(i_d)``.
 Core arrays are C-ordered, so the horizontal matricization ``H<G>`` of a
 core (mode-1 unfolding, size ``r_{k-1} x n_k r_k``) and the vertical
 matricization ``V<G>`` (size ``r_{k-1} n_k x r_k``) are plain reshapes.
+
+Non-finite values are rejected where data enters the package: ``TTCore``,
+``TTTensor`` built from raw arrays, and :func:`load_tt` copy and scan every
+core, and so do :func:`pkp_cores` (a product of finite cores can overflow)
+and the public arithmetic (``tt_add``, ``tt_scale``).  Cores that the
+package computes from cores it has already validated (kernel outputs,
+sweep outputs, random draws) go through ``TTCore._trusted``, which skips
+the copy and the scan but keeps the core cap and the read-only flag; the
+sweeps check their one core that can overflow, the last.
 """
 
 import numpy as np
@@ -29,6 +38,16 @@ class TTCore:
             raise ValueError("TT core contains non-finite values")
         values.setflags(write=False)
         self.values = values
+
+    @classmethod
+    def _trusted(cls, values):
+        """A core of an array the package computed from validated cores: no
+        copy and no finiteness scan.  The array must not be written again."""
+        check_core(values.size)
+        values.setflags(write=False)
+        core = cls.__new__(cls)
+        core.values = values
+        return core
 
     @property
     def left_rank(self):
@@ -80,14 +99,11 @@ class TTTensor:
                     f"{cores[k].right_rank} vs {cores[k + 1].left_rank}"
                 )
         self.cores = cores
+        self.shape = tuple(c.mode_size for c in cores)
 
     @property
     def d(self):
         return len(self.cores)
-
-    @property
-    def shape(self):
-        return tuple(c.mode_size for c in self.cores)
 
     @property
     def ranks(self):
@@ -108,14 +124,17 @@ def pkp_cores(y, z):
     The result has ranks (r1*s1, n, r2*s2) and its i-th slice is
     ``kron(Y(i), Z(i))``; rows and columns pair the Y index (slow) with the
     Z index (fast).  The boundary conveniences (first cores with left ranks
-    1, last cores with right ranks 1) are this same operation.
+    1, last cores with right ranks 1) are this same operation.  A product
+    that overflows float64 raises ValueError.
     """
     if y.mode_size != z.mode_size:
         raise ValueError(f"mode mismatch {y.mode_size} vs {z.mode_size}")
     check_core(y.values.size * z.values.size // y.mode_size)
     out = np.einsum("aic,bid->abicd", y.values, z.values)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the Hadamard product of these finite cores overflows float64")
     out = out.reshape(y.left_rank * z.left_rank, y.mode_size, y.right_rank * z.right_rank)
-    return TTCore(out, copy=False)
+    return TTCore._trusted(out)
 
 
 def partial_contracted_product(x, k, l):

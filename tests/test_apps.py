@@ -185,6 +185,15 @@ def test_power_iteration_scale_homogeneous():
     assert res_scaled.estimate == pytest.approx(7.0 * res.estimate, rel=1e-10)
 
 
+@pytest.mark.parametrize("alg", ["tt-rounding", "rand-orth", "hatt-1", "hatt-2"])
+def test_power_iteration_scale_equivariant_at_1e150(alg):
+    # ||y ⊙ v||^2 is near 1e312 here, beyond float64; the iterate's norm is not
+    y = separable_tt(SeparableFunctionSpec("qing", 4, 10))
+    res = power_iteration_max(y, 4, recompressor=alg, seed=1)
+    res_scaled = power_iteration_max(tt_scale(y, 1e150), 4, recompressor=alg, seed=1)
+    assert res_scaled.estimate == pytest.approx(1e150 * res.estimate, rel=1e-13)
+
+
 def test_power_iteration_first_readout_is_the_mean():
     # the iterate starts as the unit-norm constant tensor
     spec = SeparableFunctionSpec("alpine", 3, 8)

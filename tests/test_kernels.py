@@ -3,8 +3,10 @@
 Each kernel is checked against an oracle that forms what the kernel avoids
 (the product cores, the Kronecker slices, the dense tensors) and against
 the per-slice loop it replaced, whose flop charges it must repeat exactly.
-Mode sizes come from {1, 3, 4, 5, 8, 9}: 4 and 8 fill every 4-slice slab,
-the others leave a partial last one.
+Cores this small fit one slab of mode slices, so the properties run again
+with the slab budget at zero, where every slab has the 4-slice minimum:
+mode sizes come from {1, 3, 4, 5, 8, 9}, so 4 and 8 fill every slab and
+5 and 9 leave a partial last one.
 """
 
 import tracemalloc
@@ -29,6 +31,7 @@ from hatt import (
     tt_hadamard_dot,
     tt_to_dense,
 )
+from hatt import recompress
 from hatt.linalg import matmul, scale_columns
 from hatt.tt import h_unfold
 
@@ -150,11 +153,22 @@ def test_inner_products_match_dense(tts):
         assert abs(got - terms.sum()) <= 1e-12 * max(np.abs(terms).sum(), 1e-300)
 
 
+@pytest.mark.parametrize("prop", (test_hpcrl_matches_materialized_product_and_loop,
+                                  test_contract_m_matches_kron_slices_and_loop,
+                                  test_inner_products_match_dense),
+                         ids=("hpcrl", "contract_m", "inner_products"))
+def test_properties_hold_across_several_slabs(prop, monkeypatch):
+    monkeypatch.setattr(recompress, "_SLAB_BUDGET", 0)
+    core = np.zeros((4, 9, 4))
+    assert recompress._slab_size(1, core, core) == 4
+    prop()
+
+
 @pytest.mark.parametrize("variant", (DIRECT, svd_variant(rel_tol=0.0)), ids=("direct", "svd"))
 def test_hpcrl_peak_stays_below_one_unslabbed_intermediate(variant):
     # applying every rank-1 term to every slice of a product core at once
-    # forms ell x n x (r s) entries, which dominate at these sizes; the
-    # 4-slice slabs keep hpcrl well below one such array
+    # forms ell x n x (r s) entries, which dominate at these sizes; slabs
+    # of at most _SLAB_BUDGET elements keep hpcrl well below one such array
     d, n, r, ell = 4, 128, 8, 8
     y, z = (gaussian_tt((n,) * d, (1,) + (r,) * (d - 1) + (1,), seed=s) for s in (1, 2))
     sketch = gaussian_tt((n,) * d, (1,) + (ell,) * (d - 1) + (1,), seed=3)

@@ -27,8 +27,10 @@ from hatt import (
     tt_hadamard,
     tt_ones,
     tt_rounding,
+    tt_scale,
     tt_svd,
     tt_to_dense,
+    uniform_tt,
 )
 from hatt.recompress import normalize_targets
 from hatt.tt import TTCore, TTTensor, h_unfold
@@ -417,6 +419,52 @@ def test_recompressor_table(name):
         power_iteration_max(y, 2, recompressor=bad)
     with pytest.raises(ValueError, match=message):
         Scenario("custom", algorithms=(bad,))
+
+
+# --- overflow, and the cores built without a finiteness scan --------------------
+
+
+@pytest.mark.parametrize("name", ALGORITHMS)
+def test_overflowing_product_is_a_named_error(name):
+    # both factors at 1e200: the product's entries, near 1e400, do not fit float64
+    y, z = (tt_scale(gaussian_tt((6,) * 4, (1, 3, 3, 3, 1), seed=s), 1e200) for s in (1, 2))
+    with pytest.raises(ValueError, match="overflow"):
+        recompress_hadamard(name, y, z, 3, seed=5)
+
+
+def scale_last_core(x, c):
+    return TTTensor(x.cores[:-1] + (TTCore(x.cores[-1].values * c),))
+
+
+def test_sweeps_never_return_an_overflowed_core():
+    # every product core is finite but the product is near 1e400; a sketch
+    # scaled by 1e-200 keeps the sketches finite, so only the last output
+    # core, which carries the norm, overflows
+    y = tt_scale(gaussian_tt((6,) * 4, (1, 3, 3, 3, 1), seed=1), 1e200)
+    z = scale_last_core(gaussian_tt((6,) * 4, (1, 3, 3, 3, 1), seed=2), 1e200)
+    sketch = scale_last_core(gaussian_tt((6,) * 4, (1, 3, 3, 3, 1), seed=3), 1e-200)
+    for sweep in (lambda: hatt(y, z, sketch_tt=sketch),
+                  lambda: rand_orth(tt_hadamard(y, z), sketch_tt=sketch)):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="overflow"):
+            sweep()
+
+
+def test_library_built_cores_are_read_only():
+    y = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
+    z = gaussian_tt((4,) * 4, (1, 2, 2, 2, 1), seed=2)
+    product = tt_hadamard(y, z)
+    m = np.random.default_rng(3).normal(size=(2, 3 * 2))
+    cores = [contract_m_onto_pkp(m, y.cores[1], z.cores[1])]
+    for x in (hatt(y, z, 3, seed=4), hatt(y, z, 3, svd_variant(2), seed=4),
+              rand_orth(product, 3, seed=4), tt_rounding(product, 3), product,
+              gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=5),
+              uniform_tt((4,) * 4, (1, 3, 3, 3, 1), seed=5)):
+        cores.extend(x.cores)
+    for core in cores:
+        assert not core.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            core.values[0, 0, 0] = 1.0
 
 
 def test_normalize_targets_forms():
