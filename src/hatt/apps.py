@@ -244,6 +244,8 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
     largest entry, so it neither overflows nor underflows while it is
     representable, and the estimate scales with y.
     """
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     run = _runner(recompressor)
     chain = normalize_targets(ell, y.d)
     v = tt_scale(tt_ones(y.shape), 1.0 / math.sqrt(y.size))

@@ -1,6 +1,8 @@
 """Benchmark scenarios over the recompression algorithms, with CSV output.
 
-Four canned scenarios at desk scale, each sweeping (algorithm, seed) cells:
+Five scenarios at desk scale.  All but example3 build pairs of input TT
+tensors and run one grid over them (:func:`_grid`: every target, algorithm
+and seed on each pair, against the pair's dense reference):
 
 * ``example1``: Hadamard product of two sampled trigonometric series,
   swept over target ranks;
@@ -10,7 +12,8 @@ Four canned scenarios at desk scale, each sweeping (algorithm, seed) cells:
 * ``example3``: power iteration for the largest element of separable
   benchmark functions, one cell per recompression backend;
 * ``appendixF`` (alias ``hilbert``): sketch-decomposition crossover study
-  on a Hilbert-type tensor, comparing the svd and direct sketch variants.
+  on a Hilbert-type tensor, comparing the svd and direct sketch variants;
+* ``custom``: gaussian random inputs over an (r, ell) grid.
 
 Rows are written in a fixed CSV schema; capped cells are marked (empty
 measurement fields, ``capped`` in the ranks column) and do not stop a run.
@@ -21,7 +24,8 @@ import io
 import os
 import time
 import warnings
-from dataclasses import dataclass, replace
+from contextlib import nullcontext
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +39,7 @@ from .apps import (
     separable_tt,
 )
 from .dense import brute_force_max, hadamard_dense
-from .limits import ResourceLimitError, core_limit
+from .limits import ResourceLimitError, core_limit, dense_limit
 from .linalg import FlopLedger
 from .recompress import (
     ALGORITHMS,
@@ -82,13 +86,11 @@ class ResultRow:
         def num(x, fmt="{:.17g}"):
             return "" if x is None else fmt.format(x)
 
-        ranks = "capped" if self.output_ranks is None else "-".join(
-            str(r) for r in self.output_ranks
-        )
+        ranks = "capped" if self.capped else "-".join(map(str, self.output_ranks))
         return [
-            self.scenario, self.algorithm, str(self.d), str(self.n), str(self.r),
-            str(self.s), str(self.ell), str(self.seed), num(self.rel_error),
-            num(self.wall_time_s), num(self.flops_measured, "{:d}"),
+            self.scenario, self.algorithm,
+            *map(str, (self.d, self.n, self.r, self.s, self.ell, self.seed)),
+            num(self.rel_error), num(self.wall_time_s), num(self.flops_measured, "{:d}"),
             num(self.flops_predicted, "{:d}"), ranks,
         ]
 
@@ -109,20 +111,40 @@ def write_csv(rows, target):
     return text
 
 
+# Grid defaults per scenario; a Scenario field left None takes its
+# scenario's value (algorithms: all four unless listed here).
+_DEFAULTS = {
+    "example1": dict(d=5, n=8, targets=(2, 4, 6, 8, 10, 12), fourier_terms=12),
+    "example2": dict(d=5, n=6, ranks=(10, 20, 30, 40), targets=(8,), core_cap=2_000_000),
+    "example3": dict(d=4, n=10, targets=(5,), max_iter=100),
+    "appendixF": dict(d=5, n=8, ranks=(20,), targets=(4, 8, 12, 16), max_terms=5,
+                      algorithms=("hatt-1", "hatt-2")),
+    "custom": dict(d=4, n=5, ranks=(3,), targets=(2,)),
+}
+
+# The options only some scenarios read; any other scenario rejects them.
+_READ_BY = {
+    "ranks": ("example2", "appendixF", "custom"),
+    "fourier_terms": ("example1",),
+    "max_iter": ("example3",),
+    "fixtures": ("example1", "example2", "appendixF", "custom"),
+}
+
+
 @dataclass
 class Scenario:
     """A benchmark request: which scenario, over which grid and seeds."""
 
     name: str
     seeds: tuple = (0, 1, 2, 3, 4)
-    algorithms: tuple = ALGORITHMS
+    algorithms: tuple = None
     d: int = None
     n: int = None
     ranks: tuple = None
     targets: tuple = None
     max_terms: int = None
     fourier_terms: int = None
-    max_iter: int = 100
+    max_iter: int = None
     dense_cap: int = None
     core_cap: int = None
     out: str = None
@@ -133,34 +155,46 @@ class Scenario:
     def __post_init__(self):
         if self.name not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.name!r}; known: {SCENARIOS}")
+        for field, readers in _READ_BY.items():
+            if getattr(self, field) is not None and self.name not in readers:
+                raise ValueError(f"{self.name} does not read {field}; "
+                                 f"it is read by {', '.join(readers)}")
+        for field, value in {"algorithms": ALGORITHMS, **_DEFAULTS[self.name]}.items():
+            if getattr(self, field) is None:
+                setattr(self, field, value)
         self.seeds = tuple(int(s) for s in self.seeds)
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ValueError(f"seeds must be distinct, got {self.seeds}")
+        if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be distinct integers >= 0, got {self.seeds}")
         self.algorithms = tuple(self.algorithms)
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
         for alg in self.algorithms:
             _runner(alg)
+        for field in ("d", "n", "ranks", "targets", "max_terms", "fourier_terms", "max_iter"):
+            value = getattr(self, field)
+            if value is not None and (np.size(value) == 0 or np.min(value) < 1):
+                raise ValueError(f"{field} must be >= 1, got {value!r}")
+        self.ranks, self.targets = (v if v is None else tuple(int(x) for x in v)
+                                    for v in (self.ranks, self.targets))
+        if self.name == "example3" and self.n < 2:
+            raise ValueError(f"example3 needs n >= 2, got {self.n}")
 
 
-def _cell(config, algorithm, y, z, targets, seed, reference, d, n, r, s, ell):
-    """Run one (algorithm, seed) cell; a resource-capped cell becomes a marker row."""
+def _cell(config, algorithm, y, z, ell, seed, reference):
+    """Run one (algorithm, target, seed) cell; a resource-capped cell becomes a marker row."""
+    d, n, r, s = y.d, y.shape[0], max(y.ranks), max(z.ranks)
+    head = (config.name, algorithm, d, n, r, s, ell, seed)
     predicted = predicted_flops(algorithm, d, n, r, s, ell, config.max_terms)
     try:
         with warnings.catch_warnings():
             # clamped targets are visible in the output_ranks column
             warnings.simplefilter("ignore", TargetRankWarning)
-            _, rep = recompress_hadamard(
-                algorithm, y, z, targets, seed=seed, max_terms=config.max_terms,
-                reference=reference,
-            )
+            _, rep = recompress_hadamard(algorithm, y, z, ell, seed=seed,
+                                         max_terms=config.max_terms, reference=reference)
     except ResourceLimitError:
-        return ResultRow(config.name, algorithm, d, n, r, s, ell, seed,
-                         flops_predicted=predicted)
+        return ResultRow(*head, flops_predicted=predicted)
     return ResultRow(
-        config.name, algorithm, d, n, r, s, ell, seed,
+        *head,
         rel_error=rep.rel_error,
         wall_time_s=rep.wall_time_s,
         flops_measured=rep.flops_measured.total(),
@@ -169,65 +203,67 @@ def _cell(config, algorithm, y, z, targets, seed, reference, d, n, r, s, ell):
     )
 
 
-def _fixture_pair(config, tag, builder):
-    """Build (or reload) a pair of input TT tensors, optionally as files."""
-    if config.fixtures:
-        os.makedirs(config.fixtures, exist_ok=True)
-        py = os.path.join(config.fixtures, f"{tag}_y.tt")
-        pz = os.path.join(config.fixtures, f"{tag}_z.tt")
-        if os.path.exists(py) and os.path.exists(pz):
-            return load_tt(py), load_tt(pz)
-        y, z = builder()
-        save_tt(y, py)
-        save_tt(z, pz)
-        return y, z
-    return builder()
+# --- input pairs --------------------------------------------------------------
+# Each builder yields (fixture tag, seeds to run on the pair, y, z).
 
 
-def run_example1(config):
-    """Trigonometric-series Hadamard product swept over target ranks."""
-    d = config.d or 5
-    n = config.n or 8
-    shape = (n,) * d
-    terms = config.fourier_terms or 12
-    sweep = config.targets or (2, 4, 6, 8, 10, 12)
-    spec = FourierSpec(shape, n_terms=terms)
-    y, z = _fixture_pair(config, "example1",
-                         lambda: fourier_tt(spec, seed=config.seeds[0]))
-    reference = hadamard_dense(tt_to_dense(y), tt_to_dense(z))
-    r, s = max(y.ranks), max(z.ranks)
-    rows = []
-    for ell in sweep:
-        for alg in config.algorithms:
-            for seed in config.seeds:
-                rows.append(_cell(config, alg, y, z, int(ell), seed, reference,
-                                  d, n, r, s, int(ell)))
-    return rows
+def _example1_pairs(config):
+    """The sampled trigonometric-series pair, drawn with the first seed."""
+    spec = FourierSpec((config.n,) * config.d, n_terms=config.fourier_terms)
+    yield ("example1", config.seeds, *fourier_tt(spec, seed=config.seeds[0]))
 
 
-def run_example2(config):
-    """Random uniform TT products of growing rank under a core-allocation cap."""
-    d = config.d or 5
-    n = config.n or 6
-    shape = (n,) * d
-    rank_sweep = config.ranks or (10, 20, 30, 40)
-    ell = int(config.targets[0]) if config.targets else 8
-    cap = config.core_cap if config.core_cap is not None else 2_000_000
-    rows = []
-    for r in rank_sweep:
-        chain = uniform_chain(d, int(r))
+def _random_pairs(config, draw):
+    """A pair of `draw` tensors per (rank, seed), run at that seed only."""
+    shape = (config.n,) * config.d
+    for r in config.ranks:
+        chain = uniform_chain(config.d, r)
         for seed in config.seeds:
-            y = uniform_tt(shape, chain, seed=_derive_seed(seed, 1, r))
-            z = uniform_tt(shape, chain, seed=_derive_seed(seed, 2, r))
-            reference = hadamard_dense(tt_to_dense(y), tt_to_dense(z))
+            yield (f"{config.name}_r{r}_seed{seed}", (seed,),
+                   *(draw(shape, chain, seed=_derive_seed(seed, side, r)) for side in (1, 2)))
+
+
+def _hilbert_pairs(config):
+    """The Hilbert-type tensor with itself, per rank."""
+    for r in config.ranks:
+        y = hilbert_tt(config.d, config.n, r)
+        yield f"{config.name}_r{r}", config.seeds, y, y
+
+
+_PAIRS = {
+    "example1": _example1_pairs,
+    "example2": lambda config: _random_pairs(config, uniform_tt),
+    "appendixF": _hilbert_pairs,
+    "custom": lambda config: _random_pairs(config, gaussian_tt),
+}
+
+
+def _grid(config, pairs):
+    """Run every target x algorithm x seed cell on each input pair.
+
+    Under ``config.fixtures`` the pair is reloaded from ``<tag>_y.tt`` and
+    ``<tag>_z.tt`` there if saved before, else saved.  Each pair's dense
+    reference is computed once; its rows' d, n, r, s describe the pair as run.
+    """
+    rows = []
+    for tag, seeds, y, z in pairs:
+        paths = ([os.path.join(config.fixtures, f"{tag}_{x}.tt") for x in "yz"]
+                 if config.fixtures else [])
+        if paths and all(map(os.path.exists, paths)):
+            y, z = map(load_tt, paths)
+        else:
+            for x, path in zip((y, z), paths):
+                os.makedirs(config.fixtures, exist_ok=True)
+                save_tt(x, path)
+        reference = hadamard_dense(tt_to_dense(y), tt_to_dense(z))
+        for ell in config.targets:
             for alg in config.algorithms:
-                with core_limit(cap):
-                    rows.append(_cell(config, alg, y, z, ell, seed, reference,
-                                      d, n, int(r), int(r), ell))
+                for seed in seeds:
+                    rows.append(_cell(config, alg, y, z, ell, seed, reference))
     return rows
 
 
-def run_example3(config):
+def _power_rows(config):
     """Largest-element power iteration on separable benchmark functions.
 
     Row semantics here: r is the input tensor's maximal rank, s the iterate
@@ -235,101 +271,53 @@ def run_example3(config):
     brute-force maximum, flops cover the whole iteration, and
     flops_predicted is the per-recompression model times iterations used.
     """
-    d = config.d or 4
-    n = config.n or 10
-    ell = int(config.targets[0]) if config.targets else 5
+    d, n = config.d, config.n
     rows = []
     for kind in ("qing", "alpine"):
         spec = SeparableFunctionSpec(kind, d, n)
         y = separable_tt(spec)
         exact, _ = brute_force_max(separable_dense(spec))
         r = max(y.ranks)
-        iterate_chain = uniform_chain(d, ell)
-        for alg in config.algorithms:
-            for seed in config.seeds:
-                ledger = FlopLedger()
-                start = time.perf_counter()
-                res = power_iteration_max(
-                    y, ell, max_iter=config.max_iter, recompressor=alg,
-                    seed=seed, max_terms=config.max_terms, ledger=ledger,
-                )
-                elapsed = time.perf_counter() - start
+        for ell in config.targets:
+            for alg in config.algorithms:
                 per_iter = predicted_flops(alg, d, n, r, ell, ell, config.max_terms)
-                rows.append(ResultRow(
-                    f"{config.name}-{kind}", alg, d, n, r, ell, ell, seed,
-                    rel_error=abs(res.estimate - exact) / abs(exact),
-                    wall_time_s=elapsed,
-                    flops_measured=ledger.total(),
-                    flops_predicted=per_iter * res.iterations_used,
-                    output_ranks=iterate_chain,
-                ))
+                for seed in config.seeds:
+                    head = (f"{config.name}-{kind}", alg, d, n, r, ell, ell, seed)
+                    ledger = FlopLedger()
+                    start = time.perf_counter()
+                    try:
+                        res = power_iteration_max(
+                            y, ell, max_iter=config.max_iter, recompressor=alg,
+                            seed=seed, max_terms=config.max_terms, ledger=ledger,
+                        )
+                    except ResourceLimitError:
+                        rows.append(ResultRow(*head))
+                        continue
+                    rows.append(ResultRow(
+                        *head,
+                        rel_error=abs(res.estimate - exact) / abs(exact),
+                        wall_time_s=time.perf_counter() - start,
+                        flops_measured=ledger.total(),
+                        flops_predicted=per_iter * res.iterations_used,
+                        output_ranks=uniform_chain(d, ell),
+                    ))
     return rows
-
-
-def run_appendix_hilbert(config):
-    """Sketch-variant crossover on a Hilbert-type squared tensor."""
-    d = config.d or 5
-    n = config.n or 8
-    r = int(config.ranks[0]) if config.ranks else 20
-    sweep = config.targets or (4, 8, 12, 16)
-    max_terms = config.max_terms or 5
-    y = hilbert_tt(d, n, r)
-    reference = hadamard_dense(tt_to_dense(y), tt_to_dense(y))
-    cfg = replace(config, max_terms=max_terms)
-    rows = []
-    for ell in sweep:
-        for alg in ("hatt-1", "hatt-2"):
-            for seed in config.seeds:
-                rows.append(_cell(cfg, alg, y, y, int(ell), seed, reference,
-                                  d, n, r, r, int(ell)))
-    return rows
-
-
-def run_custom(config):
-    """Gaussian random inputs over an (r, ell) grid; the generic scenario."""
-    d = config.d or 4
-    n = config.n or 5
-    shape = (n,) * d
-    rank_sweep = config.ranks or (3,)
-    sweep = config.targets or (2,)
-    rows = []
-    for r in rank_sweep:
-        chain = uniform_chain(d, int(r))
-        for seed in config.seeds:
-            y = gaussian_tt(shape, chain, seed=_derive_seed(seed, 1, r))
-            z = gaussian_tt(shape, chain, seed=_derive_seed(seed, 2, r))
-            reference = hadamard_dense(tt_to_dense(y), tt_to_dense(z))
-            for ell in sweep:
-                for alg in config.algorithms:
-                    rows.append(_cell(config, alg, y, z, int(ell), seed,
-                                      reference, d, n, int(r), int(r), int(ell)))
-    return rows
-
-
-_RUNNERS = {
-    "example1": run_example1,
-    "example2": run_example2,
-    "example3": run_example3,
-    "appendixF": run_appendix_hilbert,
-    "custom": run_custom,
-}
 
 
 def run_scenario(config):
-    """Dispatch a scenario; returns its rows (CSV writing is the caller's job)."""
-    from .limits import dense_limit
-
-    runner = _RUNNERS[config.name]
-    if config.dense_cap is not None:
-        with dense_limit(config.dense_cap):
-            return runner(config)
-    return runner(config)
+    """Run a scenario under its dense and core caps; returns its rows (CSV
+    writing is the caller's job).  A cap left None keeps the one in force."""
+    dense = nullcontext() if config.dense_cap is None else dense_limit(config.dense_cap)
+    core = nullcontext() if config.core_cap is None else core_limit(config.core_cap)
+    with dense, core:
+        if config.name == "example3":
+            return _power_rows(config)
+        return _grid(config, _PAIRS[config.name](config))
 
 
 def _derive_seed(seed, tag, extra):
-    return int(np.random.SeedSequence(
-        entropy=int(seed), spawn_key=(int(tag), int(extra))
-    ).generate_state(1)[0])
+    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(tag), int(extra)))
+    return int(seq.generate_state(1)[0])
 
 
 # --- aggregation --------------------------------------------------------------

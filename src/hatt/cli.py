@@ -1,16 +1,18 @@
 """Command-line benchmark harness.
 
-Runs the canned scenarios, writes the fixed-schema CSV (to --out or stdout),
-and prints a per-cell summary with speedups against tt-rounding.  Exit code
-0 means every requested cell completed; 3 flags resource-capped cells (the
-run still finishes unless --strict aborts it); argparse reports usage errors
-with exit code 2.
+Runs a scenario, writes the fixed-schema CSV (to --out or stdout) and prints
+a per-cell summary with speedups against tt-rounding.  Exit code 0 means
+every cell completed, 3 flags resource-capped cells (1 under --strict), and
+usage errors, bad grid values included, exit with 2.
 """
 
 import argparse
 import sys
 
-from .bench import SCENARIOS, Scenario, flop_report, format_summary, run_scenario, summarize, write_csv
+from .bench import (
+    _DEFAULTS, _READ_BY, SCENARIOS, Scenario, flop_report, format_summary, run_scenario,
+    summarize, write_csv,
+)
 from .limits import ResourceLimitError
 from .recompress import ALGORITHMS
 
@@ -24,74 +26,51 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+def _help(text, field):
+    """`text`, then the scenarios that read `field` and their defaults for it."""
+    readers = ", ".join(_READ_BY.get(field, ("all scenarios",)))
+    defaults = ", ".join(
+        f"{name} {','.join(map(str, value)) if isinstance(value, tuple) else value}"
+        for name, grid in _DEFAULTS.items() if (value := grid.get(field)) is not None
+    )
+    return f"{text} ({readers}; default {defaults})" if defaults else f"{text} ({readers})"
+
+
 def build_parser():
+    # an option left out stays out of the namespace and takes the Scenario default
     parser = argparse.ArgumentParser(
-        prog="hatt-bench",
+        prog="hatt-bench", argument_default=argparse.SUPPRESS,
         description="Benchmark TT Hadamard-product recompression algorithms.",
     )
-    parser.add_argument("--scenario", required=True,
-                        choices=SCENARIOS + tuple(_SCENARIO_ALIASES),
-                        help="which experiment to run")
-    parser.add_argument("--seeds", type=_int_list, default=(0, 1, 2, 3, 4),
-                        help="comma-separated distinct seeds (default 0,1,2,3,4)")
-    parser.add_argument("--algorithms", default=None,
-                        help=f"comma-separated subset of {','.join(ALGORITHMS)}")
-    parser.add_argument("--out", default=None,
-                        help="CSV output path (default: standard output)")
-    parser.add_argument("--d", type=int, default=None, help="tensor order")
-    parser.add_argument("--n", type=int, default=None, help="mode size")
-    parser.add_argument("--ranks", type=_int_list, default=None,
-                        help="input rank sweep (scenario-dependent)")
-    parser.add_argument("--targets", type=_int_list, default=None,
-                        help="target rank sweep (scenario-dependent)")
-    parser.add_argument("--max-terms", type=int, default=None,
-                        help="retained rank-1 terms for the svd sketch variant")
-    parser.add_argument("--dense-cap", type=int, default=None,
-                        help="dense element-count cap for oracle reconstructions")
-    parser.add_argument("--core-cap", type=int, default=None,
-                        help="per-TT-core element-count cap (example2 default: 2000000)")
-    parser.add_argument("--fourier-terms", type=int, default=None,
-                        help="number of series terms for example1 (default 12)")
-    parser.add_argument("--max-iter", type=int, default=100,
-                        help="power-iteration cap for example3")
-    parser.add_argument("--flop-report", action="store_true",
-                        help="print a measured-vs-predicted flop table")
-    parser.add_argument("--strict", action="store_true",
-                        help="treat resource-capped cells as fatal (exit 1)")
-    parser.add_argument("--fixtures", default=None,
-                        help="directory for saving/reloading input TT tensors")
+    add = parser.add_argument
+    add("--scenario", dest="name", required=True, choices=SCENARIOS,
+        type=lambda name: _SCENARIO_ALIASES.get(name, name),
+        help="which experiment to run (hilbert is an alias of appendixF)")
+    add("--seeds", type=_int_list,
+        help="comma-separated distinct seeds >= 0 (all scenarios; default 0,1,2,3,4)")
+    add("--algorithms", type=lambda text: tuple(a.strip() for a in text.split(",") if a.strip()),
+        help=_help(f"comma-separated subset of {','.join(ALGORITHMS)}, else all", "algorithms"))
+    add("--out", help="CSV output path (default: standard output)")
+    add("--d", type=int, help=_help("tensor order", "d"))
+    add("--n", type=int, help=_help("mode size", "n"))
+    add("--ranks", type=_int_list, help=_help("input rank sweep", "ranks"))
+    add("--targets", type=_int_list, help=_help("target rank sweep", "targets"))
+    add("--max-terms", type=int, help=_help("rank-1 terms kept per sketch by hatt-1", "max_terms"))
+    add("--dense-cap", type=int, help=_help("element cap of dense references", "dense_cap"))
+    add("--core-cap", type=int, help=_help("element cap of any one TT core", "core_cap"))
+    add("--fourier-terms", type=int, help=_help("series terms", "fourier_terms"))
+    add("--max-iter", type=int, help=_help("power-iteration cap", "max_iter"))
+    add("--flop-report", action="store_true", help="print a measured-vs-predicted flop table")
+    add("--strict", action="store_true", help="treat resource-capped cells as fatal (exit 1)")
+    add("--fixtures", help=_help("directory to save or reload the input pairs in", "fixtures"))
     return parser
 
 
 def cli_parse(argv):
     """Parse arguments into a Scenario; raises SystemExit(2) on usage errors."""
     parser = build_parser()
-    args = parser.parse_args(argv)
-    name = _SCENARIO_ALIASES.get(args.scenario, args.scenario)
-    algorithms = ALGORITHMS if args.algorithms is None else tuple(
-        a.strip() for a in args.algorithms.split(",") if a.strip()
-    )
-    if args.max_terms is not None and args.max_terms < 1:
-        parser.error("--max-terms must be >= 1")
     try:
-        return Scenario(
-            name=name,
-            seeds=args.seeds,
-            algorithms=algorithms,
-            d=args.d,
-            n=args.n,
-            ranks=args.ranks,
-            targets=args.targets,
-            max_terms=args.max_terms,
-            fourier_terms=args.fourier_terms,
-            max_iter=args.max_iter,
-            dense_cap=args.dense_cap,
-            core_cap=args.core_cap,
-            out=args.out,
-            strict=args.strict,
-            flop_report=args.flop_report,
-            fixtures=args.fixtures,
-        )
+        return Scenario(**vars(parser.parse_args(argv)))
     except ValueError as exc:
         parser.error(str(exc))
 
@@ -104,11 +83,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     capped = [r for r in rows if r.capped]
+    write_csv(rows, config.out or sys.stdout)
     if config.strict and capped:
-        write_csv(rows, config.out or sys.stdout)
         print(f"error: {len(capped)} cell(s) hit a resource cap", file=sys.stderr)
         return 1
-    write_csv(rows, config.out or sys.stdout)
     print(format_summary(summarize(rows)), file=sys.stderr)
     if config.flop_report:
         print(flop_report(rows), file=sys.stderr)

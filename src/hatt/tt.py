@@ -242,8 +242,22 @@ def tt_dot(y, z):
 
 
 def tt_norm(y):
-    """Frobenius norm computed in TT form."""
-    return float(np.sqrt(max(tt_dot(y, y), 0.0)))
+    """Frobenius norm computed in TT form, accurate to a few eps at any scale.
+
+    A left-to-right sweep carries only R factors: with R the factor of the
+    cores contracted so far (R^T R is their Gram matrix), the next R is the
+    R factor of ``V<R G_k>``.  After the last core it is 1 x 1, and its
+    magnitude is the norm.  Each carry is rescaled by a power of two, which
+    is exact, so no step overflows or underflows while the norm is
+    representable (a norm beyond float64 is inf).
+    """
+    carry, exponent = np.ones((1, 1)), 0
+    for core in y.cores:
+        rows = (carry @ h_unfold(core)).reshape(-1, core.right_rank)
+        carry = np.linalg.qr(rows, mode="r")
+        shift = int(np.frexp(np.max(np.abs(carry)))[1])
+        carry, exponent = np.ldexp(carry, -shift), exponent + shift
+    return float(np.ldexp(abs(carry[0, 0]), exponent))
 
 
 def relative_error(x_approx, x_ref):

@@ -41,7 +41,7 @@ from hatt.apps import (
     separable_dense,
     separable_tt,
 )
-from hatt.bench import Scenario, run_example1
+from hatt.bench import Scenario, run_scenario
 
 # target ranks above a feasibility bound clamp with a warning; expected here
 pytestmark = pytest.mark.filterwarnings("ignore::hatt.TargetRankWarning")
@@ -127,7 +127,7 @@ def test_criterion_03_exact_recovery():
 
 def test_criterion_04_error_parity_example1():
     config = Scenario("example1", algorithms=("tt-rounding", "hatt-2"))
-    rows = run_example1(config)
+    rows = run_scenario(config)
     sweep = sorted({r.ell for r in rows})
     means = {}
     for alg in config.algorithms:

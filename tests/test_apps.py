@@ -230,6 +230,12 @@ def test_power_iteration_unknown_backend():
         power_iteration_max(y, 2, recompressor="gradient-descent")
 
 
+def test_power_iteration_needs_an_iteration():
+    y = separable_tt(SeparableFunctionSpec("qing", 2, 4))
+    with pytest.raises(ValueError, match="max_iter"):
+        power_iteration_max(y, 2, max_iter=0)
+
+
 # --- brute force oracle -------------------------------------------------------
 
 

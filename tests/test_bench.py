@@ -8,11 +8,6 @@ from hatt.bench import (
     CSV_COLUMNS,
     ResultRow,
     Scenario,
-    run_example1,
-    run_example2,
-    run_example3,
-    run_appendix_hilbert,
-    run_custom,
     run_scenario,
     summarize,
     write_csv,
@@ -37,7 +32,7 @@ def test_scenario_validation():
 
 def test_example1_rows_complete():
     config = small_example1()
-    rows = run_example1(config)
+    rows = run_scenario(config)
     # every (algorithm, ell, seed) cell is present
     cells = {(r.algorithm, r.ell, r.seed) for r in rows}
     assert len(rows) == 2 * 2 * 2
@@ -50,7 +45,7 @@ def test_example1_rows_complete():
 
 
 def test_example1_csv_roundtrip(tmp_path):
-    rows = run_example1(small_example1())
+    rows = run_scenario(small_example1())
     path = tmp_path / "out.csv"
     text = write_csv(rows, path)
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
@@ -62,7 +57,7 @@ def test_example1_csv_roundtrip(tmp_path):
 def test_example2_memory_cap_rows():
     config = Scenario("example2", seeds=(0,), ranks=(4, 12), targets=(3,),
                       d=4, n=5, core_cap=4000)
-    rows = run_example2(config)
+    rows = run_scenario(config)
     # 12^2 * 5 * 12^2 = 103680 > cap: baselines capped at r=12, hatt fine
     capped = {(r.algorithm, r.r) for r in rows if r.capped}
     completed = {(r.algorithm, r.r) for r in rows if not r.capped}
@@ -78,7 +73,7 @@ def test_example2_memory_cap_rows():
 def test_example2_flop_ratio_decreases():
     config = Scenario("example2", seeds=(0,), ranks=(4, 8), targets=(3,),
                       d=4, n=5, core_cap=None)
-    rows = run_example2(config)
+    rows = run_scenario(config)
     ratio = {}
     for r_val in (4, 8):
         meas = {
@@ -93,8 +88,8 @@ def test_example2_flop_ratio_decreases():
 def test_example2_deterministic_modulo_time():
     config = Scenario("example2", seeds=(0, 1), ranks=(4,), targets=(3,),
                       d=4, n=5, algorithms=("tt-rounding", "hatt-2"))
-    a = run_example2(config)
-    b = run_example2(config)
+    a = run_scenario(config)
+    b = run_scenario(config)
 
     def strip(rows):
         return [
@@ -109,7 +104,7 @@ def test_example2_deterministic_modulo_time():
 def test_example3_oracle_error():
     config = Scenario("example3", seeds=(0,), d=3, n=8, targets=(4,),
                       algorithms=("tt-rounding", "hatt-2"), max_iter=100)
-    rows = run_example3(config)
+    rows = run_scenario(config)
     assert {r.scenario for r in rows} == {"example3-qing", "example3-alpine"}
     assert all(r.rel_error <= 1e-3 for r in rows)
 
@@ -117,7 +112,7 @@ def test_example3_oracle_error():
 def test_appendix_hilbert_rows():
     config = Scenario("appendixF", seeds=(0,), d=4, n=6, ranks=(8,),
                       targets=(3, 5), max_terms=5)
-    rows = run_appendix_hilbert(config)
+    rows = run_scenario(config)
     algs = {r.algorithm for r in rows}
     assert algs == {"hatt-1", "hatt-2"}
     for ell in (3, 5):
@@ -128,12 +123,12 @@ def test_appendix_hilbert_rows():
 def test_run_custom_grid():
     config = Scenario("custom", seeds=(0,), d=3, n=4, ranks=(2, 3),
                       targets=(2,), algorithms=("hatt-2",))
-    rows = run_custom(config)
+    rows = run_scenario(config)
     assert {r.r for r in rows} == {2, 3}
 
 
 def test_summarize_recomputes_exactly():
-    rows = run_example1(small_example1())
+    rows = run_scenario(small_example1())
     entries = summarize(rows)
     for entry in entries:
         cell = [
@@ -170,9 +165,9 @@ def test_run_scenario_dispatch_and_dense_cap():
 
 def test_example1_fixture_files(tmp_path):
     config = small_example1(fixtures=str(tmp_path))
-    rows_a = run_example1(config)
+    rows_a = run_scenario(config)
     assert (tmp_path / "example1_y.tt").exists()
-    rows_b = run_example1(config)  # second run loads the fixtures
+    rows_b = run_scenario(config)  # second run loads the fixtures
 
     def key(rows):
         return [(r.algorithm, r.ell, r.seed, r.rel_error) for r in rows]

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hatt import (
     TTCore,
@@ -10,6 +12,7 @@ from hatt import (
     gaussian_tt,
     h_unfold,
     hadamard_dense,
+    hatt,
     load_tt,
     partial_contracted_product,
     pkp_cores,
@@ -200,6 +203,38 @@ def test_relative_error_dual_path(rng):
         with dense_limit(1):  # 27 elements exceed the cap: the TT-difference path
             tt_path = relative_error(y, z)
         assert tt_path == pytest.approx(dense, rel=1e-10, abs=1e-12)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 5), n=st.integers(1, 5), rank=st.integers(1, 4),
+       seed=st.integers(0, 2**31 - 1), k=st.integers(-300, 300))
+def test_tt_norm_is_scale_safe(d, n, rank, seed, k):
+    """No square of the norm is formed, so it neither overflows nor falls
+    into the subnormals anywhere in the float64 range."""
+    y = gaussian_tt((n,) * d, (1,) + (rank,) * (d - 1) + (1,), seed=seed)
+    assert tt_norm(tt_scale(y, 10**k)) == pytest.approx(10**k * tt_norm(y), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("factors, scale", [((1e200, 1e200, 1e-300, 1.0), 1e100),
+                                            ((1e-200, 1e-200, 1e300, 1.0), 1e-100)])
+def test_tt_norm_survives_partial_contractions_beyond_float64(factors, scale):
+    """The first two cores alone contract to about 1e400 (or 1e-400), yet
+    the norm itself is representable."""
+    y = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
+    scaled = TTTensor([core.values * f for core, f in zip(y.cores, factors)])
+    assert tt_norm(scaled) == pytest.approx(scale * tt_norm(y), rel=1e-14, abs=0)
+
+
+@pytest.mark.filterwarnings("ignore::hatt.TargetRankWarning")
+def test_relative_error_tt_path_resolves_rounding_level_errors():
+    y = gaussian_tt((4,) * 5, (1, 3, 3, 3, 3, 1), seed=1)
+    z = gaussian_tt((4,) * 5, (1, 2, 2, 2, 2, 1), seed=2)
+    x, ref = hatt(y, z, 6, seed=3), tt_hadamard(y, z)
+    dense = relative_error(x, ref)
+    with dense_limit(1):
+        tt_path = relative_error(x, ref)
+    assert tt_path > 0.0
+    assert abs(tt_path - dense) <= 1e-15
 
 
 def test_relative_error_zero_reference():
