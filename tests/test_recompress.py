@@ -208,6 +208,15 @@ def test_tt_rounding_flops_near_model():
     assert 0.65 * model <= ledger.total() <= 1.35 * model
 
 
+def test_tt_rounding_trims_infeasible_bonds_before_orthogonalizing():
+    # the product ranks are 400, but bonds 1-4 can hold at most 8, 64, 64, 8;
+    # QR-factoring the untrimmed 3200 x 400 unfoldings charges 2.97e9 flops
+    h = hilbert_tt(5, 8, 20)
+    ledger = FlopLedger()
+    tt_rounding(tt_hadamard(h, h), 8, ledger=ledger)
+    assert ledger.total() <= 0.5e9
+
+
 def test_tt_rounding_invalid_targets():
     a = gaussian_tt((3, 3), (1, 2, 1), seed=5)
     with pytest.raises(ValueError):

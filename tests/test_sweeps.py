@@ -27,8 +27,10 @@ from hatt import (
     save_tt,
     tt_hadamard,
     tt_rounding,
+    tt_svd,
     tt_to_dense,
 )
+from hatt.recompress import _clamp_targets
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 pytestmark = pytest.mark.filterwarnings("ignore::hatt.TargetRankWarning")
@@ -44,6 +46,24 @@ def trains(draw, count):
     return [gaussian_tt(shape, (1,) + tuple(draw(st.integers(1, 4)) for _ in range(d - 1))
                         + (1,), seed=seed + j)
             for j in range(count)]
+
+
+@st.composite
+def wide_trains(draw):
+    """A train whose ranks exceed what its modes can hold: a gaussian train
+    with ranks up to 9 on modes of size 2 to 4, or the Hadamard product of
+    two such trains with ranks up to 4."""
+    d = draw(st.integers(2, 5))
+    shape = tuple(draw(st.integers(2, 4)) for _ in range(d))
+    seed = draw(st.integers(0, 2**31 - 1))
+
+    def chain(high):
+        return (1,) + tuple(draw(st.integers(1, high)) for _ in range(d - 1)) + (1,)
+
+    if draw(st.booleans()):
+        return gaussian_tt(shape, chain(9), seed=seed)
+    return tt_hadamard(gaussian_tt(shape, chain(4), seed=seed),
+                       gaussian_tt(shape, chain(4), seed=seed + 1))
 
 
 def rel_gap(a, b):
@@ -87,6 +107,21 @@ def test_sweeps_return_equal_ranks(tts, data):
     assert len(ranks) == 1
     (got,) = ranks
     assert all(a <= min(b, t) for a, b, t in zip(got, product.ranks, targets))
+
+
+@SETTINGS
+@given(wide_trains(), st.data())
+def test_tt_rounding_is_tt_svd_beyond_the_feasible_ranks(x, data):
+    """Trimming the infeasible bonds changes the representation only: the
+    rounded tensor is the sequential truncated SVD of the dense tensor at
+    the clamped ranks."""
+    targets = (1,) + tuple(data.draw(st.integers(1, 12)) for _ in range(x.d - 1)) + (1,)
+    chain = _clamp_targets(targets, x.shape, x.ranks)
+    out = tt_rounding(x, targets)
+    assert out.ranks == chain
+    want = tt_to_dense(tt_svd(tt_to_dense(x), chain)).values
+    assert rel_gap(tt_to_dense(out).values, want) <= 1e-8
+    assert left_orthogonality_defect(out) <= 1e-12
 
 
 @SETTINGS
