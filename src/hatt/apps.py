@@ -13,6 +13,7 @@ import numpy as np
 
 from .dense import DenseTensor
 from .indexing import check_shape
+from .limits import check_dense
 from .linalg import scale_columns, truncated_svd
 from .rand_tt import uniform_chain
 from .recompress import (
@@ -182,14 +183,17 @@ def separable_tt(spec):
 
 
 def separable_dense(spec):
-    """Dense oracle for :func:`separable_tt` by direct evaluation."""
+    """Dense oracle for :func:`separable_tt` by direct evaluation.
+
+    Element (i_1, ..., i_d) is ((f_1(x_{i_1}) + f_2(x_{i_2})) + ...) +
+    f_d(x_{i_d}), built one mode at a time by outer sums, so only the last
+    sum is of full size.  The dense cap is checked before any of them.
+    """
+    check_dense(spec.n ** spec.d)
     grid = spec.grid()
-    values = np.zeros((spec.n,) * spec.d)
-    for i in range(1, spec.d + 1):
-        axis_vals = spec.term(i, grid)
-        sl = [np.newaxis] * spec.d
-        sl[i - 1] = slice(None)
-        values = values + axis_vals[tuple(sl)]
+    values = spec.term(1, grid)
+    for i in range(2, spec.d + 1):
+        values = np.add.outer(values, spec.term(i, grid))
     return DenseTensor(values, copy=False)
 
 

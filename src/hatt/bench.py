@@ -261,23 +261,28 @@ def _reference(y, z):
 def _grid(config, pairs):
     """Run every target x algorithm x seed cell on each input pair.
 
-    Under ``config.fixtures`` the pair is reloaded from ``<tag>_y.tt`` and
-    ``<tag>_z.tt`` there if saved before, else saved; a saved pair of
-    another shape than the one requested is a ValueError.  Each pair's
-    reference is computed once (:func:`_reference`); its rows' d, n, r, s
-    describe the pair as run.
+    Under ``config.fixtures`` the pair is saved to ``<tag>_y.tt`` and
+    ``<tag>_z.tt`` there, or, if saved before, reloaded and compared with
+    the pair this run builds, core by core and exactly (``save_tt`` writes
+    every value round-trip exact).  A saved pair of another shape, or with
+    other values (such as one built with other ``--fourier-terms``), is a
+    ValueError naming the file.  Each pair's reference is computed once
+    (:func:`_reference`); its rows' d, n, r, s describe the pair as run.
     """
     rows = []
     for tag, seeds, y, z in pairs:
         paths = ([os.path.join(config.fixtures, f"{tag}_{x}.tt") for x in "yz"]
                  if config.fixtures else [])
         if paths and all(map(os.path.exists, paths)):
-            saved = [load_tt(path) for path in paths]
-            for path, built, x in zip(paths, (y, z), saved):
-                if x.shape != built.shape:
-                    raise ValueError(f"fixture {path} has shape {x.shape}, "
+            for path, built in zip(paths, (y, z)):
+                saved = load_tt(path)
+                if saved.shape != built.shape:
+                    raise ValueError(f"fixture {path} has shape {saved.shape}, "
                                      f"but this run builds shape {built.shape}")
-            y, z = saved
+                if not all(np.array_equal(a.values, b.values)
+                           for a, b in zip(saved.cores, built.cores)):
+                    raise ValueError(f"fixture {path} differs from the tensor this run "
+                                     f"builds; use another --fixtures directory")
         else:
             for x, path in zip((y, z), paths):
                 os.makedirs(config.fixtures, exist_ok=True)

@@ -4,7 +4,7 @@ Runs a scenario, writes the fixed-schema CSV (to --out or stdout) and prints
 a per-cell summary with speedups against tt-rounding.  Exit code 0 means
 every cell completed, 3 flags resource-capped cells (1 under --strict), and
 usage errors, bad grid values and a ValueError of the run (a --fixtures pair
-of another shape) included, exit with 2.
+that differs from the one the run builds) included, exit with 2.
 """
 
 import argparse
@@ -83,7 +83,7 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # e.g. a --fixtures pair of another shape
+    except ValueError as exc:  # e.g. a --fixtures pair that differs
         print(f"error: {exc}", file=sys.stderr)
         return 2
     capped = [r for r in rows if r.capped]

@@ -208,6 +208,7 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
             # x[g, i] = kron(Y(i), Z(i)) @ rep.u[:, g]
             x = _contract_slabs(u_t, yt[:, blk], zt[:, blk], ledger)
             acc += x.reshape(-1, r1 * s1).T @ right[:, blk].reshape(-1, l1)
+            del x  # one slab's x at a time
         mats[k - 2] = acc
     return mats
 
@@ -221,7 +222,9 @@ def _contract_slabs(m, yv, zv, ledger=None):
 
     The one Kronecker-times-matrix kernel: :func:`contract_m_onto_pkp`
     applies the product core with it from the left, :func:`hpcrl` (on the
-    transposed factor cores) from the right."""
+    transposed factor cores) from the right.  Besides the output, it holds
+    one slab's intermediate at a time: each slab's is released before the
+    next slab's GEMM."""
     r1, n, r2 = yv.shape
     s1, s2 = zv.shape[0], zv.shape[2]
     rows = m.shape[0]
@@ -238,6 +241,7 @@ def _contract_slabs(m, yv, zv, ledger=None):
         # Y side, batched over (g, i): out[g, i] = Y(i)^T p[g, :, i, :]
         np.matmul(yv[:, blk].transpose(1, 2, 0), p.transpose(0, 2, 1, 3),
                   out=out[:, blk].reshape(rows, nb, r2, s2))
+        del p
     return out
 
 
@@ -433,19 +437,26 @@ def _sweep_result(cores):
 
 
 def _orthogonalize_sweep(first_core, sketches, next_core_fn, d, ledger):
-    """Shared left-to-right randomized sweep.
+    """Shared left-to-right randomized sweep of :func:`rand_orth` and
+    :func:`hatt`.
 
-    `sketches[k - 1]` is the sketch matrix W^(k) of bond k.
-    `next_core_fn(k, m)` must return the (k+1)-th core contracted against m
-    (an array of shape (rows(m), n_{k+1}, tail ranks)).  Returns the output
-    cores; every core except the last has orthonormal vertical matricization.
+    `sketches[k - 1]` is the sketch matrix W^(k) of bond k.  The sweep
+    consumes the list: it sets W^(k) to None once step k has used it, and
+    it keeps no reference to `first_core` past step 1, so a caller that
+    passes the first core without keeping its own lets the sweep hold one
+    core at a time.  `next_core_fn(k, m)` must return the (k+1)-th core
+    contracted against m (an array of shape (rows(m), n_{k+1}, tail
+    ranks)).  Returns the output cores; every core except the last has
+    orthonormal vertical matricization.
     """
     cores = []
     cur = first_core
+    del first_core
     for k in range(1, d):
         r1, n, r2 = cur.shape
         cur_mat = cur.reshape(r1 * n, r2)
         sketched = matmul(cur_mat, sketches[k - 1], ledger)
+        sketches[k - 1] = None
         q = econ_qr(sketched, ledger=ledger).q
         cores.append(q.reshape(r1, n, q.shape[1]))
         m = matmul(q.T, cur_mat, ledger)
@@ -495,12 +506,14 @@ def hatt(y, z, targets=None, variant=DIRECT, seed=None, sketch_tt=None, ledger=N
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
     sketch = _sketch(y.shape, products, targets, seed, sketch_tt)
     sketches = hpcrl(y, z, sketch, variant, ledger)
-    first = pkp_cores(y.cores[0], z.cores[0]).values
+    del sketch
 
     def next_core(k, m):
         return contract_m_onto_pkp(m, y.cores[k], z.cores[k], ledger).values
 
-    return _orthogonalize_sweep(first, sketches, next_core, d, ledger)
+    # the first product core goes in unnamed: the sweep drops it after step 1
+    return _orthogonalize_sweep(pkp_cores(y.cores[0], z.cores[0]).values, sketches,
+                                next_core, d, ledger)
 
 
 # --- flop model --------------------------------------------------------------

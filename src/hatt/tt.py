@@ -11,12 +11,13 @@ matricization ``V<G>`` (size ``r_{k-1} n_k x r_k``) are plain reshapes.
 
 Non-finite values are rejected where data enters the package: ``TTCore``,
 ``TTTensor`` built from raw arrays, and :func:`load_tt` copy and scan every
-core, and so do :func:`pkp_cores` (a product of finite cores can overflow)
-and the public arithmetic (``tt_add``, ``tt_scale``).  Cores that the
-package computes from cores it has already validated (kernel outputs,
-sweep outputs, random draws) go through ``TTCore._trusted``, which skips
-the copy and the scan but keeps the core cap and the read-only flag; the
-sweeps check their one core that can overflow, the last.
+core, and so do the public arithmetic (``tt_add``, ``tt_scale``) and
+:func:`pkp_cores` (a product of finite cores can overflow; it scans only
+when max|Y| max|Z| is not finite).  Cores that the package computes from
+cores it has already validated (kernel outputs, sweep outputs, random
+draws) go through ``TTCore._trusted``, which skips the copy and the scan
+but keeps the core cap and the read-only flag; the sweeps check their one
+core that can overflow, the last.
 """
 
 import numpy as np
@@ -118,6 +119,11 @@ class TTTensor:
         return f"TTTensor(shape={self.shape}, ranks={self.ranks})"
 
 
+def _max_abs(values):
+    """max |v| over an array, as a Python float, without an |v| copy."""
+    return max(float(values.max()), -float(values.min()))
+
+
 def pkp_cores(y, z):
     """Partial Kronecker product of two cores sharing a mode size.
 
@@ -125,13 +131,18 @@ def pkp_cores(y, z):
     ``kron(Y(i), Z(i))``; rows and columns pair the Y index (slow) with the
     Z index (fast).  The boundary conveniences (first cores with left ranks
     1, last cores with right ranks 1) are this same operation.  A product
-    that overflows float64 raises ValueError.
+    that overflows float64 raises ValueError.  Each element is one rounded
+    product, and rounding is monotone, so no element can overflow unless
+    max|Y| * max|Z| does: the output is scanned only when that bound is not
+    finite.
     """
     if y.mode_size != z.mode_size:
         raise ValueError(f"mode mismatch {y.mode_size} vs {z.mode_size}")
     check_core(y.values.size * z.values.size // y.mode_size)
     out = np.einsum("aic,bid->abicd", y.values, z.values)
-    if not np.all(np.isfinite(out)):
+    # Python floats: an infinite bound is a value here, not a RuntimeWarning
+    bound = _max_abs(y.values) * _max_abs(z.values)
+    if not np.isfinite(bound) and not np.all(np.isfinite(out)):
         raise ValueError("the Hadamard product of these finite cores overflows float64")
     out = out.reshape(y.left_rank * z.left_rank, y.mode_size, y.right_rank * z.right_rank)
     return TTCore._trusted(out)

@@ -132,6 +132,19 @@ def test_separable_dense_oracle_agreement():
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(rhs)
 
 
+@pytest.mark.parametrize("kind", ("qing", "alpine"))
+@pytest.mark.parametrize("d, n", ((1, 5), (2, 7), (3, 4), (6, 10)))
+def test_separable_dense_is_the_broadcast_sum(kind, d, n):
+    """The outer sums add the terms in the order of the direct broadcast
+    sum, so the values agree bit for bit."""
+    spec = SeparableFunctionSpec(kind, d, n)
+    grid = spec.grid()
+    direct = np.zeros((n,) * d)
+    for i in range(1, d + 1):
+        direct = direct + spec.term(i, grid).reshape((n,) + (1,) * (d - i))
+    assert np.array_equal(separable_dense(spec).values, direct)
+
+
 def test_separable_unknown_kind():
     with pytest.raises(ValueError):
         SeparableFunctionSpec("rosenbrock", 3, 4)

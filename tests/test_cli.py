@@ -213,3 +213,18 @@ def test_fixtures_of_another_shape_are_an_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: fixture ")
     assert "example1_y.tt has shape (4, 4, 4, 4), but this run builds shape (4, 4, 4)\n" in err
+
+
+def test_fixtures_of_another_pair_are_an_error(tmp_path, capsys):
+    """At n=4 the pairs of 3 and 5 Fourier terms share shape and ranks; the
+    saved pair of 3 terms still does not stand in for a 5-term run."""
+    fixtures = str(tmp_path / "fx")
+    base = ["--scenario", "example1", "--d", "3", "--n", "4", "--seeds", "0", "--targets",
+            "2", "--algorithms", "hatt-2", "--fixtures", fixtures,
+            "--out", str(tmp_path / "rows.csv")]
+    assert main(base + ["--fourier-terms", "3"]) == 0
+    capsys.readouterr()
+    assert main(base + ["--fourier-terms", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fixture ")
+    assert "example1_y.tt differs from the tensor this run builds" in err

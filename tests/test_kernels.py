@@ -22,6 +22,7 @@ from hatt import (
     TTCore,
     contract_m_onto_pkp,
     gaussian_tt,
+    hatt,
     hpcrl,
     partial_contraction_rl,
     rank1_decompose,
@@ -179,3 +180,27 @@ def test_hpcrl_peak_stays_below_one_unslabbed_intermediate(variant):
     finally:
         tracemalloc.stop()
     assert peak < ell * n * r * r * np.dtype(float).itemsize
+
+
+@pytest.mark.parametrize("variant", (DIRECT, svd_variant()), ids=("direct", "svd"))
+@pytest.mark.parametrize("d, n, r, ell", ((4, 128, 8, 8), (6, 32, 12, 6)))
+def test_hatt_peak_holds_one_core_update(variant, d, n, r, ell):
+    """Besides its output, hatt holds at most one core update (ell x n x
+    r s), the sketch matrices W^(k) it has not used yet, one slab's
+    intermediate of the kernel, and the sweep's QR: the sketched core and
+    LAPACK's working copy of it, (ell n) x ell each.  16 KiB of slack
+    covers the small matrices and slab copies."""
+    y, z = (gaussian_tt((n,) * d, (1,) + (r,) * (d - 1) + (1,), seed=s) for s in (1, 2))
+    tracemalloc.start()
+    try:
+        out = hatt(y, z, ell, variant, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    core = np.zeros((r, n, r))
+    elements = (sum(c.values.size for c in out.cores)
+                + ell * n * r * r  # one core update
+                + (d - 1) * r * r * ell  # the sketch matrices
+                + ell * r * recompress._slab_size(ell, core, core) * r  # one slab
+                + 2 * ell * n * ell)  # the QR's input and working copy
+    assert peak <= elements * np.dtype(float).itemsize + 16 * 1024

@@ -92,6 +92,16 @@ def test_pkp_mode_mismatch():
         pkp_cores(TTCore(np.ones((1, 2, 1))), TTCore(np.ones((1, 3, 1))))
 
 
+def test_pkp_bound_overflows_but_no_element_does():
+    # max|Y| max|Z| is 1e400, but Y's large entries sit in slice 1 and Z's
+    # in slice 2 only, so no element of the product exceeds 1e200
+    y, z = np.ones((2, 3, 2)), np.ones((2, 3, 2))
+    y[:, 0], z[:, 1] = 1e200, 1e200
+    out = pkp_cores(TTCore(y), TTCore(z)).values
+    assert out.max() == 1e200
+    assert np.array_equal(out, np.einsum("aic,bid->abicd", y, z).reshape(4, 3, 4))
+
+
 def test_tt_to_dense_hand_example():
     tt = TTTensor([np.array([[[1.0], [2.0]]]).reshape(1, 2, 1),
                    np.array([3.0, 4.0]).reshape(1, 2, 1)])
