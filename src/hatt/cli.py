@@ -63,7 +63,8 @@ def build_parser():
     add("--max-iter", type=int, help=_help("power-iteration cap", "max_iter"))
     add("--flop-report", action="store_true", help="print a measured-vs-predicted flop table")
     add("--strict", action="store_true", help="treat resource-capped cells as fatal (exit 1)")
-    add("--fixtures", help=_help("directory to save or reload the input pairs in", "fixtures"))
+    add("--fixtures", help=_help("save each input pair in this directory, or check it "
+                                 "against the saved one", "fixtures"))
     return parser
 
 

@@ -42,6 +42,7 @@ from .linalg import (
 )
 from .rand_tt import RandomSpec, check_rank_chain, random_tt, uniform_chain
 from .tt import (
+    _BLOCK,
     TTCore,
     TTTensor,
     h_unfold,
@@ -141,7 +142,8 @@ def partial_contraction_rl(a, r, ledger=None):
     product against the vertical matricization), then contract the mode
     against the k-th core of `r` (one product against the horizontal
     matricization of `r`).  The temporary folded core exists only as a
-    matrix.
+    matrix.  The skinny fold ``V<A_k> W^(k)`` is computed as ``(W^(k)^T V<A_k>^T)^T``
+    in row blocks, an orientation OpenBLAS runs faster; same ledger charge.
     """
     if a.shape != r.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {r.shape}")
@@ -152,7 +154,11 @@ def partial_contraction_rl(a, r, ledger=None):
     mats[d - 2] = matmul(h_unfold(a.cores[d - 1]), h_unfold(r.cores[d - 1]).T, ledger)
     for k in range(d - 1, 1, -1):
         core = a.cores[k - 1]
-        b = matmul(v_unfold(core), mats[k - 1], ledger)
+        v, w_t = v_unfold(core), mats[k - 1].T
+        b = np.empty((v.shape[0], w_t.shape[0]))
+        step = max(1, _BLOCK // w_t.shape[0])
+        for j in range(0, v.shape[0], step):
+            b[j:j + step] = matmul(w_t, v[j:j + step].T, ledger).T
         bh = b.reshape(core.left_rank, -1)
         mats[k - 2] = matmul(bh, h_unfold(r.cores[k - 1]).T, ledger)
     return mats
@@ -188,18 +194,18 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
         r1, n, _ = yc.shape
         s1 = zc.shape[0]
         l1 = rc.shape[0]
-        rep = rank1_decompose(mats[k - 1], variant, ledger)
-        terms = rep.n_terms
         # right[g, i] is R(i) v_g sigma_g (R(i)'s column g for the direct variant)
         if variant.kind == "direct":
-            right = rc
+            u, right = mats[k - 1], rc
         else:
-            right = matmul(rc.reshape(l1 * n, -1), rep.v, ledger)
-            right = scale_columns(right, rep.sigma, ledger).reshape(l1, n, terms)
+            rep = rank1_decompose(mats[k - 1], variant, ledger)
+            u, right = rep.u, matmul(rc.reshape(l1 * n, -1), rep.v, ledger)
+            right = scale_columns(right, rep.sigma, ledger).reshape(l1, n, u.shape[1])
+        terms = u.shape[1]
         right = right.transpose(2, 1, 0)
         if ledger is not None:
             ledger.add_matmul(r1 * s1 * (2 * n * terms - 1) * l1)
-        u_t = np.ascontiguousarray(rep.u.T)
+        u_t = np.ascontiguousarray(u.T)
         yt, zt = yc.transpose(2, 1, 0), zc.transpose(2, 1, 0)
         acc = np.zeros((r1 * s1, l1))
         step = _slab_size(terms, yt, zt)

@@ -119,6 +119,11 @@ class TTTensor:
         return f"TTTensor(shape={self.shape}, ranks={self.ranks})"
 
 
+# Elements (128 KiB) one block's temporary holds in pkp_cores and the fold of
+# partial_contraction_rl; 2^13 to 2^15 ran alike, and smaller blocks peak lower.
+_BLOCK = 1 << 14
+
+
 def _max_abs(values):
     """max |v| over an array, as a Python float, without an |v| copy."""
     return max(float(values.max()), -float(values.min()))
@@ -130,22 +135,33 @@ def pkp_cores(y, z):
     The result has ranks (r1*s1, n, r2*s2) and its i-th slice is
     ``kron(Y(i), Z(i))``; rows and columns pair the Y index (slow) with the
     Z index (fast).  The boundary conveniences (first cores with left ranks
-    1, last cores with right ranks 1) are this same operation.  A product
-    that overflows float64 raises ValueError.  Each element is one rounded
-    product, and rounding is monotone, so no element can overflow unless
-    max|Y| * max|Z| does: the output is scanned only when that bound is not
-    finite.
+    1, last cores with right ranks 1) are this same operation.  Row (a, b)
+    is Y's row a expanded across s2 times Z's row b expanded across r2: one
+    contiguous multiply of n r2 s2 elements, not an einsum's runs of s2.  Z
+    is expanded once, Y in blocks of ``_BLOCK`` elements (one for
+    :func:`hatt`'s small boundary cores).  A product that overflows float64
+    raises ValueError.  Each element is one rounded product, and rounding is
+    monotone, so no element can overflow unless max|Y| * max|Z| does: the
+    output is scanned only when that bound is not finite.
     """
     if y.mode_size != z.mode_size:
         raise ValueError(f"mode mismatch {y.mode_size} vs {z.mode_size}")
     check_core(y.values.size * z.values.size // y.mode_size)
-    out = np.einsum("aic,bid->abicd", y.values, z.values)
+    (r1, n, r2), (s1, _, s2) = y.values.shape, z.values.shape
+    out = np.empty((r1, s1, n * r2 * s2))
+    # zx[b, i, c s2 + e] = Z[b, i, e]; yx[a, i, c s2 + e] = Y[a, i, c]
+    zx = np.repeat(z.values[:, :, None], r2, axis=2).reshape(s1, -1)
+    step = max(1, _BLOCK // out.shape[2])
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below
+        for a0 in range(0, r1, step):
+            yx = np.repeat(y.values[a0:a0 + step], s2, axis=2)
+            np.multiply(yx.reshape(len(yx), 1, -1), zx, out=out[a0:a0 + step])
+            del yx  # one block's expansion at a time
     # Python floats: an infinite bound is a value here, not a RuntimeWarning
     bound = _max_abs(y.values) * _max_abs(z.values)
     if not np.isfinite(bound) and not np.all(np.isfinite(out)):
         raise ValueError("the Hadamard product of these finite cores overflows float64")
-    out = out.reshape(y.left_rank * z.left_rank, y.mode_size, y.right_rank * z.right_rank)
-    return TTCore._trusted(out)
+    return TTCore._trusted(out.reshape(r1 * s1, n, r2 * s2))
 
 
 def partial_contracted_product(x, k, l):
@@ -170,6 +186,11 @@ def tt_to_dense(x):
     whose largest intermediate is smallest, so no intermediate carries a
     large trailing (or leading) rank when a smaller split exists.
     """
+    return DenseTensor(_dense_values(x), copy=False)
+
+
+def _dense_values(x):
+    """The array :func:`tt_to_dense` wraps: fresh, writable, not scanned."""
     check_dense(x.size, "TT reconstruction")
     d, shape, ranks = x.d, x.shape, x.ranks
     # left[j]: size of cores 1..j contracted; right[j]: cores j+1..d
@@ -182,7 +203,7 @@ def tt_to_dense(x):
         check_dense(core.left_rank * core.mode_size * tail.shape[1],
                     "partial contracted product")
         tail = (v_unfold(core) @ tail).reshape(core.left_rank, -1)
-    return DenseTensor((head @ tail).reshape(shape), copy=False)
+    return (head @ tail).reshape(shape)
 
 
 def tt_hadamard(y, z):
@@ -190,7 +211,8 @@ def tt_hadamard(y, z):
 
     Core k of the result is the partial Kronecker product of the factors'
     cores, so the rank chain is the elementwise product of the factors'
-    chains.  This materializes the product cores; the sketching sweeps in
+    chains.  This materializes the product cores, at about 1.5 times the
+    cost of writing their bytes (:func:`pkp_cores`); the sketching sweeps in
     :mod:`hatt.recompress` exist to avoid exactly that.
     """
     if y.shape != z.shape:
@@ -276,7 +298,7 @@ def relative_error(x_approx, x_ref):
 
     `x_ref` may be a TT tensor or a DenseTensor.  The size picks the path:
     a DenseTensor reference, or a tensor whose element count fits the dense
-    cap, is compared densely (the numerically safer route for very small
+    cap, is subtracted densely, in place (numerically safer for very small
     errors); a larger TT reference through the norm of the TT difference.
     """
     ref_dense = isinstance(x_ref, DenseTensor)
@@ -289,7 +311,8 @@ def relative_error(x_approx, x_ref):
         ref_norm = ref.norm()
         if ref_norm == 0.0:
             raise ZeroDivisionError("reference tensor has zero norm")
-        diff = tt_to_dense(x_approx).values - ref.values
+        diff = _dense_values(x_approx)
+        diff -= ref.values
         return float(np.linalg.norm(diff) / ref_norm)
     ref_norm = tt_norm(x_ref)
     if ref_norm == 0.0:

@@ -34,7 +34,7 @@ from hatt import (
 )
 from hatt import recompress
 from hatt.linalg import matmul, scale_columns
-from hatt.tt import h_unfold
+from hatt.tt import h_unfold, v_unfold
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 MODES = st.sampled_from((1, 3, 4, 5, 8, 9))
@@ -106,6 +106,19 @@ def loop_contract(m, ycore, zcore, ledger):
     return out
 
 
+def plain_partial_contraction_rl(a, r, ledger):
+    """The sketch pass with its fold as the plain ``V<A_k> @ W^(k)``."""
+    d = a.d
+    mats = [None] * (d - 1)
+    mats[d - 2] = matmul(h_unfold(a.cores[d - 1]), h_unfold(r.cores[d - 1]).T, ledger)
+    for k in range(d - 1, 1, -1):
+        core = a.cores[k - 1]
+        b = matmul(v_unfold(core), mats[k - 1], ledger)
+        mats[k - 2] = matmul(b.reshape(core.left_rank, -1), h_unfold(r.cores[k - 1]).T,
+                             ledger)
+    return mats
+
+
 def counts(ledger):
     return ledger.matmul_flops, ledger.qr_flops, ledger.svd_flops
 
@@ -119,13 +132,17 @@ def test_hpcrl_matches_materialized_product_and_loop(tts, variant):
     y, z, sketch = tts
     ledger, loop_ledger = FlopLedger(), FlopLedger()
     got = hpcrl(y, z, sketch, variant, ledger)
-    ref = partial_contraction_rl(tt_hadamard(y, z), sketch)
+    ref_ledger, plain_ledger = FlopLedger(), FlopLedger()
+    ref = partial_contraction_rl(tt_hadamard(y, z), sketch, ref_ledger)
+    plain = plain_partial_contraction_rl(tt_hadamard(y, z), sketch, plain_ledger)
     loop = loop_hpcrl(y, z, sketch, variant, loop_ledger)
     tol = 1e-12 if variant.kind == "direct" else 1e-11
-    for w, w_ref, w_loop in zip(got, ref, loop):
+    for w, w_ref, w_plain, w_loop in zip(got, ref, plain, loop):
         assert rel_gap(w, w_ref) <= tol
+        assert rel_gap(w_ref, w_plain) <= 1e-13
         assert rel_gap(w, w_loop) <= 1e-12
     assert counts(ledger) == counts(loop_ledger)
+    assert counts(ref_ledger) == counts(plain_ledger)
 
 
 @SETTINGS
@@ -143,6 +160,32 @@ def test_contract_m_matches_kron_slices_and_loop(ranks, n, rows, seed):
         assert rel_gap(got[:, i - 1, :], want) <= 1e-13
     assert rel_gap(got, loop_contract(m, y, z, loop_ledger)) <= 1e-13
     assert counts(ledger) == counts(loop_ledger)
+
+
+@pytest.mark.parametrize("block", (1, 64, 2**15))
+def test_partial_contraction_rl_blocks_repeat_the_plain_fold(block, monkeypatch):
+    # rank-400 product cores with 32 slices: the fold runs in blocks of
+    # block // ell rows (one row per block at the smallest budget)
+    monkeypatch.setattr(recompress, "_BLOCK", block)
+    y, z = (gaussian_tt((32,) * 4, (1, 20, 20, 20, 1), seed=s) for s in (1, 2))
+    a, sketch = tt_hadamard(y, z), gaussian_tt((32,) * 4, (1, 10, 10, 10, 1), seed=3)
+    ledger, plain_ledger = FlopLedger(), FlopLedger()
+    got = partial_contraction_rl(a, sketch, ledger)
+    for w, w_plain in zip(got, plain_partial_contraction_rl(a, sketch, plain_ledger)):
+        assert rel_gap(w, w_plain) <= 1e-13
+    assert counts(ledger) == counts(plain_ledger)
+
+
+def test_direct_hpcrl_uses_the_sketch_columns_without_rank1_decompose(monkeypatch):
+    y, z, sketch = (gaussian_tt((5,) * 4, (1, 3, 4, 2, 1), seed=s) for s in (1, 2, 3))
+    want = hpcrl(y, z, sketch, DIRECT)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the direct variant decomposed a sketch")
+
+    monkeypatch.setattr(recompress, "rank1_decompose", refuse)
+    for w, w_want in zip(hpcrl(y, z, sketch, DIRECT), want):
+        assert np.array_equal(w, w_want)
 
 
 @SETTINGS

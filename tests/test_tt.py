@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatt import (
+    ResourceLimitError,
     TTCore,
     TTTensor,
+    core_limit,
     dense_limit,
     gaussian_tt,
     h_unfold,
@@ -28,6 +32,7 @@ from hatt import (
     tt_to_dense,
     v_unfold,
 )
+from hatt import tt as tt_module
 from conftest import random_chain, random_pair
 
 
@@ -100,6 +105,51 @@ def test_pkp_bound_overflows_but_no_element_does():
     out = pkp_cores(TTCore(y), TTCore(z)).values
     assert out.max() == 1e200
     assert np.array_equal(out, np.einsum("aic,bid->abicd", y, z).reshape(4, 3, 4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ranks=st.tuples(*[st.integers(1, 5)] * 4), n=st.integers(1, 4),
+       block=st.integers(1, 400), seed=st.integers(0, 2**31 - 1))
+def test_pkp_is_the_einsum_bit_for_bit(ranks, n, block, seed):
+    # ranks of 1 on either side, n = 1 and r != s all occur; a small block
+    # budget splits Y's rows into blocks with a partial last one
+    r1, r2, s1, s2 = ranks
+    rng = np.random.default_rng(seed)
+    y, z = rng.normal(size=(r1, n, r2)), rng.normal(size=(s1, n, s2))
+    with patch.object(tt_module, "_BLOCK", block):
+        out = pkp_cores(TTCore(y), TTCore(z)).values
+    want = np.einsum("aic,bid->abicd", y, z).reshape(r1 * s1, n, r2 * s2)
+    assert np.array_equal(out, want)
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pkp_core_cap_raises_before_allocating():
+    y = z = TTCore(np.ones((20, 8, 20)))
+    output_bytes = 20 * 20 * 8 * 20 * 20 * 8
+
+    def capped():
+        with core_limit(1000), pytest.raises(ResourceLimitError):
+            pkp_cores(y, z)
+
+    assert traced_peak(capped) < output_bytes / 100
+
+
+def test_pkp_peak_is_the_output_and_small_operands():
+    # besides the output: Z expanded across r2 (1/r1 of the output), one
+    # block of Y's rows expanded across s2, and 64 KiB for numpy's buffers
+    rng = np.random.default_rng(5)
+    y, z = (TTCore(rng.normal(size=(20, 8, 20))) for _ in range(2))
+    output_bytes = 20 * 20 * 8 * 20 * 20 * 8
+    bound = output_bytes * (1 + 1 / 20) + tt_module._BLOCK * 8 + 2**16
+    assert traced_peak(lambda: pkp_cores(y, z)) <= bound
 
 
 def test_tt_to_dense_hand_example():
@@ -213,6 +263,16 @@ def test_relative_error_dual_path(rng):
         with dense_limit(1):  # 27 elements exceed the cap: the TT-difference path
             tt_path = relative_error(y, z)
         assert tt_path == pytest.approx(dense, rel=1e-10, abs=1e-12)
+
+
+def test_relative_error_dense_path_holds_one_tensor_sized_array():
+    # 32768 elements: the approximation's dense values, made the difference
+    # in place, are the only array of that size besides the reference
+    x = gaussian_tt((8,) * 5, (1, 4, 4, 4, 4, 1), seed=1)
+    ref = tt_to_dense(gaussian_tt((8,) * 5, (1, 3, 3, 3, 3, 1), seed=2))
+    want = np.linalg.norm(tt_to_dense(x).values - ref.values) / ref.norm()
+    assert relative_error(x, ref) == want
+    assert traced_peak(lambda: relative_error(x, ref)) < 1.25 * ref.values.nbytes
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
