@@ -2,8 +2,9 @@
 
 Every matrix kernel charges a ledger; the model predicts leading-order
 totals per algorithm from (d, n, r, s, ell).  This script tabulates both for
-growing ranks and shows the regime where the truncated-svd sketch variant
-(hatt-1) undercuts the direct variant (hatt-2).
+growing ranks and shows the regime where capping each sketch at five SVD
+terms (hatt-1, max_terms=5) undercuts using the sketch columns as they are
+(hatt-2).
 
 Run with: python demos/03_cost_model.py
 """
@@ -29,7 +30,7 @@ for r in (6, 10):
                   f"{measured / model:>6.2f}")
 
 print()
-print("sketch-variant crossover on a Hilbert-type square (fast singular decay):")
+print("hatt-1 / hatt-2 crossover on a Hilbert-type square (fast singular decay):")
 print(f"{'ell':>4} {'hatt-1 flops':>13} {'hatt-2 flops':>13} {'cheaper':>8}")
 y = hilbert_tt(5, 8, 20)
 for ell in (4, 8, 12, 16):

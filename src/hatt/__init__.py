@@ -20,9 +20,7 @@ from .linalg import (
 from .rand_tt import RandomSpec, gaussian_tt, random_tt, uniform_chain, uniform_tt
 from .recompress import (
     ALGORITHMS,
-    DIRECT,
     RECOMPRESSORS,
-    Rank1Variant,
     RecompressReport,
     TargetRankWarning,
     contract_m_onto_pkp,
@@ -34,7 +32,6 @@ from .recompress import (
     rand_orth,
     rank1_decompose,
     recompress_hadamard,
-    svd_variant,
     tt_hadamard_dot,
     tt_rounding,
 )

@@ -11,8 +11,8 @@ and seed on each pair, against the pair's reference):
   and the Hadamard-avoiding sweep does not;
 * ``example3``: power iteration for the largest element of separable
   benchmark functions, one cell per recompression backend;
-* ``appendixF`` (alias ``hilbert``): sketch-decomposition crossover study
-  on a Hilbert-type tensor, comparing the svd and direct sketch variants;
+* ``appendixF`` (alias ``hilbert``): crossover study on a Hilbert-type
+  tensor, comparing hatt-1 (sketches capped by a truncated SVD) and hatt-2;
 * ``custom``: gaussian random inputs over an (r, ell) grid.
 
 Rows are written in a fixed CSV schema; capped cells are marked (empty

@@ -14,10 +14,10 @@ with the target ranks:
   cores with :func:`contract_m_onto_pkp`, so no product core of size
   (r_k s_k) x n x (r_{k+1} s_{k+1}) is ever materialized.
 
-`hatt` comes in two flavours selected by a :class:`Rank1Variant`: the
-"svd" flavour (HaTT-1) re-expresses each sketch as a truncated rank-1 sum
-before the recursion step, the "direct" flavour (HaTT-2) uses the sketch
-columns as they are.
+`hatt` comes in two flavours, selected by its `max_terms` argument: an
+integer (HaTT-1) re-expresses each sketch by a truncated SVD of at most that
+many terms before the recursion step, None (HaTT-2) uses the sketch columns
+as they are.
 
 :func:`flop_model` gives leading-order operation counts for these algorithms
 and their sketch passes, so measured ledgers can be checked against
@@ -47,7 +47,6 @@ from .tt import (
     TTTensor,
     h_unfold,
     pkp_cores,
-    relative_error,
     tt_hadamard,
     v_unfold,
 )
@@ -57,57 +56,16 @@ class TargetRankWarning(UserWarning):
     """A requested target rank was clamped to a feasible value."""
 
 
-@dataclass(frozen=True)
-class Rank1Variant:
-    """How a sketch matrix is written as a sum of rank-1 terms.
-
-    kind="direct": columns of W themselves (free, l_k terms).
-    kind="svd": truncated SVD; keep singular values above rel_tol * sigma_1,
-    capped at max_terms.
-    """
-
-    kind: str = "direct"
-    max_terms: int = None
-    rel_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.kind not in ("direct", "svd"):
-            raise ValueError(f"variant kind must be 'direct' or 'svd', got {self.kind!r}")
-        if self.max_terms is not None and self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+# singular values at or below this fraction of sigma_1 are dropped from a
+# capped (HaTT-1) sketch
+_RANK1_TOL = 1e-10
 
 
-DIRECT = Rank1Variant("direct")
-
-
-def svd_variant(max_terms=None, rel_tol=1e-10):
-    return Rank1Variant("svd", max_terms, rel_tol)
-
-
-@dataclass
-class Rank1Rep:
-    """W ~= u @ diag(sigma) @ v.T with n_terms retained terms."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-    v: np.ndarray
-    n_terms: int
-
-
-def rank1_decompose(w, variant, ledger=None):
-    """Express a sketch matrix as a weighted sum of rank-1 terms.
-
-    The direct variant returns u = w, unit weights and v = I exactly, at zero
-    cost.  The svd variant returns the leading singular triplets; the dropped
-    tail is the only approximation in the whole sketch recursion.
-    """
-    w = np.asarray(w)
-    if variant.kind == "direct":
-        ell = w.shape[1]
-        return Rank1Rep(w, np.ones(ell), np.eye(ell), ell)
-    res = truncated_svd(w, max_terms=variant.max_terms, ledger=ledger,
-                        rank_tol=variant.rel_tol)
-    return Rank1Rep(res.u, res.s, res.v, res.n_terms)
+def rank1_decompose(w, max_terms, ledger=None):
+    """A sketch matrix as its leading singular triplets, at most `max_terms`
+    of them (HaTT-1); the dropped tail is the only approximation in the
+    whole sketch recursion."""
+    return truncated_svd(w, max_terms=max_terms, ledger=ledger, rank_tol=_RANK1_TOL)
 
 
 # --- sketches ---------------------------------------------------------------
@@ -164,12 +122,13 @@ def partial_contraction_rl(a, r, ledger=None):
     return mats
 
 
-def hpcrl(y, z, r, variant=DIRECT, ledger=None):
+def hpcrl(y, z, r, max_terms=None, ledger=None):
     """Sketches of the Hadamard product y ⊙ z without forming its cores.
 
     Produces exactly the matrices :func:`partial_contraction_rl` would give
-    for the materialized product (the rank-1 re-expression step is an
-    identity unless the svd variant truncates).  Each rank-1 term g of
+    for the materialized product, up to the terms that
+    :func:`rank1_decompose` drops when `max_terms` caps each sketch W^(k)
+    (None: W^(k)'s columns are the rank-1 terms).  Each rank-1 term g of
     W^(k) folds into an r_k x s_k matrix U_g, and the product core applied
     to it is the Kronecker-times-vector trick ``Y(i) U_g Z(i)^T``, so the
     work scales with r + s instead of r * s.  That is the kernel of
@@ -182,6 +141,8 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     if y.shape != r.shape:
         raise ValueError(f"shape mismatch against sketch tensor: {y.shape} vs {r.shape}")
+    if max_terms is not None and max_terms < 1:
+        raise ValueError(f"max_terms must be >= 1 or None, got {max_terms!r}")
     d = y.d
     if d < 2:
         return []
@@ -194,13 +155,13 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
         r1, n, _ = yc.shape
         s1 = zc.shape[0]
         l1 = rc.shape[0]
-        # right[g, i] is R(i) v_g sigma_g (R(i)'s column g for the direct variant)
-        if variant.kind == "direct":
+        # right[g, i] is R(i) v_g sigma_g (R(i)'s column g without a cap)
+        if max_terms is None:
             u, right = mats[k - 1], rc
         else:
-            rep = rank1_decompose(mats[k - 1], variant, ledger)
-            u, right = rep.u, matmul(rc.reshape(l1 * n, -1), rep.v, ledger)
-            right = scale_columns(right, rep.sigma, ledger).reshape(l1, n, u.shape[1])
+            svd = rank1_decompose(mats[k - 1], max_terms, ledger)
+            u, right = svd.u, matmul(rc.reshape(l1 * n, -1), svd.v, ledger)
+            right = scale_columns(right, svd.s, ledger).reshape(l1, n, u.shape[1])
         terms = u.shape[1]
         right = right.transpose(2, 1, 0)
         if ledger is not None:
@@ -211,7 +172,7 @@ def hpcrl(y, z, r, variant=DIRECT, ledger=None):
         step = _slab_size(terms, yt, zt)
         for i0 in range(0, n, step):
             blk = slice(i0, min(i0 + step, n))
-            # x[g, i] = kron(Y(i), Z(i)) @ rep.u[:, g]
+            # x[g, i] = kron(Y(i), Z(i)) @ u[:, g]
             x = _contract_slabs(u_t, yt[:, blk], zt[:, blk], ledger)
             acc += x.reshape(-1, r1 * s1).T @ right[:, blk].reshape(-1, l1)
             del x  # one slab's x at a time
@@ -495,15 +456,17 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     return _orthogonalize_sweep(a.cores[0].values, sketches, next_core, d, ledger)
 
 
-def hatt(y, z, targets=None, variant=DIRECT, seed=None, sketch_tt=None, ledger=None):
+def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=None):
     """Recompress the Hadamard product y ⊙ z without materializing it.
 
-    Identical in exact arithmetic to :func:`rand_orth` applied to the
-    materialized product with the same sketch tensor; the sketches come from
-    :func:`hpcrl` and the core updates from :func:`contract_m_onto_pkp`, so
-    the only product cores ever formed are the boundary ones
-    (1 x n_1 x r_1 s_1 and r_{d-1} s_{d-1} x n_d x 1).  Target ranks, or `sketch_tt` ranks, above the
-    product rank r_k s_k or above feasible values are clamped with a
+    With `max_terms` None (HaTT-2), identical in exact arithmetic to
+    :func:`rand_orth` applied to the materialized product with the same
+    sketch tensor; an integer (HaTT-1) caps each sketch at that many SVD
+    terms (see :func:`hpcrl`).  The sketches come from :func:`hpcrl` and
+    the core updates from :func:`contract_m_onto_pkp`, so the only product
+    cores ever formed are the boundary ones (1 x n_1 x r_1 s_1 and
+    r_{d-1} s_{d-1} x n_d x 1).  Target ranks, or `sketch_tt` ranks, above
+    the product rank r_k s_k or above feasible values are clamped with a
     :class:`TargetRankWarning`.
     """
     if y.shape != z.shape:
@@ -511,7 +474,7 @@ def hatt(y, z, targets=None, variant=DIRECT, seed=None, sketch_tt=None, ledger=N
     d = y.d
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
     sketch = _sketch(y.shape, products, targets, seed, sketch_tt)
-    sketches = hpcrl(y, z, sketch, variant, ledger)
+    sketches = hpcrl(y, z, sketch, max_terms, ledger)
     del sketch
 
     def next_core(k, m):
@@ -539,7 +502,7 @@ def flop_model(algorithm, d, n, r, s, ell, n_terms=None):
     """Leading-order flop count for recompressing a rank-(r, s) Hadamard
     product of d-way, mode-n TT tensors to target rank ell.
 
-    `n_terms` is the retained rank-1 term count of the svd sketch variant
+    `n_terms` is the rank-1 term count a capped (HaTT-1) sketch keeps
     (required for hatt-1 / hpcrl-1); their ell^2-order SVD term uses the
     calibrated bucket constant and is approximate by nature.
 
@@ -602,12 +565,20 @@ def _run_rand_orth(y, z, targets, seed, max_terms, ledger):
     return rand_orth(tt_hadamard(y, z), targets, seed=seed, ledger=ledger)
 
 
+def _term_cap(max_terms, ell):
+    """The rank-1 terms hatt-1 keeps per sketch at target rank ell: at most
+    `max_terms`, and at most ell, the sketch's column bound, so a cap of ell
+    (the one None gives) truncates nothing the uncapped SVD keeps."""
+    return ell if max_terms is None else min(max_terms, ell)
+
+
 def _run_hatt1(y, z, targets, seed, max_terms, ledger):
-    return hatt(y, z, targets, svd_variant(max_terms), seed=seed, ledger=ledger)
+    ell = max(normalize_targets(targets, y.d))
+    return hatt(y, z, targets, _term_cap(max_terms, ell), seed=seed, ledger=ledger)
 
 
 def _run_hatt2(y, z, targets, seed, max_terms, ledger):
-    return hatt(y, z, targets, DIRECT, seed=seed, ledger=ledger)
+    return hatt(y, z, targets, seed=seed, ledger=ledger)
 
 
 RECOMPRESSORS = {
@@ -629,10 +600,10 @@ def _runner(algorithm):
 def predicted_flops(algorithm, d, n, r, s, ell, max_terms=None):
     """:func:`flop_model` for one run of `algorithm` at target rank ell.
 
-    hatt-1 keeps min(max_terms or ell, ell) rank-1 terms per sketch; the
-    other algorithms ignore `max_terms`.
+    hatt-1 keeps :func:`_term_cap` rank-1 terms per sketch; the other
+    algorithms ignore `max_terms`.
     """
-    return flop_model(algorithm, d, n, r, s, ell, n_terms=min(max_terms or ell, ell))
+    return flop_model(algorithm, d, n, r, s, ell, n_terms=_term_cap(max_terms, ell))
 
 
 # --- reporting ---------------------------------------------------------------
@@ -640,24 +611,22 @@ def predicted_flops(algorithm, d, n, r, s, ell, max_terms=None):
 
 @dataclass
 class RecompressReport:
-    """Per-run record: ranks, error, timing, measured and predicted flops."""
+    """Per-run record: ranks, timing, measured and predicted flops."""
 
     algorithm: str
     output_ranks: tuple
-    rel_error: float
     wall_time_s: float
     flops_measured: FlopLedger
     flops_predicted: int
-    seed: int = None
 
 
-def recompress_hadamard(algorithm, y, z, targets, seed=None, max_terms=None, reference=None):
+def recompress_hadamard(algorithm, y, z, targets, seed=None, max_terms=None):
     """Run one recompression of y ⊙ z and report on it.
 
     The baselines (tt-rounding, rand-orth) materialize the Hadamard product
     first; that step is part of their timed region, mirroring how they would
-    actually be used.  `reference` (a DenseTensor, or a TT tensor) enables
-    the relative-error column; pass None to skip it.
+    actually be used.  `max_terms` caps hatt-1's sketches (None: at the
+    target rank); the other algorithms ignore it.
     """
     run = _runner(algorithm)
     ledger = FlopLedger()
@@ -668,6 +637,4 @@ def recompress_hadamard(algorithm, y, z, targets, seed=None, max_terms=None, ref
     elapsed = time.perf_counter() - start
     predicted = predicted_flops(algorithm, d, max(y.shape), max(y.ranks), max(z.ranks), ell,
                                 max_terms)
-    err = None if reference is None else relative_error(out, reference)
-    return out, RecompressReport(algorithm, out.ranks, err, elapsed, ledger,
-                                 predicted, seed)
+    return out, RecompressReport(algorithm, out.ranks, elapsed, ledger, predicted)

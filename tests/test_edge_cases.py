@@ -75,7 +75,7 @@ def test_single_mode_size_one():
 def test_non_uniform_mode_sizes(rng):
     # distinct mode sizes and rank chains exercise every reshape ordering
     from hatt import gaussian_tt as gtt
-    from hatt.recompress import DIRECT, hpcrl, partial_contraction_rl
+    from hatt.recompress import hpcrl, partial_contraction_rl
 
     for trial in range(5):
         d = int(rng.integers(3, 6))
@@ -87,7 +87,7 @@ def test_non_uniform_mode_sizes(rng):
         z = gtt(shape, rz, seed=50 + trial)
         sketch = gtt(shape, ell, seed=100 + trial)
         ref = partial_contraction_rl(tt_hadamard(y, z), sketch)
-        got = hpcrl(y, z, sketch, DIRECT)
+        got = hpcrl(y, z, sketch)
         for a, b in zip(ref, got):
             assert np.linalg.norm(a - b) <= 1e-12 * max(np.linalg.norm(a), 1e-300)
         via_hatt = hatt(y, z, sketch_tt=sketch)

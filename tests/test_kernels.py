@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatt import (
-    DIRECT,
     FlopLedger,
     TTCore,
     contract_m_onto_pkp,
@@ -26,21 +25,21 @@ from hatt import (
     hpcrl,
     partial_contraction_rl,
     rank1_decompose,
-    svd_variant,
     tt_dot,
     tt_hadamard,
     tt_hadamard_dot,
     tt_to_dense,
 )
 from hatt import recompress
-from hatt.linalg import matmul, scale_columns
+from hatt.linalg import SvdResult, matmul, scale_columns
 from hatt.tt import h_unfold, v_unfold
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 MODES = st.sampled_from((1, 3, 4, 5, 8, 9))
 RANKS = st.integers(1, 4)
 SEEDS = st.integers(0, 2**31 - 1)
-VARIANTS = st.sampled_from((DIRECT, svd_variant(rel_tol=0.0)))
+# None: the sketch columns; 4: the largest sketch rank RANKS draws, a cap that truncates nothing
+MAX_TERMS = st.sampled_from((None, 4))
 
 
 @st.composite
@@ -62,7 +61,7 @@ def rel_gap(a, b):
 # --- the per-slice loops the kernels replaced, kept as references ------------
 
 
-def loop_hpcrl(y, z, r, variant, ledger):
+def loop_hpcrl(y, z, r, max_terms, ledger):
     d = y.d
     mats = [None] * (d - 1)
     h_last = np.einsum("ai,bi->abi", y.cores[d - 1].values[:, :, 0],
@@ -71,7 +70,11 @@ def loop_hpcrl(y, z, r, variant, ledger):
     for k in range(d - 1, 1, -1):
         yc, zc, rc = y.cores[k - 1], z.cores[k - 1], r.cores[k - 1]
         n = yc.mode_size
-        rep = rank1_decompose(mats[k - 1], variant, ledger)
+        if max_terms is None:
+            ell = mats[k - 1].shape[1]
+            rep = SvdResult(mats[k - 1], np.ones(ell), np.eye(ell))
+        else:
+            rep = rank1_decompose(mats[k - 1], max_terms, ledger)
         terms = rep.n_terms
         r1, r2 = yc.left_rank, yc.right_rank
         s1, s2 = zc.left_rank, zc.right_rank
@@ -80,15 +83,15 @@ def loop_hpcrl(y, z, r, variant, ledger):
         w_right = np.empty((rc.left_rank, n * terms))
         for i in range(1, n + 1):
             block = slice((i - 1) * terms, i * terms)
-            if variant.kind == "direct":
+            if max_terms is None:
                 w_right[:, block] = rc.slice(i)
             else:
                 w_right[:, block] = matmul(rc.slice(i), rep.v, ledger)
             t = (zc.slice(i) @ u_fold) @ yc.slice(i).T
             w_left[:, block] = t.transpose(0, 2, 1).reshape(terms, r1 * s1).T
             ledger.add_matmul(terms * (s1 * (2 * s2 - 1) * r2 + s1 * (2 * r2 - 1) * r1))
-        if variant.kind == "svd":
-            w_right = scale_columns(w_right, np.tile(rep.sigma, n), ledger)
+        if max_terms is not None:
+            w_right = scale_columns(w_right, np.tile(rep.s, n), ledger)
         mats[k - 2] = matmul(w_left, w_right.T, ledger)
     return mats
 
@@ -127,16 +130,16 @@ def counts(ledger):
 
 
 @SETTINGS
-@given(trains(3), VARIANTS)
-def test_hpcrl_matches_materialized_product_and_loop(tts, variant):
+@given(trains(3), MAX_TERMS)
+def test_hpcrl_matches_materialized_product_and_loop(tts, max_terms):
     y, z, sketch = tts
     ledger, loop_ledger = FlopLedger(), FlopLedger()
-    got = hpcrl(y, z, sketch, variant, ledger)
+    got = hpcrl(y, z, sketch, max_terms, ledger)
     ref_ledger, plain_ledger = FlopLedger(), FlopLedger()
     ref = partial_contraction_rl(tt_hadamard(y, z), sketch, ref_ledger)
     plain = plain_partial_contraction_rl(tt_hadamard(y, z), sketch, plain_ledger)
-    loop = loop_hpcrl(y, z, sketch, variant, loop_ledger)
-    tol = 1e-12 if variant.kind == "direct" else 1e-11
+    loop = loop_hpcrl(y, z, sketch, max_terms, loop_ledger)
+    tol = 1e-12 if max_terms is None else 1e-11
     for w, w_ref, w_plain, w_loop in zip(got, ref, plain, loop):
         assert rel_gap(w, w_ref) <= tol
         assert rel_gap(w_ref, w_plain) <= 1e-13
@@ -178,13 +181,13 @@ def test_partial_contraction_rl_blocks_repeat_the_plain_fold(block, monkeypatch)
 
 def test_direct_hpcrl_uses_the_sketch_columns_without_rank1_decompose(monkeypatch):
     y, z, sketch = (gaussian_tt((5,) * 4, (1, 3, 4, 2, 1), seed=s) for s in (1, 2, 3))
-    want = hpcrl(y, z, sketch, DIRECT)
+    want = hpcrl(y, z, sketch)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the direct variant decomposed a sketch")
+        raise AssertionError("an uncapped hpcrl decomposed a sketch")
 
     monkeypatch.setattr(recompress, "rank1_decompose", refuse)
-    for w, w_want in zip(hpcrl(y, z, sketch, DIRECT), want):
+    for w, w_want in zip(hpcrl(y, z, sketch), want):
         assert np.array_equal(w, w_want)
 
 
@@ -208,8 +211,8 @@ def test_properties_hold_across_several_slabs(prop, monkeypatch):
     prop()
 
 
-@pytest.mark.parametrize("variant", (DIRECT, svd_variant(rel_tol=0.0)), ids=("direct", "svd"))
-def test_hpcrl_peak_stays_below_one_unslabbed_intermediate(variant):
+@pytest.mark.parametrize("max_terms", (None, 8), ids=("direct", "svd"))
+def test_hpcrl_peak_stays_below_one_unslabbed_intermediate(max_terms):
     # applying every rank-1 term to every slice of a product core at once
     # forms ell x n x (r s) entries, which dominate at these sizes; slabs
     # of at most _SLAB_BUDGET elements keep hpcrl well below one such array
@@ -218,16 +221,17 @@ def test_hpcrl_peak_stays_below_one_unslabbed_intermediate(variant):
     sketch = gaussian_tt((n,) * d, (1,) + (ell,) * (d - 1) + (1,), seed=3)
     tracemalloc.start()
     try:
-        hpcrl(y, z, sketch, variant)
+        hpcrl(y, z, sketch, max_terms)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < ell * n * r * r * np.dtype(float).itemsize
 
 
-@pytest.mark.parametrize("variant", (DIRECT, svd_variant()), ids=("direct", "svd"))
+# a cap of 8 is at least every ell below, so it truncates nothing
+@pytest.mark.parametrize("max_terms", (None, 8), ids=("direct", "svd"))
 @pytest.mark.parametrize("d, n, r, ell", ((4, 128, 8, 8), (6, 32, 12, 6)))
-def test_hatt_peak_holds_one_core_update(variant, d, n, r, ell):
+def test_hatt_peak_holds_one_core_update(max_terms, d, n, r, ell):
     """Besides its output, hatt holds at most one core update (ell x n x
     r s), the sketch matrices W^(k) it has not used yet, one slab's
     intermediate of the kernel, and the sweep's QR: the sketched core and
@@ -236,7 +240,7 @@ def test_hatt_peak_holds_one_core_update(variant, d, n, r, ell):
     y, z = (gaussian_tt((n,) * d, (1,) + (r,) * (d - 1) + (1,), seed=s) for s in (1, 2))
     tracemalloc.start()
     try:
-        out = hatt(y, z, ell, variant, seed=3)
+        out = hatt(y, z, ell, max_terms, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -5,7 +5,6 @@ import pytest
 
 from hatt import (
     ALGORITHMS,
-    DIRECT,
     FlopLedger,
     TargetRankWarning,
     contract_m_onto_pkp,
@@ -23,7 +22,6 @@ from hatt import (
     recompress_hadamard,
     relative_error,
     left_orthogonality_defect,
-    svd_variant,
     tt_hadamard,
     tt_ones,
     tt_rounding,
@@ -37,6 +35,10 @@ from hatt.tt import TTCore, TTTensor, h_unfold
 from hatt.apps import hilbert_tt
 from hatt.bench import Scenario
 from conftest import random_pair
+
+
+def counts(ledger):
+    return ledger.matmul_flops, ledger.qr_flops, ledger.svd_flops
 
 
 def sketch_rel_errors(a, b):
@@ -84,16 +86,9 @@ def test_partial_contraction_slice_form_agrees(rng):
 # --- rank-1 representations ---------------------------------------------------
 
 
-def test_rank1_direct_is_exact(rng):
-    w = rng.normal(size=(12, 4))
-    rep = rank1_decompose(w, DIRECT)
-    assert rep.n_terms == 4
-    assert np.array_equal(rep.u @ np.diag(rep.sigma) @ rep.v.T, w)
-
-
 def test_rank1_svd_rank_one(rng):
     w = np.outer(rng.normal(size=6), rng.normal(size=3))
-    rep = rank1_decompose(w, svd_variant())
+    rep = rank1_decompose(w, 3)
     assert rep.n_terms == 1
 
 
@@ -101,10 +96,10 @@ def test_rank1_svd_hilbert_truncation():
     # sketches of a Hilbert-type square have fast singular decay
     y = hilbert_tt(4, 5, 8)
     sketch = gaussian_tt(y.shape, (1, 10, 10, 10, 1), seed=5)
-    w = hpcrl(y, y, sketch, DIRECT)[1]
-    rep = rank1_decompose(w, svd_variant(max_terms=5))
+    w = hpcrl(y, y, sketch)[1]
+    rep = rank1_decompose(w, 5)
     assert rep.n_terms <= 5
-    recon = rep.u @ np.diag(rep.sigma) @ rep.v.T
+    recon = rep.u @ np.diag(rep.s) @ rep.v.T
     from hatt import truncated_svd
 
     full = truncated_svd(w, target_rank=min(w.shape))
@@ -122,7 +117,7 @@ def test_hpcrl_direct_matches_materialized(rng):
         sketch = gaussian_tt(y.shape, tuple([1] + [3] * (d - 1) + [1]),
                              seed=int(rng.integers(0, 1000)))
         ref = partial_contraction_rl(tt_hadamard(y, z), sketch)
-        got = hpcrl(y, z, sketch, DIRECT)
+        got = hpcrl(y, z, sketch)
         assert max(sketch_rel_errors(ref, got)) <= 1e-12
 
 
@@ -130,7 +125,7 @@ def test_hpcrl_untruncated_svd_matches(rng):
     y, z = random_pair(rng, 4, 3, 3)
     sketch = gaussian_tt(y.shape, (1, 4, 4, 4, 1), seed=17)
     ref = partial_contraction_rl(tt_hadamard(y, z), sketch)
-    got = hpcrl(y, z, sketch, svd_variant(rel_tol=0.0))
+    got = hpcrl(y, z, sketch, max_terms=4)
     assert max(sketch_rel_errors(ref, got)) <= 1e-11
 
 
@@ -138,7 +133,7 @@ def test_hpcrl_ones_factor(rng):
     y = gaussian_tt((3, 3, 3), (1, 3, 2, 1), seed=21)
     ones = tt_ones(y.shape)
     sketch = gaussian_tt(y.shape, (1, 2, 2, 1), seed=22)
-    got = hpcrl(y, ones, sketch, DIRECT)
+    got = hpcrl(y, ones, sketch)
     inflated = tt_hadamard(y, ones)  # trivially inflated rank chain
     ref = partial_contraction_rl(inflated, sketch)
     assert max(sketch_rel_errors(ref, got)) <= 1e-13
@@ -344,7 +339,7 @@ def test_left_orthogonality_after_each_sweep(rng):
         tt_rounding(a, 3),
         rand_orth(a, 3, seed=80),
         hatt(y, z, 3, seed=80),
-        hatt(y, z, 3, svd_variant(max_terms=3), seed=80),
+        hatt(y, z, 3, max_terms=3, seed=80),
     ):
         assert left_orthogonality_defect(out) <= 1e-10
 
@@ -391,8 +386,8 @@ def test_sketch_flop_models_match_ledgers(r, ell):
         "partial-contraction-rl": lambda led: partial_contraction_rl(tt_hadamard(y, z),
                                                                      sketch, led),
         # every sketch matrix has full column rank ell, so hpcrl-1 keeps ell terms
-        "hpcrl-1": lambda led: hpcrl(y, z, sketch, svd_variant(), led),
-        "hpcrl-2": lambda led: hpcrl(y, z, sketch, DIRECT, led),
+        "hpcrl-1": lambda led: hpcrl(y, z, sketch, ell, led),
+        "hpcrl-2": lambda led: hpcrl(y, z, sketch, ledger=led),
     }
     for name, run in runs.items():
         ledger = FlopLedger()
@@ -405,8 +400,8 @@ def test_sketch_flop_models_match_ledgers(r, ell):
 DIRECT_CALLS = {
     "tt-rounding": lambda y, z, t, seed: tt_rounding(tt_hadamard(y, z), t),
     "rand-orth": lambda y, z, t, seed: rand_orth(tt_hadamard(y, z), t, seed=seed),
-    "hatt-1": lambda y, z, t, seed: hatt(y, z, t, svd_variant(2), seed=seed),
-    "hatt-2": lambda y, z, t, seed: hatt(y, z, t, DIRECT, seed=seed),
+    "hatt-1": lambda y, z, t, seed: hatt(y, z, t, max_terms=2, seed=seed),
+    "hatt-2": lambda y, z, t, seed: hatt(y, z, t, seed=seed),
 }
 
 
@@ -428,6 +423,32 @@ def test_recompressor_table(name):
         power_iteration_max(y, 2, recompressor=bad)
     with pytest.raises(ValueError, match=message):
         Scenario("custom", algorithms=(bad,))
+
+
+def test_hatt1_without_a_cap_is_capped_at_the_target_rank():
+    # a sketch W^(k) has at most ell columns, so no cap >= ell truncates it
+    y = gaussian_tt((5,) * 5, (1, 4, 3, 4, 3, 1), seed=1)
+    z = gaussian_tt((5,) * 5, (1, 3, 4, 2, 4, 1), seed=2)
+    ell = 4
+    out, rep = recompress_hadamard("hatt-1", y, z, ell, seed=7, max_terms=None)
+    for cap in (ell, ell + 5):
+        ledger = FlopLedger()
+        want = hatt(y, z, ell, max_terms=cap, seed=7, ledger=ledger)
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(out.cores, want.cores))
+        assert counts(rep.flops_measured) == counts(ledger)
+
+
+def test_max_terms_below_one_is_a_value_error():
+    y = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
+    z = gaussian_tt((4,) * 4, (1, 2, 2, 2, 1), seed=2)
+    sketch = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=3)
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="max_terms"):
+            hpcrl(y, z, sketch, max_terms=bad)
+        with pytest.raises(ValueError, match="max_terms"):
+            hatt(y, z, 3, max_terms=bad, seed=5)
+        with pytest.raises(ValueError, match="max_terms"):
+            recompress_hadamard("hatt-1", y, z, 3, seed=5, max_terms=bad)
 
 
 # --- overflow, and the cores built without a finiteness scan --------------------
@@ -465,7 +486,7 @@ def test_library_built_cores_are_read_only():
     product = tt_hadamard(y, z)
     m = np.random.default_rng(3).normal(size=(2, 3 * 2))
     cores = [contract_m_onto_pkp(m, y.cores[1], z.cores[1])]
-    for x in (hatt(y, z, 3, seed=4), hatt(y, z, 3, svd_variant(2), seed=4),
+    for x in (hatt(y, z, 3, seed=4), hatt(y, z, 3, max_terms=2, seed=4),
               rand_orth(product, 3, seed=4), tt_rounding(product, 3), product,
               gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=5),
               uniform_tt((4,) * 4, (1, 3, 3, 3, 1), seed=5)):
@@ -487,10 +508,10 @@ def test_normalize_targets_forms():
 def test_report_fields(rng):
     y, z = random_pair(rng, 3, 3, 2)
     ref = hadamard_dense(tt_to_dense(y), tt_to_dense(z))
-    out, rep = recompress_hadamard("hatt-2", y, z, 2, seed=4, reference=ref)
+    out, rep = recompress_hadamard("hatt-2", y, z, 2, seed=4)
     assert rep.algorithm == "hatt-2"
     assert rep.output_ranks == out.ranks
-    assert rep.rel_error >= 0.0
+    assert relative_error(out, ref) >= 0.0
     assert rep.wall_time_s >= 0.0
     assert rep.flops_measured.total() > 0
     assert rep.flops_predicted > 0
@@ -501,7 +522,7 @@ def test_hpcrl_last_core_uses_boundary_pkp(rng):
     # the initial sketch comes from the (rank-1-sided) last-core product
     y, z = random_pair(rng, 3, 4, 3)
     sketch = gaussian_tt(y.shape, (1, 2, 2, 1), seed=90)
-    got = hpcrl(y, z, sketch, DIRECT)
+    got = hpcrl(y, z, sketch)
     last = h_unfold(tt_hadamard(y, z).cores[-1])
     direct = last @ h_unfold(sketch.cores[-1]).T
     assert np.allclose(got[-1], direct, atol=1e-13)
