@@ -28,7 +28,6 @@ from .recompress import (
     hatt,
     hpcrl,
     partial_contraction_rl,
-    predicted_flops,
     rand_orth,
     rank1_decompose,
     recompress_hadamard,

@@ -29,7 +29,7 @@ from .recompress import hatt, rand_orth, tt_rounding  # noqa: F401
 from .tt import tt_dot, tt_hadamard  # noqa: F401
 
 
-def tt_svd(x, targets=None, rel_tol=None, ledger=None):
+def tt_svd(x, targets=None, rel_tol=None):
     """Convert a dense tensor to TT form by a sequential SVD sweep.
 
     Exactly one of `targets` (rank chain) or `rel_tol` must be given.  With
@@ -50,7 +50,7 @@ def tt_svd(x, targets=None, rel_tol=None, ledger=None):
     rank = 1
     rest = values.reshape(rank * shape[0], -1)
     for k in range(1, d):
-        svd = truncated_svd(rest, ledger=ledger, rank_tol=0.0)
+        svd = truncated_svd(rest, rank_tol=0.0)
         if chain is not None:
             keep = min(chain[k], svd.n_terms)
         else:
@@ -102,7 +102,7 @@ def fourier_coefficients(spec, seed=0):
     return a, b
 
 
-def fourier_tt(spec, seed=0, ledger=None):
+def fourier_tt(spec, seed=0):
     """Sample the series pair, fold, and convert to TT form.
 
     Returns (Y, Z); each reconstructs its samples to relative error SVD_TOL.
@@ -113,8 +113,8 @@ def fourier_tt(spec, seed=0, ledger=None):
     harmonics = np.arange(1, len(a) + 1)
     y = np.sin(np.outer(t, harmonics)) @ a
     z = np.cos(np.outer(t, harmonics)) @ b
-    y_tt = tt_svd(DenseTensor(y.reshape(spec.shape)), rel_tol=SVD_TOL, ledger=ledger)
-    z_tt = tt_svd(DenseTensor(z.reshape(spec.shape)), rel_tol=SVD_TOL, ledger=ledger)
+    y_tt = tt_svd(DenseTensor(y.reshape(spec.shape)), rel_tol=SVD_TOL)
+    z_tt = tt_svd(DenseTensor(z.reshape(spec.shape)), rel_tol=SVD_TOL)
     return y_tt, z_tt
 
 
@@ -219,6 +219,8 @@ def hilbert_tt(d, n, r):
 
 # --- power iteration for the largest element ---------------------------------
 
+REL_CHANGE_TOL = 1e-12  # relative change of the estimate that ends the iteration
+
 @dataclass
 class PowerIterResult:
     estimate: float
@@ -231,7 +233,7 @@ def _iteration_seed(seed, t):
 
 
 def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0,
-                        max_terms=None, rel_change_tol=1e-12, ledger=None):
+                        max_terms=None, ledger=None):
     """Estimate the largest element of a nonnegative-dominant TT tensor.
 
     Iterates v <- recompress(y ⊙ v, ell) / ||...||, starting from the
@@ -240,7 +242,7 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
     when it is positive and separated.  The readout and the hatt
     recompressors consume (y, v) directly; the baselines materialize the
     product first.  Stops after `max_iter` iterations or when the estimate's
-    relative change drops below `rel_change_tol`.
+    relative change is at most REL_CHANGE_TOL.
 
     Every recompressor returns cores 1..d-1 left-orthogonal, so the norm of
     an iterate is the Frobenius norm of its last core, which is also the
@@ -269,7 +271,7 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
         last = last / top
         last /= np.linalg.norm(last)
         v = TTTensor(w.cores[:-1] + (TTCore._trusted(last),))
-        if prev is not None and abs(estimate - prev) <= rel_change_tol * abs(prev):
+        if prev is not None and abs(estimate - prev) <= REL_CHANGE_TOL * abs(prev):
             return PowerIterResult(estimate, t, history)
         prev = estimate
     return PowerIterResult(history[-1], max_iter, history)

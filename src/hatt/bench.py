@@ -45,7 +45,7 @@ from .recompress import (
     ALGORITHMS,
     TargetRankWarning,
     _runner,
-    predicted_flops,
+    flop_model,
     recompress_hadamard,
 )
 from .rand_tt import gaussian_tt, uniform_chain, uniform_tt
@@ -185,7 +185,7 @@ def _cell(config, algorithm, y, z, ell, seed, reference):
     marker row, and an error the caps leave no room for an empty rel_error."""
     d, n, r, s = y.d, y.shape[0], max(y.ranks), max(z.ranks)
     head = (config.name, algorithm, d, n, r, s, ell, seed)
-    predicted = predicted_flops(algorithm, d, n, r, s, ell, config.max_terms)
+    predicted = flop_model(algorithm, d, n, r, s, ell, config.max_terms)
     try:
         with warnings.catch_warnings():
             # clamped targets are visible in the output_ranks column
@@ -205,7 +205,7 @@ def _cell(config, algorithm, y, z, ell, seed, reference):
         wall_time_s=rep.wall_time_s,
         flops_measured=rep.flops_measured.total(),
         flops_predicted=predicted,
-        output_ranks=rep.output_ranks,
+        output_ranks=out.ranks,
     )
 
 
@@ -312,7 +312,7 @@ def _power_rows(config):
         r = max(y.ranks)
         for ell in config.targets:
             for alg in config.algorithms:
-                per_iter = predicted_flops(alg, d, n, r, ell, ell, config.max_terms)
+                per_iter = flop_model(alg, d, n, r, ell, ell, config.max_terms)
                 for seed in config.seeds:
                     head = (f"{config.name}-{kind}", alg, d, n, r, ell, ell, seed)
                     ledger = FlopLedger()

@@ -19,10 +19,10 @@ integer (HaTT-1) re-expresses each sketch by a truncated SVD of at most that
 many terms before the recursion step, None (HaTT-2) uses the sketch columns
 as they are.
 
-:func:`flop_model` gives leading-order operation counts for these algorithms
-and their sketch passes, so measured ledgers can be checked against
-predictions.  :data:`RECOMPRESSORS` is the one place that maps an algorithm
-name (tt-rounding, rand-orth, hatt-1, hatt-2) to the code that runs it.
+:func:`flop_model` gives the leading-order operation count of one run of
+each algorithm, so measured ledgers can be checked against predictions.
+:data:`RECOMPRESSORS` is the one place that maps an algorithm name
+(tt-rounding, rand-orth, hatt-1, hatt-2) to the code that runs it.
 """
 
 import time
@@ -485,70 +485,6 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
                                 next_core, d, ledger)
 
 
-# --- flop model --------------------------------------------------------------
-
-MODEL_ALGORITHMS = (
-    "tt-rounding",
-    "rand-orth",
-    "hatt-1",
-    "hatt-2",
-    "partial-contraction-rl",
-    "hpcrl-1",
-    "hpcrl-2",
-)
-
-
-def flop_model(algorithm, d, n, r, s, ell, n_terms=None):
-    """Leading-order flop count for recompressing a rank-(r, s) Hadamard
-    product of d-way, mode-n TT tensors to target rank ell.
-
-    `n_terms` is the rank-1 term count a capped (HaTT-1) sketch keeps
-    (required for hatt-1 / hpcrl-1); their ell^2-order SVD term uses the
-    calibrated bucket constant and is approximate by nature.
-
-    The tt-rounding formula assumes every product rank r s is feasible (at
-    most the product of the mode sizes on either side of its bond).  Where
-    it is not, :func:`tt_rounding` first trims the bond, and the formula is
-    an upper bound: on hilbert_tt(5, 8, 20) squared (ranks 400 where 8, 64,
-    64, 8 fit) the ledger is 0.033 of the model at ell = 4 and 8.
-    """
-    if min(d, n, r, s, ell) < 1:
-        raise ValueError("flop model arguments must be positive")
-    name = algorithm.lower().replace("_", "-")
-    if name in ("hatt-1", "hpcrl-1"):
-        if n_terms is None:
-            raise ValueError(f"{algorithm} needs n_terms (retained rank-1 terms)")
-        big_r = int(n_terms)
-    if name == "tt-rounding":
-        val = (d - 2) * n * (5 * r**3 * s**3 + 6 * r**2 * s**2 * ell + 2 * r * s * ell**2)
-    elif name == "rand-orth":
-        val = (d - 2) * n * (4 * r**2 * s**2 * ell + 6 * r * s * ell**2)
-    elif name == "hatt-2":
-        val = (d - 2) * n * r * s * ell * (4 * r + 4 * s + 6 * ell)
-    elif name == "hatt-1":
-        r_hat = (big_r + ell) / 2
-        val = (d - 2) * (
-            n * r * s * (r_hat * (4 * r + 4 * s + 4 * ell) + 2 * ell**2)
-            + SVD_COST_FACTOR * r * s * ell**2
-        )
-    elif name == "partial-contraction-rl":
-        val = (d - 2) * n * (2 * r * s * ell**2 + 2 * r**2 * s**2 * ell)
-    elif name == "hpcrl-1":
-        val = (d - 2) * (
-            n * big_r * (2 * r**2 * s + 2 * s**2 * r + 2 * r * s * ell + 2 * ell**2 - 2 * r * s)
-            - r * s * ell
-            + SVD_COST_FACTOR * r * s * ell**2
-        )
-    elif name == "hpcrl-2":
-        val = (d - 2) * (
-            n * ell * (2 * r**2 * s + 2 * s**2 * r + 2 * r * s * ell + ell - 2 * r * s)
-            - r * s * ell
-        )
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}; known: {MODEL_ALGORITHMS}")
-    return int(round(val))
-
-
 # --- the algorithm table -----------------------------------------------------
 #
 # Each runner recompresses y ⊙ z as `(y, z, targets, seed, max_terms, ledger)`.
@@ -568,7 +504,10 @@ def _run_rand_orth(y, z, targets, seed, max_terms, ledger):
 def _term_cap(max_terms, ell):
     """The rank-1 terms hatt-1 keeps per sketch at target rank ell: at most
     `max_terms`, and at most ell, the sketch's column bound, so a cap of ell
-    (the one None gives) truncates nothing the uncapped SVD keeps."""
+    (the one None gives) truncates nothing the uncapped SVD keeps.  A cap
+    below 1 is a ValueError, as in :func:`hpcrl`."""
+    if max_terms is not None and max_terms < 1:
+        raise ValueError(f"max_terms must be >= 1 or None, got {max_terms!r}")
     return ell if max_terms is None else min(max_terms, ell)
 
 
@@ -597,13 +536,40 @@ def _runner(algorithm):
     return RECOMPRESSORS[algorithm]
 
 
-def predicted_flops(algorithm, d, n, r, s, ell, max_terms=None):
-    """:func:`flop_model` for one run of `algorithm` at target rank ell.
+# --- flop model --------------------------------------------------------------
 
-    hatt-1 keeps :func:`_term_cap` rank-1 terms per sketch; the other
-    algorithms ignore `max_terms`.
+
+def flop_model(algorithm, d, n, r, s, ell, max_terms=None):
+    """Leading-order flop count of one run of `algorithm` that recompresses a
+    rank-(r, s) Hadamard product of d-way, mode-n TT tensors to target rank
+    ell.
+
+    hatt-1 keeps :func:`_term_cap` rank-1 terms per sketch, and its
+    ell^2-order SVD term uses the calibrated bucket constant, so it is
+    approximate by nature; the other algorithms ignore `max_terms`.
+
+    The tt-rounding formula assumes every product rank r s is feasible (at
+    most the product of the mode sizes on either side of its bond).  Where
+    it is not, :func:`tt_rounding` first trims the bond, and the formula is
+    an upper bound: on hilbert_tt(5, 8, 20) squared (ranks 400 where 8, 64,
+    64, 8 fit) the ledger is 0.033 of the model at ell = 4 and 8.
     """
-    return flop_model(algorithm, d, n, r, s, ell, n_terms=_term_cap(max_terms, ell))
+    _runner(algorithm)
+    if min(d, n, r, s, ell) < 1:
+        raise ValueError("flop model arguments must be positive")
+    if algorithm == "tt-rounding":
+        val = (d - 2) * n * (5 * r**3 * s**3 + 6 * r**2 * s**2 * ell + 2 * r * s * ell**2)
+    elif algorithm == "rand-orth":
+        val = (d - 2) * n * (4 * r**2 * s**2 * ell + 6 * r * s * ell**2)
+    elif algorithm == "hatt-2":
+        val = (d - 2) * n * r * s * ell * (4 * r + 4 * s + 6 * ell)
+    else:  # hatt-1
+        r_hat = (_term_cap(max_terms, ell) + ell) / 2
+        val = (d - 2) * (
+            n * r * s * (r_hat * (4 * r + 4 * s + 4 * ell) + 2 * ell**2)
+            + SVD_COST_FACTOR * r * s * ell**2
+        )
+    return int(round(val))
 
 
 # --- reporting ---------------------------------------------------------------
@@ -611,10 +577,8 @@ def predicted_flops(algorithm, d, n, r, s, ell, max_terms=None):
 
 @dataclass
 class RecompressReport:
-    """Per-run record: ranks, timing, measured and predicted flops."""
+    """Per-run record: timing, measured and predicted flops."""
 
-    algorithm: str
-    output_ranks: tuple
     wall_time_s: float
     flops_measured: FlopLedger
     flops_predicted: int
@@ -635,6 +599,6 @@ def recompress_hadamard(algorithm, y, z, targets, seed=None, max_terms=None):
     start = time.perf_counter()
     out = run(y, z, targets, seed, max_terms, ledger)
     elapsed = time.perf_counter() - start
-    predicted = predicted_flops(algorithm, d, max(y.shape), max(y.ranks), max(z.ranks), ell,
-                                max_terms)
-    return out, RecompressReport(algorithm, out.ranks, elapsed, ledger, predicted)
+    predicted = flop_model(algorithm, d, max(y.shape), max(y.ranks), max(z.ranks), ell,
+                           max_terms)
+    return out, RecompressReport(elapsed, ledger, predicted)

@@ -62,12 +62,6 @@ class TTCore:
     def right_rank(self):
         return self.values.shape[2]
 
-    def slice(self, i):
-        """The i-th lateral matrix (left_rank x right_rank), i is 1-based."""
-        if not 1 <= i <= self.mode_size:
-            raise IndexError(f"slice index {i} out of range 1..{self.mode_size}")
-        return self.values[:, i - 1, :]
-
     def __repr__(self):
         return f"TTCore({self.left_rank} x {self.mode_size} x {self.right_rank})"
 

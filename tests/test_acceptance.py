@@ -288,9 +288,8 @@ def test_criterion_09_hilbert_crossover():
     sweep = (4, 8, 12, 16)
     predicted = {}
     for ell in sweep:
-        terms = min(max_terms, ell)
         predicted[ell] = (
-            flop_model("hatt-1", 5, 8, 20, 20, ell, n_terms=terms),
+            flop_model("hatt-1", 5, 8, 20, 20, ell, max_terms=max_terms),
             flop_model("hatt-2", 5, 8, 20, 20, ell),
         )
     crossover = next(ell for ell in sweep if predicted[ell][0] < predicted[ell][1])

@@ -84,10 +84,10 @@ def loop_hpcrl(y, z, r, max_terms, ledger):
         for i in range(1, n + 1):
             block = slice((i - 1) * terms, i * terms)
             if max_terms is None:
-                w_right[:, block] = rc.slice(i)
+                w_right[:, block] = rc.values[:, i - 1, :]
             else:
-                w_right[:, block] = matmul(rc.slice(i), rep.v, ledger)
-            t = (zc.slice(i) @ u_fold) @ yc.slice(i).T
+                w_right[:, block] = matmul(rc.values[:, i - 1, :], rep.v, ledger)
+            t = (zc.values[:, i - 1, :] @ u_fold) @ yc.values[:, i - 1, :].T
             w_left[:, block] = t.transpose(0, 2, 1).reshape(terms, r1 * s1).T
             ledger.add_matmul(terms * (s1 * (2 * s2 - 1) * r2 + s1 * (2 * r2 - 1) * r1))
         if max_terms is not None:
@@ -103,7 +103,7 @@ def loop_contract(m, ycore, zcore, ledger):
     m_fold = m.reshape(rows, r1, s1).transpose(0, 2, 1)
     out = np.empty((rows, ycore.mode_size, r2 * s2))
     for i in range(1, ycore.mode_size + 1):
-        t = (zcore.slice(i).T @ m_fold) @ ycore.slice(i)
+        t = (zcore.values[:, i - 1, :].T @ m_fold) @ ycore.values[:, i - 1, :]
         out[:, i - 1, :] = t.transpose(0, 2, 1).reshape(rows, r2 * s2)
         ledger.add_matmul(rows * (s2 * (2 * s1 - 1) * r1 + s2 * (2 * r1 - 1) * r2))
     return out
@@ -159,7 +159,7 @@ def test_contract_m_matches_kron_slices_and_loop(ranks, n, rows, seed):
     ledger, loop_ledger = FlopLedger(), FlopLedger()
     got = contract_m_onto_pkp(m, y, z, ledger).values
     for i in range(1, n + 1):
-        want = m @ np.kron(y.slice(i), z.slice(i))
+        want = m @ np.kron(y.values[:, i - 1, :], z.values[:, i - 1, :])
         assert rel_gap(got[:, i - 1, :], want) <= 1e-13
     assert rel_gap(got, loop_contract(m, y, z, loop_ledger)) <= 1e-13
     assert counts(ledger) == counts(loop_ledger)

@@ -42,7 +42,7 @@ def dense_from_slices(tt):
     for idx in itertools.product(*(range(1, n + 1) for n in tt.shape)):
         mat = np.eye(1)
         for k, i in enumerate(idx):
-            mat = mat @ tt.cores[k].slice(i)
+            mat = mat @ tt.cores[k].values[:, i - 1, :]
         out[tuple(i - 1 for i in idx)] = mat[0, 0]
     return out
 
@@ -52,15 +52,6 @@ def test_tt_validation():
         TTTensor([np.ones((2, 3, 1))])  # boundary rank
     with pytest.raises(ValueError):
         TTTensor([np.ones((1, 3, 2)), np.ones((3, 3, 1))])  # chain mismatch
-
-
-def test_core_slice_one_based():
-    core = TTCore(np.arange(12.0).reshape(2, 3, 2))
-    assert core.slice(1).shape == (2, 2)
-    with pytest.raises(IndexError):
-        core.slice(0)
-    with pytest.raises(IndexError):
-        core.slice(4)
 
 
 def test_unfold_shapes_of_core():
