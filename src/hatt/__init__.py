@@ -17,7 +17,7 @@ from .linalg import (
     tri_matmul,
     truncated_svd,
 )
-from .rand_tt import RandomSpec, gaussian_tt, random_tt, uniform_chain, uniform_tt
+from .rand_tt import gaussian_tt, random_tt, uniform_chain, uniform_tt
 from .recompress import (
     ALGORITHMS,
     RECOMPRESSORS,
@@ -54,7 +54,6 @@ from .tt import (
     v_unfold,
 )
 from .apps import (
-    FourierSpec,
     PowerIterResult,
     SeparableFunctionSpec,
     fourier_tt,

@@ -15,7 +15,7 @@ from .dense import DenseTensor
 from .indexing import check_shape
 from .limits import check_dense
 from .linalg import scale_columns, truncated_svd
-from .rand_tt import uniform_chain
+from .rand_tt import derive_seed, seed_sequence, uniform_chain
 from .recompress import (
     TargetRankWarning,
     _runner,
@@ -71,50 +71,34 @@ COEFF_LOW, COEFF_HIGH = 0.1, 10.1
 SVD_TOL = 1e-12  # relative reconstruction error of each sampled series in TT form
 
 
-@dataclass(frozen=True)
-class FourierSpec:
-    """Sampling recipe for the sine/cosine series pair.
-
-    y(t) = sum_j a_j sin(j t) and z(t) = sum_j b_j cos(j t) are sampled at
-    t_i = 2 pi i / N, i = 1..N with N = prod(shape), then folded into d-way
-    tensors by the multi-index convention.  The coefficients are seeded
-    uniform draws from [COEFF_LOW, COEFF_HIGH).
-    """
-
-    shape: tuple
-    n_terms: int = 60
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", check_shape(self.shape))
-        if self.n_terms < 1:
-            raise ValueError("n_terms must be >= 1")
-
-    @property
-    def num_samples(self):
-        return int(np.prod(self.shape, dtype=np.int64))
-
-
-def fourier_coefficients(spec, seed=0):
-    """The seeded (a, b) coefficient pair of a spec."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(777,)))
-    a = rng.uniform(COEFF_LOW, COEFF_HIGH, size=spec.n_terms)
-    b = rng.uniform(COEFF_LOW, COEFF_HIGH, size=spec.n_terms)
+def fourier_coefficients(n_terms, seed=0):
+    """The seeded (a, b) coefficient pair of :func:`fourier_tt`: n_terms
+    uniform draws each from [COEFF_LOW, COEFF_HIGH)."""
+    if n_terms < 1:
+        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    rng = np.random.default_rng(seed_sequence(seed, 777))
+    a = rng.uniform(COEFF_LOW, COEFF_HIGH, size=n_terms)
+    b = rng.uniform(COEFF_LOW, COEFF_HIGH, size=n_terms)
     return a, b
 
 
-def fourier_tt(spec, seed=0):
-    """Sample the series pair, fold, and convert to TT form.
+def fourier_tt(shape, n_terms=60, seed=0):
+    """Sample the sine/cosine series pair, fold, and convert to TT form.
 
-    Returns (Y, Z); each reconstructs its samples to relative error SVD_TOL.
+    y(t) = sum_j a_j sin(j t) and z(t) = sum_j b_j cos(j t), j = 1..n_terms,
+    are sampled at t_i = 2 pi i / N, i = 1..N with N = prod(shape), then
+    folded into d-way tensors by the multi-index convention.  Returns
+    (Y, Z); each reconstructs its samples to relative error SVD_TOL.
     """
-    a, b = fourier_coefficients(spec, seed)
-    n = spec.num_samples
+    shape = check_shape(shape)
+    a, b = fourier_coefficients(n_terms, seed)
+    n = int(np.prod(shape, dtype=np.int64))
     t = 2.0 * np.pi * np.arange(1, n + 1) / n
     harmonics = np.arange(1, len(a) + 1)
     y = np.sin(np.outer(t, harmonics)) @ a
     z = np.cos(np.outer(t, harmonics)) @ b
-    y_tt = tt_svd(DenseTensor(y.reshape(spec.shape)), rel_tol=SVD_TOL)
-    z_tt = tt_svd(DenseTensor(z.reshape(spec.shape)), rel_tol=SVD_TOL)
+    y_tt = tt_svd(DenseTensor(y.reshape(shape)), rel_tol=SVD_TOL)
+    z_tt = tt_svd(DenseTensor(z.reshape(shape)), rel_tol=SVD_TOL)
     return y_tt, z_tt
 
 
@@ -226,10 +210,7 @@ class PowerIterResult:
     estimate: float
     iterations_used: int
     history: list
-
-
-def _iteration_seed(seed, t):
-    return int(np.random.SeedSequence(entropy=int(seed), spawn_key=(t,)).generate_state(1)[0])
+    ranks: tuple  # rank chain of the last iterate
 
 
 def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0,
@@ -261,7 +242,7 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
         with warnings.catch_warnings():
             # the iterate starts at rank 1, so early chains are clamped
             warnings.simplefilter("ignore", TargetRankWarning)
-            w = run(y, v, chain, _iteration_seed(seed, t), max_terms, ledger)
+            w = run(y, v, chain, derive_seed(seed, t), max_terms, ledger)
         estimate = tt_hadamard_dot(v, y, v)
         history.append(estimate)
         last = w.cores[-1].values
@@ -272,6 +253,6 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
         last /= np.linalg.norm(last)
         v = TTTensor(w.cores[:-1] + (TTCore._trusted(last),))
         if prev is not None and abs(estimate - prev) <= REL_CHANGE_TOL * abs(prev):
-            return PowerIterResult(estimate, t, history)
+            return PowerIterResult(estimate, t, history, v.ranks)
         prev = estimate
-    return PowerIterResult(history[-1], max_iter, history)
+    return PowerIterResult(history[-1], max_iter, history, v.ranks)

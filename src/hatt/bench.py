@@ -25,12 +25,11 @@ import os
 import time
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .apps import (
-    FourierSpec,
     SeparableFunctionSpec,
     fourier_tt,
     hilbert_tt,
@@ -48,14 +47,8 @@ from .recompress import (
     flop_model,
     recompress_hadamard,
 )
-from .rand_tt import gaussian_tt, uniform_chain, uniform_tt
+from .rand_tt import derive_seed, gaussian_tt, uniform_chain, uniform_tt
 from .tt import load_tt, relative_error, save_tt, tt_hadamard, tt_to_dense
-
-CSV_COLUMNS = (
-    "scenario", "algorithm", "d", "n", "r", "s", "ell", "seed",
-    "rel_error", "wall_time_s", "flops_measured", "flops_predicted",
-    "output_ranks",
-)
 
 SCENARIOS = ("example1", "example2", "example3", "appendixF", "custom")
 
@@ -93,6 +86,9 @@ class ResultRow:
             num(self.rel_error), num(self.wall_time_s), num(self.flops_measured, "{:d}"),
             num(self.flops_predicted, "{:d}"), ranks,
         ]
+
+
+CSV_COLUMNS = tuple(field.name for field in fields(ResultRow))
 
 
 def write_csv(rows, target):
@@ -215,8 +211,9 @@ def _cell(config, algorithm, y, z, ell, seed, reference):
 
 def _example1_pairs(config):
     """The sampled trigonometric-series pair, drawn with the first seed."""
-    spec = FourierSpec((config.n,) * config.d, n_terms=config.fourier_terms)
-    yield ("example1", config.seeds, *fourier_tt(spec, seed=config.seeds[0]))
+    shape = (config.n,) * config.d
+    yield ("example1", config.seeds,
+           *fourier_tt(shape, n_terms=config.fourier_terms, seed=config.seeds[0]))
 
 
 def _random_pairs(config, draw):
@@ -226,7 +223,7 @@ def _random_pairs(config, draw):
         chain = uniform_chain(config.d, r)
         for seed in config.seeds:
             yield (f"{config.name}_r{r}_seed{seed}", (seed,),
-                   *(draw(shape, chain, seed=_derive_seed(seed, side, r)) for side in (1, 2)))
+                   *(draw(shape, chain, seed=derive_seed(seed, side, r)) for side in (1, 2)))
 
 
 def _hilbert_pairs(config):
@@ -300,8 +297,9 @@ def _power_rows(config):
 
     Row semantics here: r is the input tensor's maximal rank, s the iterate
     rank bound (= ell), rel_error compares the estimate against the dense
-    brute-force maximum, flops cover the whole iteration, and
-    flops_predicted is the per-recompression model times iterations used.
+    brute-force maximum, flops cover the whole iteration, flops_predicted
+    is the per-recompression model times iterations used, and output_ranks
+    is the last iterate's rank chain.
     """
     d, n = config.d, config.n
     rows = []
@@ -331,7 +329,7 @@ def _power_rows(config):
                         wall_time_s=time.perf_counter() - start,
                         flops_measured=ledger.total(),
                         flops_predicted=per_iter * res.iterations_used,
-                        output_ranks=uniform_chain(d, ell),
+                        output_ranks=res.ranks,
                     ))
     return rows
 
@@ -347,16 +345,11 @@ def run_scenario(config):
         return _grid(config, _PAIRS[config.name](config))
 
 
-def _derive_seed(seed, tag, extra):
-    seq = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(tag), int(extra)))
-    return int(seq.generate_state(1)[0])
-
-
 # --- aggregation --------------------------------------------------------------
 
 
 def summarize(rows):
-    """Mean/std of error and time per (scenario, algorithm, grid) cell.
+    """Mean/std of error and mean time per (scenario, algorithm, grid) cell.
 
     Aggregates exactly recompute from the raw rows; speedup compares mean
     wall time against tt-rounding in the same grid cell when present.
@@ -380,11 +373,9 @@ def summarize(rows):
             "scenario": key[0], "algorithm": key[1], "d": key[2], "n": key[3],
             "r": key[4], "s": key[5], "ell": key[6],
             "cells": len(cell),
-            "capped": sum(r.capped for r in cell),
             "err_mean": float(np.mean(errs)) if errs else None,
             "err_std": float(np.std(errs)) if errs else None,
             "time_mean": float(np.mean(times)) if times else None,
-            "time_std": float(np.std(times)) if times else None,
         }
         base = baseline_time.get(key[:1] + key[2:])
         entry["speedup_vs_tt_rounding"] = (

@@ -3,8 +3,7 @@
 Two independent caps:
 
 * the *dense cap* bounds the element count of any explicit d-way array
-  (dense oracles are desk-scale by design; default 10**6, overridable via
-  the ``HATT_DENSE_CAP`` environment variable);
+  (dense oracles are desk-scale by design; 10**6 by default);
 * the *core cap* bounds the element count of any single TT core.  It is
   disabled by default and exists to demonstrate, and test, that the
   Hadamard-avoiding sweep never materializes a product core.
@@ -13,7 +12,6 @@ Both caps are changed only for the extent of a ``with`` block, through
 :func:`dense_limit` and :func:`core_limit` (None disables a cap).
 """
 
-import os
 from contextlib import contextmanager
 
 
@@ -21,9 +19,7 @@ class ResourceLimitError(RuntimeError):
     """An operation would allocate more elements than the configured cap."""
 
 
-DEFAULT_DENSE_CAP = int(os.environ.get("HATT_DENSE_CAP", 1_000_000))
-
-_dense_cap = DEFAULT_DENSE_CAP
+_dense_cap = 1_000_000
 _core_cap = None
 
 

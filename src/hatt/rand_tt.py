@@ -1,16 +1,17 @@
-"""Seeded random TT tensors.
+"""Seeded random TT tensors, and the package's one seed derivation.
 
 Gaussian cores have i.i.d. entries with mean 0 and variance
 ``1 / (l_{k-1} n_k l_k)`` (so the represented tensor has unit expected
 squared norm per entry at any rank chain); uniform cores draw i.i.d. from
 [0, 1].
 
-Streams are counter-stable: core k consumes numpy's PCG64 seeded from
-``SeedSequence(seed, spawn_key=(k,))``, so the same (seed, k) always yields
-the same core regardless of the total order d.
+Every seeded stream of the package comes from :func:`seed_sequence`, numpy's
+``SeedSequence(seed, spawn_key=keys)``.  Streams are counter-stable: core k
+consumes PCG64 seeded from ``seed_sequence(seed, k)``, so the same (seed, k)
+always yields the same core regardless of the total order d.
+:func:`derive_seed` turns (seed, keys) into one 32-bit seed, as the power
+iteration (per step) and ``hatt-bench`` (per input tensor) use.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,33 +33,28 @@ def check_rank_chain(ranks, d):
     return chain
 
 
-@dataclass(frozen=True)
-class RandomSpec:
-    """Recipe for a random TT tensor; the seed fully determines the output."""
-
-    shape: tuple
-    ranks: tuple
-    kind: str = "gaussian"
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", check_shape(self.shape))
-        object.__setattr__(self, "ranks", check_rank_chain(self.ranks, len(self.shape)))
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+def seed_sequence(seed, *keys):
+    """The SeedSequence of the stream named by `keys` under `seed`."""
+    return np.random.SeedSequence(entropy=int(seed), spawn_key=keys)
 
 
-def _core_rng(seed, k):
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(k,)))
+def derive_seed(seed, *keys):
+    """A 32-bit seed fixed by `seed` and the small ints `keys`."""
+    return int(seed_sequence(seed, *keys).generate_state(1)[0])
 
 
-def random_tt(spec):
-    """Generate the TT tensor described by a :class:`RandomSpec`."""
+def random_tt(shape, ranks, kind="gaussian", seed=0):
+    """A random TT tensor of `shape` and rank chain `ranks`; `kind` is
+    "gaussian" or "uniform", and `seed` fully determines the output."""
+    shape = check_shape(shape)
+    ranks = check_rank_chain(ranks, len(shape))
+    if kind not in KINDS:
+        raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     cores = []
-    for k, n in enumerate(spec.shape, start=1):
-        l_prev, l_next = spec.ranks[k - 1], spec.ranks[k]
-        rng = _core_rng(spec.seed, k)
-        if spec.kind == "gaussian":
+    for k, n in enumerate(shape, start=1):
+        l_prev, l_next = ranks[k - 1], ranks[k]
+        rng = np.random.default_rng(seed_sequence(seed, k))
+        if kind == "gaussian":
             sigma = 1.0 / np.sqrt(l_prev * n * l_next)
             core = rng.normal(0.0, sigma, size=(l_prev, n, l_next))
         else:
@@ -69,11 +65,11 @@ def random_tt(spec):
 
 
 def gaussian_tt(shape, ranks, seed=0):
-    return random_tt(RandomSpec(tuple(shape), tuple(ranks), "gaussian", seed))
+    return random_tt(shape, ranks, "gaussian", seed)
 
 
 def uniform_tt(shape, ranks, seed=0):
-    return random_tt(RandomSpec(tuple(shape), tuple(ranks), "uniform", seed))
+    return random_tt(shape, ranks, "uniform", seed)
 
 
 def uniform_chain(d, r):

@@ -40,7 +40,7 @@ from .linalg import (
     tri_matmul,
     truncated_svd,
 )
-from .rand_tt import RandomSpec, check_rank_chain, random_tt, uniform_chain
+from .rand_tt import check_rank_chain, random_tt, uniform_chain
 from .tt import (
     _BLOCK,
     TTCore,
@@ -293,36 +293,31 @@ def _clamp_targets(targets, shape, ranks, stacklevel=3):
     return tuple(out)
 
 
-def _fit_sketch(sketch, shape, ranks):
-    """A caller-supplied sketch tensor, fitted to the tensor being rounded.
-
-    Its shape must be `shape`.  Its ranks are clamped by
-    :func:`_clamp_targets` (with a :class:`TargetRankWarning` naming the
-    bond), by keeping the leading rows and columns of the sketch's cores.
-    """
-    if sketch.shape != tuple(shape):
-        raise ValueError(f"sketch tensor shape {sketch.shape} does not match {tuple(shape)}")
-    chain = _clamp_targets(sketch.ranks, shape, ranks, stacklevel=5)
-    if chain == sketch.ranks:
-        return sketch
-    return TTTensor([c.values[:chain[k], :, :chain[k + 1]]
-                     for k, c in enumerate(sketch.cores)])
-
-
 def _draw_sketch_tensor(shape, targets, seed):
     if seed is None:
         raise ValueError("a seed (or an explicit sketch tensor) is required")
-    return random_tt(RandomSpec(tuple(shape), tuple(targets), "gaussian", int(seed)))
+    return random_tt(shape, targets, "gaussian", seed)
 
 
 def _sketch(shape, ranks, targets, seed, sketch_tt):
-    """The sketch tensor of a randomized sweep over a tensor of TT `ranks`:
-    `sketch_tt` fitted to it, or one drawn from `seed` at the clamped
-    `targets`."""
-    if sketch_tt is not None:
-        return _fit_sketch(sketch_tt, shape, ranks)
-    chain = _clamp_targets(normalize_targets(targets, len(shape)), shape, ranks, stacklevel=4)
-    return _draw_sketch_tensor(shape, chain, seed)
+    """The sketch tensor of a randomized sweep over a tensor of TT `ranks`.
+
+    Without `sketch_tt`, one is drawn from `seed` at the `targets` clamped
+    by :func:`_clamp_targets`.  A caller-supplied `sketch_tt` must have
+    shape `shape`; its ranks are clamped the same way (with a
+    :class:`TargetRankWarning` naming the bond), by keeping the leading
+    rows and columns of its cores.
+    """
+    if sketch_tt is None:
+        chain = _clamp_targets(normalize_targets(targets, len(shape)), shape, ranks, stacklevel=4)
+        return _draw_sketch_tensor(shape, chain, seed)
+    if sketch_tt.shape != tuple(shape):
+        raise ValueError(f"sketch tensor shape {sketch_tt.shape} does not match {tuple(shape)}")
+    chain = _clamp_targets(sketch_tt.ranks, shape, ranks, stacklevel=4)
+    if chain == sketch_tt.ranks:
+        return sketch_tt
+    return TTTensor([c.values[:chain[k], :, :chain[k + 1]]
+                     for k, c in enumerate(sketch_tt.cores)])
 
 
 # --- the three sweeps -------------------------------------------------------
@@ -403,23 +398,23 @@ def _sweep_result(cores):
     return TTTensor([TTCore._trusted(c) for c in cores])
 
 
-def _orthogonalize_sweep(first_core, sketches, next_core_fn, d, ledger):
+def _orthogonalize_sweep(first_core, sketches, next_core_fn, ledger):
     """Shared left-to-right randomized sweep of :func:`rand_orth` and
     :func:`hatt`.
 
-    `sketches[k - 1]` is the sketch matrix W^(k) of bond k.  The sweep
-    consumes the list: it sets W^(k) to None once step k has used it, and
-    it keeps no reference to `first_core` past step 1, so a caller that
-    passes the first core without keeping its own lets the sweep hold one
-    core at a time.  `next_core_fn(k, m)` must return the (k+1)-th core
-    contracted against m (an array of shape (rows(m), n_{k+1}, tail
-    ranks)).  Returns the output cores; every core except the last has
-    orthonormal vertical matricization.
+    `sketches[k - 1]` is the sketch matrix W^(k) of bond k, and the sweep
+    takes one step per sketch.  It consumes the list: it sets W^(k) to None
+    once step k has used it, and it keeps no reference to `first_core` past
+    step 1, so a caller that passes the first core without keeping its own
+    lets the sweep hold one core at a time.  `next_core_fn(k, m)` must
+    return the (k+1)-th core contracted against m (an array of shape
+    (rows(m), n_{k+1}, tail ranks)).  Returns the output cores; every core
+    except the last has orthonormal vertical matricization.
     """
     cores = []
     cur = first_core
     del first_core
-    for k in range(1, d):
+    for k in range(1, len(sketches) + 1):
         r1, n, r2 = cur.shape
         cur_mat = cur.reshape(r1 * n, r2)
         sketched = matmul(cur_mat, sketches[k - 1], ledger)
@@ -444,7 +439,6 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     `a` or above feasible values are clamped with a
     :class:`TargetRankWarning`.
     """
-    d = a.d
     sketch = _sketch(a.shape, a.ranks, targets, seed, sketch_tt)
     sketches = partial_contraction_rl(a, sketch, ledger)
 
@@ -453,7 +447,7 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
         out = matmul(m, h_unfold(nxt), ledger)
         return out.reshape(m.shape[0], nxt.mode_size, nxt.right_rank)
 
-    return _orthogonalize_sweep(a.cores[0].values, sketches, next_core, d, ledger)
+    return _orthogonalize_sweep(a.cores[0].values, sketches, next_core, ledger)
 
 
 def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=None):
@@ -471,7 +465,6 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
     """
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
-    d = y.d
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
     sketch = _sketch(y.shape, products, targets, seed, sketch_tt)
     sketches = hpcrl(y, z, sketch, max_terms, ledger)
@@ -482,7 +475,7 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
 
     # the first product core goes in unnamed: the sweep drops it after step 1
     return _orthogonalize_sweep(pkp_cores(y.cores[0], z.cores[0]).values, sketches,
-                                next_core, d, ledger)
+                                next_core, ledger)
 
 
 # --- the algorithm table -----------------------------------------------------

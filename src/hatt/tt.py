@@ -11,13 +11,14 @@ matricization ``V<G>`` (size ``r_{k-1} n_k x r_k``) are plain reshapes.
 
 Non-finite values are rejected where data enters the package: ``TTCore``,
 ``TTTensor`` built from raw arrays, and :func:`load_tt` copy and scan every
-core, and so do the public arithmetic (``tt_add``, ``tt_scale``) and
-:func:`pkp_cores` (a product of finite cores can overflow; it scans only
-when max|Y| max|Z| is not finite).  Cores that the package computes from
-cores it has already validated (kernel outputs, sweep outputs, random
-draws) go through ``TTCore._trusted``, which skips the copy and the scan
-but keeps the core cap and the read-only flag; the sweeps check their one
-core that can overflow, the last.
+core.  So does the public arithmetic that can overflow: :func:`tt_scale`
+scans its one scaled core, :func:`tt_add` the sum it forms for d = 1, and
+:func:`pkp_cores` its product (only when max|Y| max|Z| is not finite).
+Cores that the package builds from cores it has already validated (kernel
+outputs, sweep outputs, random draws, the block cores of :func:`tt_add`,
+which only rearrange their factors' values) go through ``TTCore._trusted``,
+which skips the copy and the scan but keeps the core cap and the read-only
+flag; the sweeps check their one core that can overflow, the last.
 """
 
 import numpy as np
@@ -30,8 +31,8 @@ from .limits import check_core, check_dense, dense_cap
 class TTCore:
     """One order-3 TT core; immutable after construction."""
 
-    def __init__(self, values, copy=True):
-        values = np.array(values, dtype=float, copy=copy)
+    def __init__(self, values):
+        values = np.array(values, dtype=float)
         if values.ndim != 3:
             raise ValueError(f"a TT core must be a 3-way array, got ndim={values.ndim}")
         check_core(values.size)
@@ -236,13 +237,13 @@ def tt_add(y, z):
             block = np.zeros((r1 + s1, n, r2 + s2))
             block[:r1, :, :r2] = cy.values
             block[r1:, :, r2:] = cz.values
-        cores.append(TTCore(block, copy=False))
+        cores.append(TTCore._trusted(block))
     return TTTensor(cores)
 
 
 def tt_scale(y, c):
     """Multiply a TT tensor by a scalar (absorbed into the first core)."""
-    cores = [TTCore(y.cores[0].values * float(c), copy=False)]
+    cores = [TTCore(y.cores[0].values * float(c))]
     cores.extend(y.cores[1:])
     return TTTensor(cores)
 

@@ -15,7 +15,6 @@ import pytest
 from scipy import stats
 
 from hatt import (
-    RandomSpec,
     ResourceLimitError,
     brute_force_max,
     core_limit,
@@ -64,7 +63,7 @@ def _random_instance(rng, max_rank=4, max_ell=6, d_choices=(3, 4, 5), n_hi=5):
     ells = (1,) + tuple(int(rng.integers(1, max_ell + 1)) for _ in range(d - 1)) + (1,)
     y = gaussian_tt(shape, ry, seed=int(rng.integers(0, 2**31)))
     z = gaussian_tt(shape, rz, seed=int(rng.integers(0, 2**31)))
-    sketch = random_tt(RandomSpec(shape, ells, "gaussian", int(rng.integers(0, 2**31))))
+    sketch = random_tt(shape, ells, "gaussian", int(rng.integers(0, 2**31)))
     return y, z, sketch
 
 
@@ -313,7 +312,7 @@ def test_criterion_10_random_tt_variance():
     sq_sum = 0.0
     count = 0
     for seed in range(200):
-        tt = random_tt(RandomSpec((4, 4, 4), (1, 4, 4, 1), "gaussian", seed))
+        tt = random_tt((4, 4, 4), (1, 4, 4, 1), "gaussian", seed)
         core = tt.cores[1].values  # interior core: variance 1/(4*4*4)
         sq_sum += float(np.sum(core**2))
         count += core.size

@@ -5,7 +5,6 @@ import pytest
 
 from hatt import (
     DenseTensor,
-    FourierSpec,
     SeparableFunctionSpec,
     TargetRankWarning,
     brute_force_max,
@@ -62,38 +61,46 @@ def test_tt_svd_argument_check(rng):
 
 
 def test_fourier_single_harmonic():
-    spec = FourierSpec((4, 4, 4), n_terms=1)
-    y, z = fourier_tt(spec)
-    (a,), (b,) = fourier_coefficients(spec)
-    n = spec.num_samples
+    y, z = fourier_tt((4, 4, 4), n_terms=1)
+    (a,), (b,) = fourier_coefficients(1)
+    n = 4 ** 3
     t = 2 * np.pi * np.arange(1, n + 1) / n
     assert np.allclose(tt_to_dense(y).values.ravel(), a * np.sin(t), atol=1e-12 * a)
     assert np.allclose(tt_to_dense(z).values.ravel(), b * np.cos(t), atol=1e-12 * b)
 
 
 def test_fourier_low_ranks():
-    spec = FourierSpec((4, 4, 4, 4), n_terms=2)
-    y, z = fourier_tt(spec, seed=1)
-    bound = 2 * spec.n_terms + 2
+    n_terms = 2
+    y, z = fourier_tt((4, 4, 4, 4), n_terms=n_terms, seed=1)
+    bound = 2 * n_terms + 2
     assert all(r <= bound for r in y.ranks)
     assert all(r <= bound for r in z.ranks)
 
 
 def test_fourier_coefficient_range_and_determinism():
-    spec = FourierSpec((4, 4, 4), n_terms=20)
-    a1, b1 = fourier_coefficients(spec, seed=5)
-    a2, b2 = fourier_coefficients(spec, seed=5)
+    a1, b1 = fourier_coefficients(20, seed=5)
+    a2, b2 = fourier_coefficients(20, seed=5)
     assert np.array_equal(a1, a2) and np.array_equal(b1, b2)
     assert np.all((a1 >= 0.1) & (a1 <= 10.1))
     assert np.all((b1 >= 0.1) & (b1 <= 10.1))
 
 
+def test_fourier_arguments_checked():
+    with pytest.raises(ValueError, match="n_terms"):
+        fourier_tt((4, 4), n_terms=0)
+    with pytest.raises(ValueError, match="n_terms"):
+        fourier_coefficients(0)
+    with pytest.raises(ValueError, match="mode sizes"):
+        fourier_tt((4, 0), n_terms=2)
+    with pytest.raises(ValueError, match="at least one mode"):
+        fourier_tt((), n_terms=2)
+
+
 def test_fourier_product_pipeline():
-    spec = FourierSpec((8, 8, 8), n_terms=4)
-    y, z = fourier_tt(spec, seed=2)
-    n = spec.num_samples
+    y, z = fourier_tt((8, 8, 8), n_terms=4, seed=2)
+    n = 8 ** 3
     t = 2 * np.pi * np.arange(1, n + 1) / n
-    a, b = fourier_coefficients(spec, seed=2)
+    a, b = fourier_coefficients(4, seed=2)
     harmonics = np.arange(1, len(a) + 1)
     samples = (np.sin(np.outer(t, harmonics)) @ a) * (np.cos(np.outer(t, harmonics)) @ b)
     product = tt_to_dense(tt_hadamard(y, z)).values.ravel()
@@ -261,8 +268,7 @@ def test_brute_force_agrees_with_power_iteration():
 
 
 def test_fourier_recompression_error_decreases_with_rank():
-    spec = FourierSpec((8, 8, 8, 8), n_terms=8)
-    y, z = fourier_tt(spec, seed=4)
+    y, z = fourier_tt((8, 8, 8, 8), n_terms=8, seed=4)
     ref = hadamard_dense(tt_to_dense(y), tt_to_dense(z))
     errs = []
     from hatt import hatt as hatt_sweep
@@ -278,8 +284,7 @@ def test_fourier_recompression_error_decreases_with_rank():
 def test_fourier_recompression_per_seed_monotone():
     # for a fixed input and seed, growing the target rank never raises the
     # error beyond a 10% noise band
-    spec = FourierSpec((8, 8, 8, 8), n_terms=8)
-    y, z = fourier_tt(spec, seed=4)
+    y, z = fourier_tt((8, 8, 8, 8), n_terms=8, seed=4)
     ref = hadamard_dense(tt_to_dense(y), tt_to_dense(z))
     from hatt import hatt as hatt_sweep
 
@@ -294,7 +299,7 @@ def test_fourier_recompression_per_seed_monotone():
 def test_fourier_error_at_the_dense_cap():
     # 10^6 elements fit the dense cap; the rank-16 reconstruction must not
     # build a larger intermediate on the way
-    y, z = fourier_tt(FourierSpec((10,) * 6, n_terms=20))
+    y, z = fourier_tt((10,) * 6, n_terms=20)
     x = hatt(y, z, 16, seed=0)
     err = relative_error(x, tt_hadamard(y, z))
     assert err <= 1e-6

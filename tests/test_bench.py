@@ -110,6 +110,14 @@ def test_example3_oracle_error():
     assert all(r.rel_error <= 1e-3 for r in rows)
 
 
+def test_example3_reports_the_iterates_ranks():
+    # d=3, n=2 fits ranks (2, 2) only, below the requested 5
+    config = Scenario("example3", seeds=(0,), d=3, n=2, targets=(5,),
+                      algorithms=("hatt-2",), max_iter=5)
+    rows = run_scenario(config)
+    assert [row.to_csv()[-1] for row in rows] == ["1-2-2-1"] * 2
+
+
 def test_appendix_hilbert_rows():
     config = Scenario("appendixF", seeds=(0,), d=4, n=6, ranks=(8,),
                       targets=(3, 5), max_terms=5)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +31,16 @@ def test_dense_cap():
         with pytest.raises(ResourceLimitError):
             DenseTensor(np.zeros((3, 4)))
         DenseTensor(np.zeros((2, 5)))  # exactly at the cap is fine
+
+
+def test_dense_cap_ignores_the_environment():
+    env = dict(os.environ, HATT_DENSE_CAP="abc")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", "import hatt; print(hatt.dense_cap())"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "1000000"
 
 
 def test_non_finite_rejected():

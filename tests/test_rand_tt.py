@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hatt import RandomSpec, gaussian_tt, random_tt, uniform_tt
+from hatt import gaussian_tt, random_tt, uniform_tt
 
 
 def test_same_seed_bit_identical():
@@ -24,11 +24,11 @@ def test_core_streams_stable_under_order_change():
 
 def test_invalid_chain_rejected():
     with pytest.raises(ValueError):
-        RandomSpec((3, 3), (1, 2, 2), "gaussian", 0)
+        random_tt((3, 3), (1, 2, 2), "gaussian", 0)
     with pytest.raises(ValueError):
-        RandomSpec((3, 3), (2, 2, 1), "gaussian", 0)
+        random_tt((3, 3), (2, 2, 1), "gaussian", 0)
     with pytest.raises(ValueError):
-        RandomSpec((3, 3), (1, 2, 1), "poisson", 0)
+        random_tt((3, 3), (1, 2, 1), "poisson", 0)
 
 
 def test_gaussian_variance_band():
@@ -37,7 +37,7 @@ def test_gaussian_variance_band():
     sq_sum = 0.0
     count = 0
     for seed in range(200):
-        tt = random_tt(RandomSpec((4, 4, 4), (1, 4, 4, 1), "gaussian", seed))
+        tt = random_tt((4, 4, 4), (1, 4, 4, 1), "gaussian", seed)
         core = tt.cores[1].values
         sq_sum += float(np.sum(core**2))
         count += core.size
@@ -58,8 +58,7 @@ def test_gaussian_pooled_entries_look_normal():
     # rescaled by sqrt(l_{k-1} n_k l_k) the entries pool to a standard normal
     samples = []
     for seed in range(2):
-        tt = random_tt(RandomSpec((10,) * 5, (1, 20, 20, 20, 20, 1),
-                                  "gaussian", 1234 + seed))
+        tt = random_tt((10,) * 5, (1, 20, 20, 20, 20, 1), "gaussian", 1234 + seed)
         for core in tt.cores:
             l_prev, n, l_next = core.values.shape
             samples.append(core.values.ravel() * np.sqrt(l_prev * n * l_next))

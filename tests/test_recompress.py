@@ -21,6 +21,7 @@ from hatt import (
     recompress_hadamard,
     relative_error,
     left_orthogonality_defect,
+    tt_add,
     tt_hadamard,
     tt_ones,
     tt_rounding,
@@ -483,7 +484,8 @@ def test_library_built_cores_are_read_only():
     for x in (hatt(y, z, 3, seed=4), hatt(y, z, 3, max_terms=2, seed=4),
               rand_orth(product, 3, seed=4), tt_rounding(product, 3), product,
               gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=5),
-              uniform_tt((4,) * 4, (1, 3, 3, 3, 1), seed=5)):
+              uniform_tt((4,) * 4, (1, 3, 3, 3, 1), seed=5), tt_add(y, y),
+              tt_scale(y, -2.5)):
         cores.extend(x.cores)
     for core in cores:
         assert not core.values.flags.writeable

@@ -241,6 +241,16 @@ def test_scale():
                        -2.5 * tt_to_dense(y).values)
 
 
+def test_add_and_scale_reject_overflow():
+    y = gaussian_tt((3, 3), (1, 2, 1), seed=11)
+    line = TTTensor([np.full((1, 3, 1), 1e308)])
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="non-finite"):
+            tt_scale(tt_scale(y, 1e300), 1e300)
+        with pytest.raises(ValueError, match="non-finite"):
+            tt_add(line, line)
+
+
 def test_relative_error_trivial_cases():
     y = gaussian_tt((3, 3, 3), (1, 2, 2, 1), seed=12)
     assert relative_error(y, y) == pytest.approx(0.0, abs=1e-14)
