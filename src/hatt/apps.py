@@ -93,13 +93,12 @@ def fourier_tt(shape, n_terms=60, seed=0):
     shape = check_shape(shape)
     a, b = fourier_coefficients(n_terms, seed)
     n = int(np.prod(shape, dtype=np.int64))
+    check_dense(n, "sampled series")
     t = 2.0 * np.pi * np.arange(1, n + 1) / n
     harmonics = np.arange(1, len(a) + 1)
     y = np.sin(np.outer(t, harmonics)) @ a
     z = np.cos(np.outer(t, harmonics)) @ b
-    y_tt = tt_svd(DenseTensor(y.reshape(shape)), rel_tol=SVD_TOL)
-    z_tt = tt_svd(DenseTensor(z.reshape(shape)), rel_tol=SVD_TOL)
-    return y_tt, z_tt
+    return tt_svd(y.reshape(shape), rel_tol=SVD_TOL), tt_svd(z.reshape(shape), rel_tol=SVD_TOL)
 
 
 # --- separable benchmark functions -------------------------------------------

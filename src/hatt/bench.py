@@ -48,7 +48,7 @@ from .recompress import (
     recompress_hadamard,
 )
 from .rand_tt import derive_seed, gaussian_tt, uniform_chain, uniform_tt
-from .tt import load_tt, relative_error, save_tt, tt_hadamard, tt_to_dense
+from .tt import relative_error, save_tt, tt_hadamard, tt_to_dense
 
 SCENARIOS = ("example1", "example2", "example3", "appendixF", "custom")
 
@@ -259,31 +259,17 @@ def _grid(config, pairs):
     """Run every target x algorithm x seed cell on each input pair.
 
     Under ``config.fixtures`` the pair is saved to ``<tag>_y.tt`` and
-    ``<tag>_z.tt`` there, or, if saved before, reloaded and compared with
-    the pair this run builds, core by core and exactly (``save_tt`` writes
-    every value round-trip exact).  A saved pair of another shape, or with
-    other values (such as one built with other ``--fourier-terms``), is a
-    ValueError naming the file.  Each pair's reference is computed once
-    (:func:`_reference`); its rows' d, n, r, s describe the pair as run.
+    ``<tag>_z.tt`` there, overwriting an earlier run's files of that tag
+    (``save_tt`` writes every value round-trip exact).  Each pair's
+    reference is computed once (:func:`_reference`); its rows' d, n, r, s
+    describe the pair as run.
     """
     rows = []
     for tag, seeds, y, z in pairs:
-        paths = ([os.path.join(config.fixtures, f"{tag}_{x}.tt") for x in "yz"]
-                 if config.fixtures else [])
-        if paths and all(map(os.path.exists, paths)):
-            for path, built in zip(paths, (y, z)):
-                saved = load_tt(path)
-                if saved.shape != built.shape:
-                    raise ValueError(f"fixture {path} has shape {saved.shape}, "
-                                     f"but this run builds shape {built.shape}")
-                if not all(np.array_equal(a.values, b.values)
-                           for a, b in zip(saved.cores, built.cores)):
-                    raise ValueError(f"fixture {path} differs from the tensor this run "
-                                     f"builds; use another --fixtures directory")
-        else:
-            for x, path in zip((y, z), paths):
-                os.makedirs(config.fixtures, exist_ok=True)
-                save_tt(x, path)
+        if config.fixtures:
+            os.makedirs(config.fixtures, exist_ok=True)
+            for x, side in ((y, "y"), (z, "z")):
+                save_tt(x, os.path.join(config.fixtures, f"{tag}_{side}.tt"))
         reference = _reference(y, z)
         for ell in config.targets:
             for alg in config.algorithms:

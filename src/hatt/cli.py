@@ -3,8 +3,8 @@
 Runs a scenario, writes the fixed-schema CSV (to --out or stdout) and prints
 a per-cell summary with speedups against tt-rounding.  Exit code 0 means
 every cell completed, 3 flags resource-capped cells (1 under --strict), and
-usage errors, bad grid values and a ValueError of the run (a --fixtures pair
-that differs from the one the run builds) included, exit with 2.
+usage errors, bad grid values and a ValueError of the run (such as a product
+that overflows float64) exit with 2.
 """
 
 import argparse
@@ -63,8 +63,8 @@ def build_parser():
     add("--max-iter", type=int, help=_help("power-iteration cap", "max_iter"))
     add("--flop-report", action="store_true", help="print a measured-vs-predicted flop table")
     add("--strict", action="store_true", help="treat resource-capped cells as fatal (exit 1)")
-    add("--fixtures", help=_help("save each input pair in this directory, or check it "
-                                 "against the saved one", "fixtures"))
+    add("--fixtures", help=_help("save each input pair in this directory (overwriting "
+                                 "the files of the same pair)", "fixtures"))
     return parser
 
 
@@ -84,7 +84,7 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # e.g. a --fixtures pair that differs
+    except ValueError as exc:  # e.g. a product that overflows float64
         print(f"error: {exc}", file=sys.stderr)
         return 2
     capped = [r for r in rows if r.capped]

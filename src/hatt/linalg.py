@@ -117,11 +117,11 @@ def econ_qr(x, ledger=None):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("econ_qr expects a matrix")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("econ_qr input contains non-finite values")
     m, n = x.shape
     q, r = np.linalg.qr(x, mode="reduced")
-    negative = np.diagonal(r) < 0
+    negative = r.diagonal() < 0
     if negative.any():
         signs = np.where(negative, -1.0, 1.0)
         q *= signs
@@ -161,11 +161,14 @@ def truncated_svd(x, target_rank=None, max_terms=None, ledger=None, rank_tol=1e-
     keep = max(keep, 1) if s.size else 0
     u, s, v = u[:, :keep].copy(), s[:keep].copy(), vt[:keep].T.copy()
     # sign convention: first nonzero entry of each left singular vector >= 0
-    for j in range(keep):
-        col = u[:, j]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, j] = -col
-            v[:, j] = -v[:, j]
+    # (an all-zero column's argmax is row 0, which is not negative); a matrix
+    # with no rows has no entry to take an argmax over
+    if u.shape[0]:
+        first = u[np.argmax(u != 0, axis=0), np.arange(keep)]
+        negative = first < 0
+        if negative.any():
+            signs = np.where(negative, -1.0, 1.0)
+            u *= signs
+            v *= signs
     return SvdResult(u, s, v)
 

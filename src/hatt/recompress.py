@@ -166,17 +166,20 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
         right = right.transpose(2, 1, 0)
         if ledger is not None:
             ledger.add_matmul(r1 * s1 * (2 * n * terms - 1) * l1)
+        # uncapped, u is the previous step's acc.T and u.T needs no copy; a
+        # contiguous Z^T lets _contract_slabs reshape each slab as a view
         u_t = np.ascontiguousarray(u.T)
-        yt, zt = yc.transpose(2, 1, 0), zc.transpose(2, 1, 0)
-        acc = np.zeros((r1 * s1, l1))
+        yt, zt = yc.transpose(2, 1, 0), np.ascontiguousarray(zc.transpose(2, 1, 0))
+        # W^(k-1) accumulates transposed: one wide GEMM closes each slab
+        acc = np.zeros((l1, r1 * s1))
         step = _slab_size(terms, yt, zt)
         for i0 in range(0, n, step):
             blk = slice(i0, min(i0 + step, n))
             # x[g, i] = kron(Y(i), Z(i)) @ u[:, g]
             x = _contract_slabs(u_t, yt[:, blk], zt[:, blk], ledger)
-            acc += x.reshape(-1, r1 * s1).T @ right[:, blk].reshape(-1, l1)
+            acc += right[:, blk].reshape(-1, l1).T @ x.reshape(-1, r1 * s1)
             del x  # one slab's x at a time
-        mats[k - 2] = acc
+        mats[k - 2] = acc.T
     return mats
 
 
@@ -417,7 +420,9 @@ def _orthogonalize_sweep(first_core, sketches, next_core_fn, ledger):
     for k in range(1, len(sketches) + 1):
         r1, n, r2 = cur.shape
         cur_mat = cur.reshape(r1 * n, r2)
-        sketched = matmul(cur_mat, sketches[k - 1], ledger)
+        # (W^T cur^T)^T: the orientation OpenBLAS runs faster for this
+        # skinny product; same ledger charge as cur @ W
+        sketched = matmul(sketches[k - 1].T, cur_mat.T, ledger).T
         sketches[k - 1] = None
         q = econ_qr(sketched, ledger=ledger).q
         cores.append(q.reshape(r1, n, q.shape[1]))

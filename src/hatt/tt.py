@@ -21,6 +21,8 @@ which skips the copy and the scan but keeps the core cap and the read-only
 flag; the sweeps check their one core that can overflow, the last.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 
 from .dense import DenseTensor
@@ -136,8 +138,9 @@ def pkp_cores(y, z):
     is expanded once, Y in blocks of ``_BLOCK`` elements (one for
     :func:`hatt`'s small boundary cores).  A product that overflows float64
     raises ValueError.  Each element is one rounded product, and rounding is
-    monotone, so no element can overflow unless max|Y| * max|Z| does: the
-    output is scanned only when that bound is not finite.
+    monotone, so no element can overflow unless max|Y| * max|Z| does: that
+    bound is taken first, and only when it is not finite does the multiply
+    run with overflow warnings off and the output get scanned.
     """
     if y.mode_size != z.mode_size:
         raise ValueError(f"mode mismatch {y.mode_size} vs {z.mode_size}")
@@ -147,14 +150,15 @@ def pkp_cores(y, z):
     # zx[b, i, c s2 + e] = Z[b, i, e]; yx[a, i, c s2 + e] = Y[a, i, c]
     zx = np.repeat(z.values[:, :, None], r2, axis=2).reshape(s1, -1)
     step = max(1, _BLOCK // out.shape[2])
-    with np.errstate(over="ignore"):  # an overflow is the ValueError below
+    # Python floats: an infinite bound is a value here, not a RuntimeWarning
+    finite = np.isfinite(_max_abs(y.values) * _max_abs(z.values))
+    # an overflow is the ValueError below
+    with nullcontext() if finite else np.errstate(over="ignore"):
         for a0 in range(0, r1, step):
             yx = np.repeat(y.values[a0:a0 + step], s2, axis=2)
             np.multiply(yx.reshape(len(yx), 1, -1), zx, out=out[a0:a0 + step])
             del yx  # one block's expansion at a time
-    # Python floats: an infinite bound is a value here, not a RuntimeWarning
-    bound = _max_abs(y.values) * _max_abs(z.values)
-    if not np.isfinite(bound) and not np.all(np.isfinite(out)):
+    if not finite and not np.isfinite(out).all():
         raise ValueError("the Hadamard product of these finite cores overflows float64")
     return TTCore._trusted(out.reshape(r1 * s1, n, r2 * s2))
 

@@ -5,6 +5,7 @@ import pytest
 
 from hatt import (
     DenseTensor,
+    ResourceLimitError,
     SeparableFunctionSpec,
     TargetRankWarning,
     brute_force_max,
@@ -22,6 +23,7 @@ from hatt import (
     tt_to_dense,
 )
 from hatt.apps import fourier_coefficients
+from hatt.limits import dense_limit
 from hatt.tt import TTTensor
 
 
@@ -94,6 +96,8 @@ def test_fourier_arguments_checked():
         fourier_tt((4, 0), n_terms=2)
     with pytest.raises(ValueError, match="at least one mode"):
         fourier_tt((), n_terms=2)
+    with dense_limit(4 ** 3 - 1), pytest.raises(ResourceLimitError, match="sampled series"):
+        fourier_tt((4, 4, 4), n_terms=2)
 
 
 def test_fourier_product_pipeline():

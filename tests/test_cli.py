@@ -178,7 +178,7 @@ def test_every_accepted_option_acts(scenario, tmp_path):
     assert {c for c, ranks in cells.items() if ranks == "capped"} == capped
     assert len(list(tmp_path.glob("fx/*_y.tt"))) == pairs
     assert len(list(tmp_path.glob("fx/*_z.tt"))) == pairs
-    if pairs:  # a second run reloads the saved pairs and repeats every row
+    if pairs:  # a second run rewrites the saved pairs and repeats every row
         assert main(argv) == code
         again = read_rows(tmp_path / "rows.csv")
         for row in rows + again:
@@ -199,32 +199,3 @@ def test_readme_option_table_matches_the_scenarios():
         field = option.strip("`").split()[0].removeprefix("--").replace("-", "_")
         readers = _READ_BY.get(field, SCENARIOS)
         assert [cell != "-" for cell in cells] == [name in readers for name in SCENARIOS], option
-
-
-def test_fixtures_of_another_shape_are_an_error(tmp_path, capsys):
-    """A --fixtures directory saved at d=4 does not stand in for a d=3 run."""
-    fixtures = str(tmp_path / "fx")
-    base = ["--scenario", "example1", "--seeds", "0", "--targets", "2", "--algorithms",
-            "hatt-2", "--fourier-terms", "3", "--n", "4", "--fixtures", fixtures,
-            "--out", str(tmp_path / "rows.csv")]
-    assert main(base + ["--d", "4"]) == 0
-    capsys.readouterr()
-    assert main(base + ["--d", "3"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: fixture ")
-    assert "example1_y.tt has shape (4, 4, 4, 4), but this run builds shape (4, 4, 4)\n" in err
-
-
-def test_fixtures_of_another_pair_are_an_error(tmp_path, capsys):
-    """At n=4 the pairs of 3 and 5 Fourier terms share shape and ranks; the
-    saved pair of 3 terms still does not stand in for a 5-term run."""
-    fixtures = str(tmp_path / "fx")
-    base = ["--scenario", "example1", "--d", "3", "--n", "4", "--seeds", "0", "--targets",
-            "2", "--algorithms", "hatt-2", "--fixtures", fixtures,
-            "--out", str(tmp_path / "rows.csv")]
-    assert main(base + ["--fourier-terms", "3"]) == 0
-    capsys.readouterr()
-    assert main(base + ["--fourier-terms", "5"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: fixture ")
-    assert "example1_y.tt differs from the tensor this run builds" in err

@@ -148,3 +148,37 @@ def test_truncated_svd_sign_determinism(rng):
         nz = np.nonzero(col)[0]
         assert col[nz[0]] >= 0
 
+
+
+def _loop_signs(x):
+    """Reference sign convention, one column at a time: flip u[:, j] and
+    v[:, j] when the first nonzero entry of u[:, j] is negative."""
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    u, v = u.copy(), vt.T.copy()
+    for j in range(u.shape[1]):
+        nz = np.nonzero(u[:, j])[0]
+        if nz.size and u[nz[0], j] < 0:
+            u[:, j], v[:, j] = -u[:, j], -v[:, j]
+    return u, s, v
+
+
+def test_truncated_svd_signs_skip_leading_zeros():
+    """Block-diagonal input: the two leading left singular vectors start
+    with a zero, and LAPACK returns the first with a negative first nonzero
+    entry; the vectorized flip matches the column loop bit for bit."""
+    x = np.zeros((4, 3))
+    x[0, 0] = 0.5
+    x[1:, 1:] = [[3.0, 1.0], [1.0, 2.0], [0.5, -1.0]]
+    raw = np.linalg.svd(x, full_matrices=False)[0]
+    assert raw[0, 0] == 0 and raw[1, 0] < 0
+    res = truncated_svd(x, target_rank=3)
+    u, s, v = _loop_signs(x)
+    assert np.array_equal(res.u, u) and np.array_equal(res.s, s) and np.array_equal(res.v, v)
+    assert res.u[1, 0] > 0 and res.u[0, 2] > 0
+    assert res.u.flags.c_contiguous and res.v.flags.c_contiguous
+    np.testing.assert_allclose((res.u * res.s) @ res.v.T, x, atol=1e-14)
+
+
+def test_truncated_svd_of_no_rows():
+    res = truncated_svd(np.zeros((0, 3)))
+    assert res.u.shape == (0, 0) and res.s.shape == (0,) and res.v.shape == (3, 0)
