@@ -23,10 +23,10 @@ from hatt import (
     hpcrl,
     partial_contraction_rl,
     rand_orth,
+    random_tt,
     relative_error,
     tt_hadamard,
     uniform_chain,
-    uniform_tt,
 )
 
 warnings.simplefilter("ignore")  # bond-1 feasibility clamps at ell=8, n=6
@@ -52,8 +52,8 @@ print(f"sweep outputs differ by {relative_error(via_hatt, via_baseline):.2e}")
 
 # --- at larger ranks, avoidance is the difference between running and not ------
 shape = (6,) * 5
-big_y = uniform_tt(shape, uniform_chain(5, 40), seed=1)
-big_z = uniform_tt(shape, uniform_chain(5, 40), seed=2)
+big_y = random_tt(shape, uniform_chain(5, 40), "uniform", 1)
+big_z = random_tt(shape, uniform_chain(5, 40), "uniform", 2)
 
 t0 = time.perf_counter()
 out = hatt(big_y, big_z, 8, seed=3)

@@ -17,7 +17,7 @@ from .linalg import (
     tri_matmul,
     truncated_svd,
 )
-from .rand_tt import gaussian_tt, random_tt, uniform_chain, uniform_tt
+from .rand_tt import gaussian_tt, random_tt, uniform_chain
 from .recompress import (
     ALGORITHMS,
     RECOMPRESSORS,
@@ -39,11 +39,8 @@ from .tt import (
     TTTensor,
     h_unfold,
     left_orthogonality_defect,
-    load_tt,
-    partial_contracted_product,
     pkp_cores,
     relative_error,
-    save_tt,
     tt_add,
     tt_dot,
     tt_hadamard,

@@ -15,7 +15,7 @@ from .dense import DenseTensor
 from .indexing import check_shape
 from .limits import check_dense
 from .linalg import scale_columns, truncated_svd
-from .rand_tt import derive_seed, seed_sequence, uniform_chain
+from .rand_tt import check_rank_chain, derive_seed, seed_sequence, uniform_chain
 from .recompress import (
     TargetRankWarning,
     _runner,
@@ -92,7 +92,7 @@ def fourier_tt(shape, n_terms=60, seed=0):
     """
     shape = check_shape(shape)
     a, b = fourier_coefficients(n_terms, seed)
-    n = int(np.prod(shape, dtype=np.int64))
+    n = math.prod(shape)
     check_dense(n, "sampled series")
     t = 2.0 * np.pi * np.arange(1, n + 1) / n
     harmonics = np.arange(1, len(a) + 1)
@@ -177,7 +177,7 @@ def separable_dense(spec):
     values = spec.term(1, grid)
     for i in range(2, spec.d + 1):
         values = np.add.outer(values, spec.term(i, grid))
-    return DenseTensor(values, copy=False)
+    return DenseTensor._adopt(values)
 
 
 def hilbert_tt(d, n, r):
@@ -189,7 +189,7 @@ def hilbert_tt(d, n, r):
     """
     if min(d, n, r) < 1:
         raise ValueError("d, n, r must be positive")
-    ranks = uniform_chain(d, r)
+    ranks = check_rank_chain(uniform_chain(d, r), d)
     cores = []
     for k in range(1, d + 1):
         r1, r2 = ranks[k - 1], ranks[k]

@@ -47,8 +47,8 @@ from .recompress import (
     flop_model,
     recompress_hadamard,
 )
-from .rand_tt import derive_seed, gaussian_tt, uniform_chain, uniform_tt
-from .tt import relative_error, save_tt, tt_hadamard, tt_to_dense
+from .rand_tt import derive_seed, random_tt, uniform_chain
+from .tt import relative_error, tt_hadamard, tt_to_dense
 
 SCENARIOS = ("example1", "example2", "example3", "appendixF", "custom")
 
@@ -123,7 +123,6 @@ _READ_BY = {
     "ranks": ("example2", "appendixF", "custom"),
     "fourier_terms": ("example1",),
     "max_iter": ("example3",),
-    "fixtures": ("example1", "example2", "appendixF", "custom"),
 }
 
 
@@ -146,7 +145,6 @@ class Scenario:
     out: str = None
     strict: bool = False
     flop_report: bool = False
-    fixtures: str = None
 
     def __post_init__(self):
         if self.name not in SCENARIOS:
@@ -166,7 +164,8 @@ class Scenario:
             raise ValueError("at least one algorithm is required")
         for alg in self.algorithms:
             _runner(alg)
-        for field in ("d", "n", "ranks", "targets", "max_terms", "fourier_terms", "max_iter"):
+        for field in ("d", "n", "ranks", "targets", "max_terms", "fourier_terms", "max_iter",
+                      "dense_cap", "core_cap"):
             value = getattr(self, field)
             if value is not None and (np.size(value) == 0 or np.min(value) < 1):
                 raise ValueError(f"{field} must be >= 1, got {value!r}")
@@ -206,38 +205,37 @@ def _cell(config, algorithm, y, z, ell, seed, reference):
 
 
 # --- input pairs --------------------------------------------------------------
-# Each builder yields (fixture tag, seeds to run on the pair, y, z).
+# Each builder yields (seeds to run on the pair, y, z).
 
 
 def _example1_pairs(config):
     """The sampled trigonometric-series pair, drawn with the first seed."""
     shape = (config.n,) * config.d
-    yield ("example1", config.seeds,
-           *fourier_tt(shape, n_terms=config.fourier_terms, seed=config.seeds[0]))
+    yield (config.seeds, *fourier_tt(shape, n_terms=config.fourier_terms, seed=config.seeds[0]))
 
 
-def _random_pairs(config, draw):
-    """A pair of `draw` tensors per (rank, seed), run at that seed only."""
+def _random_pairs(config, kind):
+    """A pair of random `kind` TT tensors per (rank, seed), run at that seed only."""
     shape = (config.n,) * config.d
     for r in config.ranks:
         chain = uniform_chain(config.d, r)
         for seed in config.seeds:
-            yield (f"{config.name}_r{r}_seed{seed}", (seed,),
-                   *(draw(shape, chain, seed=derive_seed(seed, side, r)) for side in (1, 2)))
+            yield ((seed,), *(random_tt(shape, chain, kind, derive_seed(seed, side, r))
+                              for side in (1, 2)))
 
 
 def _hilbert_pairs(config):
     """The Hilbert-type tensor with itself, per rank."""
     for r in config.ranks:
         y = hilbert_tt(config.d, config.n, r)
-        yield f"{config.name}_r{r}", config.seeds, y, y
+        yield config.seeds, y, y
 
 
 _PAIRS = {
     "example1": _example1_pairs,
-    "example2": lambda config: _random_pairs(config, uniform_tt),
+    "example2": lambda config: _random_pairs(config, "uniform"),
     "appendixF": _hilbert_pairs,
-    "custom": lambda config: _random_pairs(config, gaussian_tt),
+    "custom": lambda config: _random_pairs(config, "gaussian"),
 }
 
 
@@ -258,18 +256,11 @@ def _reference(y, z):
 def _grid(config, pairs):
     """Run every target x algorithm x seed cell on each input pair.
 
-    Under ``config.fixtures`` the pair is saved to ``<tag>_y.tt`` and
-    ``<tag>_z.tt`` there, overwriting an earlier run's files of that tag
-    (``save_tt`` writes every value round-trip exact).  Each pair's
-    reference is computed once (:func:`_reference`); its rows' d, n, r, s
-    describe the pair as run.
+    Each pair's reference is computed once (:func:`_reference`); its rows'
+    d, n, r, s describe the pair as run.
     """
     rows = []
-    for tag, seeds, y, z in pairs:
-        if config.fixtures:
-            os.makedirs(config.fixtures, exist_ok=True)
-            for x, side in ((y, "y"), (z, "z")):
-                save_tt(x, os.path.join(config.fixtures, f"{tag}_{side}.tt"))
+    for seeds, y, z in pairs:
         reference = _reference(y, z)
         for ell in config.targets:
             for alg in config.algorithms:

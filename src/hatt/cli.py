@@ -63,8 +63,6 @@ def build_parser():
     add("--max-iter", type=int, help=_help("power-iteration cap", "max_iter"))
     add("--flop-report", action="store_true", help="print a measured-vs-predicted flop table")
     add("--strict", action="store_true", help="treat resource-capped cells as fatal (exit 1)")
-    add("--fixtures", help=_help("save each input pair in this directory (overwriting "
-                                 "the files of the same pair)", "fixtures"))
     return parser
 
 

@@ -13,12 +13,21 @@ from .limits import check_dense
 class DenseTensor:
     """Explicit d-way real array with 1-based element access.
 
-    Construction enforces the dense element-count cap and finiteness;
-    instances are immutable.
+    Construction copies `values` and enforces the dense element-count cap
+    and finiteness; instances are immutable.
     """
 
-    def __init__(self, values, copy=True):
-        values = np.array(values, dtype=float, copy=copy)
+    def __init__(self, values):
+        self._own(np.array(values, dtype=float))
+
+    @classmethod
+    def _adopt(cls, values):
+        """A tensor of a fresh float array the package computed: checked and frozen, not copied."""
+        tensor = cls.__new__(cls)
+        tensor._own(values)
+        return tensor
+
+    def _own(self, values):
         if values.ndim < 1:
             values = values.reshape(1)
         check_shape(values.shape)
@@ -47,7 +56,7 @@ def hadamard_dense(y, z):
     """Elementwise product of two equal-shape dense tensors."""
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
-    return DenseTensor(y.values * z.values, copy=False)
+    return DenseTensor._adopt(y.values * z.values)
 
 
 def brute_force_max(x):

@@ -22,8 +22,11 @@ KINDS = ("gaussian", "uniform")
 
 
 def check_rank_chain(ranks, d):
-    """Validate a rank chain (r_0, ..., r_d) with boundary entries 1."""
+    """Validate a rank chain (r_0, ..., r_d) of whole numbers, boundary entries 1."""
+    ranks = tuple(ranks)
     chain = tuple(int(r) for r in ranks)
+    if chain != ranks:
+        raise ValueError(f"ranks must be whole numbers, got {ranks}")
     if len(chain) != d + 1:
         raise ValueError(f"rank chain must have length {d + 1}, got {len(chain)}")
     if chain[0] != 1 or chain[-1] != 1:
@@ -68,10 +71,6 @@ def gaussian_tt(shape, ranks, seed=0):
     return random_tt(shape, ranks, "gaussian", seed)
 
 
-def uniform_tt(shape, ranks, seed=0):
-    return random_tt(shape, ranks, "uniform", seed)
-
-
 def uniform_chain(d, r):
     """Rank chain (1, r, ..., r, 1) of length d + 1."""
-    return (1,) + (int(r),) * (d - 1) + (1,)
+    return (1,) + (r,) * (d - 1) + (1,)

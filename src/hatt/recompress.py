@@ -263,7 +263,7 @@ def normalize_targets(targets, d):
     if np.isscalar(targets):
         chain = uniform_chain(d, targets)
     else:
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(targets)
         if len(targets) == d - 1:
             chain = (1,) + targets + (1,)
         else:

@@ -1,4 +1,4 @@
-"""Tensor trains: cores, contraction, arithmetic, and serialization.
+"""Tensor trains: cores, contraction and arithmetic.
 
 A TT tensor is a chain of order-3 cores ``G_k`` of extent
 ``r_{k-1} x n_k x r_k`` with boundary ranks ``r_0 = r_d = 1``; element
@@ -9,10 +9,10 @@ Core arrays are C-ordered, so the horizontal matricization ``H<G>`` of a
 core (mode-1 unfolding, size ``r_{k-1} x n_k r_k``) and the vertical
 matricization ``V<G>`` (size ``r_{k-1} n_k x r_k``) are plain reshapes.
 
-Non-finite values are rejected where data enters the package: ``TTCore``,
-``TTTensor`` built from raw arrays, and :func:`load_tt` copy and scan every
-core.  So does the public arithmetic that can overflow: :func:`tt_scale`
-scans its one scaled core, :func:`tt_add` the sum it forms for d = 1, and
+Non-finite values are rejected where data enters the package: ``TTCore``
+and ``TTTensor`` built from raw arrays copy and scan every core.  So does
+the public arithmetic that can overflow: :func:`tt_scale` scans its one
+scaled core, :func:`tt_add` the sum it forms for d = 1, and
 :func:`pkp_cores` its product (only when max|Y| max|Z| is not finite).
 Cores that the package builds from cores it has already validated (kernel
 outputs, sweep outputs, random draws, the block cores of :func:`tt_add`,
@@ -21,6 +21,7 @@ which skips the copy and the scan but keeps the core cap and the read-only
 flag; the sweeps check their one core that can overflow, the last.
 """
 
+import math
 from contextlib import nullcontext
 
 import numpy as np
@@ -110,7 +111,7 @@ class TTTensor:
 
     @property
     def size(self):
-        return int(np.prod(self.shape, dtype=np.int64))
+        return math.prod(self.shape)
 
     def __repr__(self):
         return f"TTTensor(shape={self.shape}, ranks={self.ranks})"
@@ -163,20 +164,6 @@ def pkp_cores(y, z):
     return TTCore._trusted(out.reshape(r1 * s1, n, r2 * s2))
 
 
-def partial_contracted_product(x, k, l):
-    """Contract cores k..l (1-based, inclusive) into one array.
-
-    The result has shape (r_{k-1}, n_k, ..., n_l, r_l).
-    """
-    if not 1 <= k <= l <= x.d:
-        raise IndexError(f"core range {k}..{l} out of range 1..{x.d}")
-    out = x.cores[k - 1].values
-    for j in range(k, l):
-        out = np.tensordot(out, x.cores[j].values, axes=1)
-        check_dense(out.size, "partial contracted product")
-    return out
-
-
 def tt_to_dense(x):
     """Materialize a TT tensor as a DenseTensor (dense cap enforced).
 
@@ -185,7 +172,7 @@ def tt_to_dense(x):
     whose largest intermediate is smallest, so no intermediate carries a
     large trailing (or leading) rank when a smaller split exists.
     """
-    return DenseTensor(_dense_values(x), copy=False)
+    return DenseTensor._adopt(_dense_values(x))
 
 
 def _dense_values(x):
@@ -193,10 +180,14 @@ def _dense_values(x):
     check_dense(x.size, "TT reconstruction")
     d, shape, ranks = x.d, x.shape, x.ranks
     # left[j]: size of cores 1..j contracted; right[j]: cores j+1..d
-    left = [int(np.prod(shape[:j], dtype=np.int64)) * ranks[j] for j in range(d + 1)]
-    right = [ranks[j] * int(np.prod(shape[j:], dtype=np.int64)) for j in range(d + 1)]
+    left = [math.prod(shape[:j]) * ranks[j] for j in range(d + 1)]
+    right = [ranks[j] * math.prod(shape[j:]) for j in range(d + 1)]
     p = min(range(1, d + 1), key=lambda j: max(left[1:j + 1] + right[j:]))
-    head = partial_contracted_product(x, 1, p).reshape(-1, ranks[p])
+    head = x.cores[0].values
+    for core in x.cores[1:p]:
+        head = np.tensordot(head, core.values, axes=1)
+        check_dense(head.size, "partial contracted product")
+    head = head.reshape(-1, ranks[p])
     tail = np.ones((1, 1))
     for core in reversed(x.cores[p:]):
         check_dense(core.left_rank * core.mode_size * tail.shape[1],
@@ -301,11 +292,10 @@ def relative_error(x_approx, x_ref):
     errors); a larger TT reference through the norm of the TT difference.
     """
     ref_dense = isinstance(x_ref, DenseTensor)
-    shape = x_ref.shape
-    if x_approx.shape != shape:
-        raise ValueError(f"shape mismatch {x_approx.shape} vs {shape}")
+    if x_approx.shape != x_ref.shape:
+        raise ValueError(f"shape mismatch {x_approx.shape} vs {x_ref.shape}")
     cap = dense_cap()
-    if ref_dense or cap is None or int(np.prod(shape, dtype=np.int64)) <= cap:
+    if ref_dense or cap is None or x_ref.size <= cap:
         ref = x_ref if ref_dense else tt_to_dense(x_ref)
         ref_norm = ref.norm()
         if ref_norm == 0.0:
@@ -329,68 +319,3 @@ def left_orthogonality_defect(x):
         defect = max(defect, float(np.max(np.abs(g - np.eye(g.shape[0])))))
     return defect
 
-
-# --- serialization ---------------------------------------------------------
-
-_TT_HEADER = "# hatt tt-tensor v1"
-
-
-def save_tt(x, path):
-    """Write a TT tensor to a simple self-describing text container.
-
-    Layout (documented in the file header): order d, mode sizes, rank chain,
-    then the cores in order k = 1..d, each as a flat C-ordered block (left
-    rank slowest, mode index middle, right rank fastest), one value per line.
-    """
-    with open(path, "w") as fh:
-        fh.write(_TT_HEADER + "\n")
-        fh.write("# d; mode sizes n_1..n_d; rank chain r_0..r_d; then cores k=1..d\n")
-        fh.write("# core values are C-ordered: left rank slowest, right rank fastest\n")
-        fh.write(f"d {x.d}\n")
-        fh.write("n " + " ".join(str(n) for n in x.shape) + "\n")
-        fh.write("r " + " ".join(str(r) for r in x.ranks) + "\n")
-        for k, core in enumerate(x.cores, start=1):
-            fh.write(f"core {k}\n")
-            for v in core.values.ravel():
-                fh.write(f"{v:.17g}\n")
-
-
-def load_tt(path):
-    """Read a TT tensor written by :func:`save_tt`."""
-    with open(path) as fh:
-        tokens = []
-        first = fh.readline()
-        if first.strip() != _TT_HEADER:
-            raise ValueError(f"{path} is not a hatt tt-tensor container")
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                tokens.extend(line.split())
-    it = iter(tokens)
-
-    def take():
-        try:
-            return next(it)
-        except StopIteration:
-            raise ValueError(f"malformed container: {path} ends early") from None
-
-    def expect(tag):
-        got = take()
-        if got != tag:
-            raise ValueError(f"malformed container: expected {tag!r}, got {got!r}")
-
-    expect("d")
-    d = int(take())
-    expect("n")
-    shape = [int(take()) for _ in range(d)]
-    expect("r")
-    ranks = [int(take()) for _ in range(d + 1)]
-    cores = []
-    for k in range(1, d + 1):
-        expect("core")
-        if int(take()) != k:
-            raise ValueError("malformed container: core blocks out of order")
-        count = ranks[k - 1] * shape[k - 1] * ranks[k]
-        vals = np.array([float(take()) for _ in range(count)])
-        cores.append(vals.reshape(ranks[k - 1], shape[k - 1], ranks[k]))
-    return TTTensor(cores)

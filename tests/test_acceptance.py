@@ -33,7 +33,6 @@ from hatt import (
     tt_rounding,
     tt_to_dense,
     uniform_chain,
-    uniform_tt,
 )
 from hatt.apps import (
     SeparableFunctionSpec,
@@ -186,7 +185,7 @@ def test_criterion_05_flop_model_and_ordering():
 ORDERING_SCRIPT = """
 import time
 import warnings
-from hatt import hatt, rand_orth, tt_hadamard, uniform_chain, uniform_tt
+from hatt import hatt, rand_orth, random_tt, tt_hadamard, uniform_chain
 
 def timed(fn):
     t0 = time.perf_counter()
@@ -195,8 +194,8 @@ def timed(fn):
 
 warnings.simplefilter("ignore")  # ell = 8 clamps at the n = 6 boundary bonds
 chain = uniform_chain(5, 40)
-y = uniform_tt((6,) * 5, chain, seed=11)
-z = uniform_tt((6,) * 5, chain, seed=12)
+y = random_tt((6,) * 5, chain, "uniform", 11)
+z = random_tt((6,) * 5, chain, "uniform", 12)
 hatt(y, z, 8, seed=13)  # warm-up
 print(min(timed(lambda: hatt(y, z, 8, seed=13)) for _ in range(3)),
       min(timed(lambda: rand_orth(tt_hadamard(y, z), 8, seed=13)) for _ in range(3)))
@@ -224,8 +223,8 @@ def _ordering_times():
 def test_criterion_06_memory_avoidance():
     shape = (6,) * 5
     chain = uniform_chain(5, 40)
-    y = uniform_tt(shape, chain, seed=21)
-    z = uniform_tt(shape, chain, seed=22)
+    y = random_tt(shape, chain, "uniform", 21)
+    z = random_tt(shape, chain, "uniform", 22)
     cap = 1600 * 6 * 1600 - 1  # below any materialized product core
     with core_limit(cap):
         with pytest.raises(ResourceLimitError):

@@ -195,21 +195,3 @@ def test_rel_error_is_empty_past_the_dense_and_core_caps(core_cap):
                       dense_cap=100, core_cap=core_cap)
     (row,) = run_scenario(config)
     assert row.output_ranks is not None and row.rel_error is None
-
-
-def test_example1_fixture_files(tmp_path):
-    """--fixtures only saves: a second run rewrites identical files and
-    repeats every row."""
-    config = small_example1(fixtures=str(tmp_path))
-    rows_a = run_scenario(config)
-    paths = [tmp_path / f"example1_{side}.tt" for side in "yz"]
-    saved = [p.read_bytes() for p in paths]
-    for p in paths:
-        p.write_text("not a tt file")
-    rows_b = run_scenario(config)
-    assert [p.read_bytes() for p in paths] == saved
-
-    def key(rows):
-        return [(r.algorithm, r.ell, r.seed, r.rel_error) for r in rows]
-
-    assert key(rows_a) == key(rows_b)

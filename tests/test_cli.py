@@ -117,6 +117,8 @@ def test_main_flop_report(capsys):
     ["--scenario", "example3", "--max-iter", "0"],
     ["--scenario", "example3", "--n", "1"],
     ["--scenario", "example1", "--fourier-terms", "0"],
+    ["--scenario", "custom", "--dense-cap", "-5"],
+    ["--scenario", "custom", "--core-cap", "0"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_bad_grid_values_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -130,7 +132,6 @@ def test_bad_grid_values_are_usage_errors(argv, capsys):
     ["--scenario", "example3", "--ranks", "3"],
     ["--scenario", "custom", "--max-iter", "5"],
     ["--scenario", "example2", "--fourier-terms", "4"],
-    ["--scenario", "example3", "--fixtures", "unused"],
 ], ids=lambda argv: " ".join(argv[1:]))
 def test_options_a_scenario_does_not_read_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as err:
@@ -140,22 +141,22 @@ def test_options_a_scenario_does_not_read_are_usage_errors(argv, capsys):
 
 
 # Per scenario: options, then the (algorithm, r, ell) cells that must
-# complete, those that must be capped, and the number of saved input pairs.
+# complete and those that must be capped.
 OPTION_CASES = {
     "example1": ("--d 3 --n 4 --targets 2,3 --fourier-terms 2 --algorithms hatt-2",
-                 {("hatt-2", 4, 2), ("hatt-2", 4, 3)}, set(), 1),
+                 {("hatt-2", 4, 2), ("hatt-2", 4, 3)}, set()),
     "example2": ("--d 3 --n 4 --ranks 2 --targets 2,3 --algorithms hatt-2",
-                 {("hatt-2", 2, 2), ("hatt-2", 2, 3)}, set(), 1),
+                 {("hatt-2", 2, 2), ("hatt-2", 2, 3)}, set()),
     "example3": ("--d 3 --n 5 --targets 2,3 --algorithms tt-rounding,hatt-2 --max-iter 5"
                  " --core-cap 150",
                  {("hatt-2", 3, 2), ("hatt-2", 3, 3)},
-                 {("tt-rounding", 3, 2), ("tt-rounding", 3, 3)}, 0),
+                 {("tt-rounding", 3, 2), ("tt-rounding", 3, 3)}),
     "appendixF": ("--d 3 --n 4 --ranks 2,3 --targets 2 --algorithms hatt-2",
-                  {("hatt-2", 2, 2), ("hatt-2", 3, 2)}, set(), 2),
+                  {("hatt-2", 2, 2), ("hatt-2", 3, 2)}, set()),
     "custom": ("--d 4 --n 5 --ranks 2,12 --targets 3 --core-cap 4000",
                {(alg, 2, 3) for alg in ("tt-rounding", "rand-orth", "hatt-1", "hatt-2")}
                | {("hatt-1", 12, 3), ("hatt-2", 12, 3)},
-               {("tt-rounding", 12, 3), ("rand-orth", 12, 3)}, 2),
+               {("tt-rounding", 12, 3), ("rand-orth", 12, 3)}),
 }
 
 
@@ -163,27 +164,21 @@ OPTION_CASES = {
 def test_every_accepted_option_acts(scenario, tmp_path):
     """Each option a scenario accepts shapes its rows: every target, rank
     and algorithm runs, the core cap marks the materializing baselines (in
-    the power iteration too), and --fixtures saves one .tt pair per input
-    pair."""
-    options, completed, capped, pairs = OPTION_CASES[scenario]
+    the power iteration too), and a second run repeats every row."""
+    options, completed, capped = OPTION_CASES[scenario]
     argv = ["--scenario", scenario, "--seeds", "0", "--out", str(tmp_path / "rows.csv")]
     argv += options.split()
-    if pairs:
-        argv += ["--fixtures", str(tmp_path / "fx")]
     code = main(argv)
     assert code == (3 if capped else 0)
     rows = read_rows(tmp_path / "rows.csv")
     cells = {(r["algorithm"], int(r["r"]), int(r["ell"])): r["output_ranks"] for r in rows}
     assert {c for c, ranks in cells.items() if ranks != "capped"} == completed
     assert {c for c, ranks in cells.items() if ranks == "capped"} == capped
-    assert len(list(tmp_path.glob("fx/*_y.tt"))) == pairs
-    assert len(list(tmp_path.glob("fx/*_z.tt"))) == pairs
-    if pairs:  # a second run rewrites the saved pairs and repeats every row
-        assert main(argv) == code
-        again = read_rows(tmp_path / "rows.csv")
-        for row in rows + again:
-            del row["wall_time_s"]
-        assert again == rows
+    assert main(argv) == code
+    again = read_rows(tmp_path / "rows.csv")
+    for row in rows + again:
+        del row["wall_time_s"]
+    assert again == rows
 
 
 def test_readme_option_table_matches_the_scenarios():
@@ -194,7 +189,7 @@ def test_readme_option_table_matches_the_scenarios():
             for line in readme.splitlines() if line.startswith(("| option |", "| `--"))]
     header, *options = rows
     assert tuple(header[1:]) == SCENARIOS
-    assert len(options) == 12
+    assert len(options) == 11
     for option, *cells in options:
         field = option.strip("`").split()[0].removeprefix("--").replace("-", "_")
         readers = _READ_BY.get(field, SCENARIOS)

@@ -46,6 +46,17 @@ def test_dense_cap_ignores_the_environment():
 def test_non_finite_rejected():
     with pytest.raises(ValueError):
         DenseTensor(np.array([1.0, np.nan]))
+    big = DenseTensor(np.array([1e200, 1.0]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+        hadamard_dense(big, big)
+
+
+def test_construction_copies_the_callers_array():
+    values = np.array([1.0, 2.0])
+    x = DenseTensor(values)
+    values[0] = 5.0  # still the caller's own, writable array
+    assert x.values[0] == 1.0 and not x.values.flags.writeable
+    assert DenseTensor(np.arange(3)).values.tolist() == [0.0, 1.0, 2.0]
 
 
 def test_brute_force_max_ones():

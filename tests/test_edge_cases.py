@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 
 from hatt import (
+    ResourceLimitError,
     TTTensor,
     econ_qr,
+    fourier_tt,
     gaussian_tt,
     hadamard_dense,
     hatt,
     rand_orth,
     relative_error,
     tt_hadamard,
+    tt_ones,
     tt_rounding,
     tt_to_dense,
 )
@@ -93,3 +96,13 @@ def test_non_uniform_mode_sizes(rng):
         via_hatt = hatt(y, z, sketch_tt=sketch)
         via_base = rand_orth(tt_hadamard(y, z), sketch_tt=sketch)
         assert relative_error(via_hatt, via_base) <= 1e-11
+
+
+def test_element_counts_past_int64():
+    """10**19 elements overflow int64: the count is exact, the error takes
+    the TT path, and the sampled series is refused by the dense cap."""
+    x = tt_ones((10,) * 19)
+    assert x.size == 10**19
+    assert relative_error(x, x) <= 1e-12
+    with pytest.raises(ResourceLimitError, match="sampled series"):
+        fourier_tt((10,) * 19)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hatt import gaussian_tt, random_tt, uniform_tt
+from hatt import gaussian_tt, random_tt
 
 
 def test_same_seed_bit_identical():
@@ -29,6 +29,9 @@ def test_invalid_chain_rejected():
         random_tt((3, 3), (2, 2, 1), "gaussian", 0)
     with pytest.raises(ValueError):
         random_tt((3, 3), (1, 2, 1), "poisson", 0)
+    with pytest.raises(ValueError, match="whole numbers"):
+        random_tt((3, 3), (1, 2.5, 1), "gaussian", 0)
+    assert random_tt((3, 3), (1, np.int64(2), 1), "gaussian", 0).ranks == (1, 2, 1)
 
 
 def test_gaussian_variance_band():
@@ -47,7 +50,7 @@ def test_gaussian_variance_band():
 
 
 def test_uniform_range_and_mean():
-    tt = uniform_tt((5, 5, 5), (1, 6, 6, 1), seed=3)
+    tt = random_tt((5, 5, 5), (1, 6, 6, 1), "uniform", 3)
     pooled = np.concatenate([c.values.ravel() for c in tt.cores])
     assert np.all((pooled >= 0.0) & (pooled <= 1.0))
     sigma = 1.0 / np.sqrt(12.0)

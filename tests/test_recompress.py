@@ -17,6 +17,7 @@ from hatt import (
     partial_contraction_rl,
     power_iteration_max,
     rand_orth,
+    random_tt,
     rank1_decompose,
     recompress_hadamard,
     relative_error,
@@ -28,7 +29,6 @@ from hatt import (
     tt_scale,
     tt_svd,
     tt_to_dense,
-    uniform_tt,
 )
 from hatt.recompress import normalize_targets
 from hatt.tt import TTCore, TTTensor, h_unfold
@@ -63,10 +63,8 @@ def test_partial_contraction_matches_definition(rng):
     a = gaussian_tt((3, 4, 5), (1, 3, 2, 1), seed=1)
     r = gaussian_tt((3, 4, 5), (1, 2, 3, 1), seed=2)
     w = partial_contraction_rl(a, r)
-    from hatt import partial_contracted_product
-
-    tail_a = partial_contracted_product(a, 2, 3).reshape(3, -1)
-    tail_r = partial_contracted_product(r, 2, 3).reshape(2, -1)
+    tail_a = np.tensordot(a.cores[1].values, a.cores[2].values, axes=1).reshape(3, -1)
+    tail_r = np.tensordot(r.cores[1].values, r.cores[2].values, axes=1).reshape(2, -1)
     direct = tail_a @ tail_r.T
     assert np.linalg.norm(w[0] - direct) / np.linalg.norm(direct) <= 1e-12
 
@@ -484,7 +482,7 @@ def test_library_built_cores_are_read_only():
     for x in (hatt(y, z, 3, seed=4), hatt(y, z, 3, max_terms=2, seed=4),
               rand_orth(product, 3, seed=4), tt_rounding(product, 3), product,
               gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=5),
-              uniform_tt((4,) * 4, (1, 3, 3, 3, 1), seed=5), tt_add(y, y),
+              random_tt((4,) * 4, (1, 3, 3, 3, 1), "uniform", 5), tt_add(y, y),
               tt_scale(y, -2.5)):
         cores.extend(x.cores)
     for core in cores:
@@ -497,8 +495,12 @@ def test_normalize_targets_forms():
     assert normalize_targets(3, 4) == (1, 3, 3, 3, 1)
     assert normalize_targets((2, 3, 2), 4) == (1, 2, 3, 2, 1)
     assert normalize_targets((1, 2, 3, 2, 1), 4) == (1, 2, 3, 2, 1)
+    assert normalize_targets(np.int64(3), 4) == (1, 3, 3, 3, 1)
     with pytest.raises(ValueError):
         normalize_targets((2, 2), 4)
+    for fractional in (2.9, (2, 2.5, 2)):
+        with pytest.raises(ValueError, match="whole numbers"):
+            normalize_targets(fractional, 4)
 
 
 def test_report_fields(rng):

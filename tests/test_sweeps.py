@@ -6,8 +6,6 @@ the clamp's TargetRankWarning is expected here and ignored.
 """
 
 import math
-import os
-import tempfile
 
 import numpy as np
 import pytest
@@ -21,10 +19,8 @@ from hatt import (
     hadamard_dense,
     hatt,
     left_orthogonality_defect,
-    load_tt,
     rand_orth,
     recompress_hadamard,
-    save_tt,
     tt_hadamard,
     tt_rounding,
     tt_svd,
@@ -134,15 +130,3 @@ def test_full_targets_recover_the_product_left_orthogonally(tts, seed):
         out, _ = recompress_hadamard(name, y, z, full, seed=seed)
         assert rel_gap(tt_to_dense(out).values, dense) <= 1e-10, name
         assert left_orthogonality_defect(out) <= 1e-10, name
-
-
-@SETTINGS
-@given(trains(1))
-def test_save_load_roundtrip_is_bit_exact(tts):
-    (x,) = tts
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "x.tt")
-        save_tt(x, path)
-        back = load_tt(path)
-    assert back.ranks == x.ranks
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(back.cores, x.cores))

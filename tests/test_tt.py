@@ -17,11 +17,8 @@ from hatt import (
     h_unfold,
     hadamard_dense,
     hatt,
-    load_tt,
-    partial_contracted_product,
     pkp_cores,
     relative_error,
-    save_tt,
     tt_add,
     tt_dot,
     tt_hadamard,
@@ -156,12 +153,6 @@ def test_tt_to_dense_ones():
 def test_tt_to_dense_matches_slice_product(rng):
     tt = gaussian_tt((3, 2, 4), (1, 2, 3, 1), seed=5)
     assert np.allclose(tt_to_dense(tt).values, dense_from_slices(tt), atol=1e-13)
-
-
-def test_partial_contracted_product_shape():
-    tt = gaussian_tt((2, 3, 4, 2), (1, 2, 3, 2, 1), seed=1)
-    out = partial_contracted_product(tt, 2, 3)
-    assert out.shape == (2, 3, 4, 2)
 
 
 def test_tt_svd_roundtrip(rng):
@@ -315,23 +306,6 @@ def test_relative_error_zero_reference():
         relative_error(y, zero)
 
 
-def test_serialization_roundtrip(tmp_path, rng):
-    tt = gaussian_tt((3, 4, 2), (1, 3, 2, 1), seed=14)
-    path = tmp_path / "tensor.tt"
-    save_tt(tt, path)
-    back = load_tt(path)
-    assert back.shape == tt.shape and back.ranks == tt.ranks
-    for a, b in zip(tt.cores, back.cores):
-        assert np.array_equal(a.values, b.values)
-
-
-def test_serialization_rejects_other_files(tmp_path):
-    path = tmp_path / "other.txt"
-    path.write_text("not a container\n")
-    with pytest.raises(ValueError):
-        load_tt(path)
-
-
 def test_dense_cap_on_reconstruction():
     from hatt import ResourceLimitError, dense_limit
 
@@ -360,16 +334,6 @@ def test_tt_to_dense_ragged_ranks_match_slices(rng):
         assert np.allclose(tt_to_dense(tt).values, dense_from_slices(tt), atol=1e-13)
 
 
-def test_load_truncated_container(tmp_path):
-    tt = gaussian_tt((3, 3, 3, 3), (1, 2, 2, 2, 1), seed=15)
-    path = tmp_path / "tensor.tt"
-    save_tt(tt, path)
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:40]))
-    with pytest.raises(ValueError, match="malformed container"):
-        load_tt(path)
-
-
 # --- the finiteness invariant ---------------------------------------------------
 
 NON_FINITE = pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -389,15 +353,3 @@ def test_tensor_from_raw_arrays_rejects_non_finite(bad):
     last[1, 2, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
         TTTensor([np.ones((1, 3, 2)), last])
-
-
-@NON_FINITE
-def test_load_rejects_non_finite(tmp_path, bad):
-    tt = gaussian_tt((3, 3), (1, 2, 1), seed=16)
-    path = tmp_path / "tensor.tt"
-    save_tt(tt, path)
-    lines = path.read_text().splitlines(keepends=True)
-    lines[-1] = f"{bad}\n"  # the last entry of the last core
-    path.write_text("".join(lines))
-    with pytest.raises(ValueError, match="non-finite"):
-        load_tt(path)
