@@ -15,7 +15,7 @@ iteration (per step) and ``hatt-bench`` (per input tensor) use.
 
 import numpy as np
 
-from .indexing import check_shape
+from .indexing import check_shape, whole_numbers
 from .tt import TTCore, TTTensor
 
 KINDS = ("gaussian", "uniform")
@@ -23,10 +23,7 @@ KINDS = ("gaussian", "uniform")
 
 def check_rank_chain(ranks, d):
     """Validate a rank chain (r_0, ..., r_d) of whole numbers, boundary entries 1."""
-    ranks = tuple(ranks)
-    chain = tuple(int(r) for r in ranks)
-    if chain != ranks:
-        raise ValueError(f"ranks must be whole numbers, got {ranks}")
+    chain = whole_numbers(ranks, "ranks")
     if len(chain) != d + 1:
         raise ValueError(f"rank chain must have length {d + 1}, got {len(chain)}")
     if chain[0] != 1 or chain[-1] != 1:

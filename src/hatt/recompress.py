@@ -401,37 +401,105 @@ def _sweep_result(cores):
     return TTTensor([TTCore._trusted(c) for c in cores])
 
 
-def _orthogonalize_sweep(first_core, sketches, next_core_fn, ledger):
+# Bytes of one slab of a randomized sweep's core update: a core update of
+# rows x n x cols elements is pulled `_sweep_slab_size` mode slices at a time
+# (at least _MIN_SLAB).  At 512 KiB, hadamard-large's core updates
+# (10 x 32 x 400 elements) split into 2 slabs of 16 slices, and the
+# tracemalloc peak of hatt-2 there falls from 1.38 to 0.94 MiB; in one
+# interleaved run of 300 calls each, 2 slabs took 0.97x the time of one
+# and 4 slabs of 8 slices (0.83 MiB) 1.08x.  The Hilbert (at most 25,600
+# elements) and power-iteration (at most 1,280) core updates fit one slab.
+# The floor matters at r = s = 60: one-slice slabs (32 per core) took 1.22x
+# the unslabbed time and 4-slice slabs 1.02x (20 calls each), at the same
+# 5.76 MiB peak, which hpcrl sets there.
+_SWEEP_SLAB_BYTES = 1 << 19
+# Rows of a sweep slab from which its sketched block C_b W is formed on a
+# C-ordered copy of W.  Each block is one GEMM against the C-ordered side of
+# W: C_b W when W is C-ordered (rand_orth's sketches), (W^T C_b^T)^T on
+# hpcrl's, which are transposed views.  With one OpenBLAS thread and W of
+# 400 x 10, those two run alike up to 120 rows of C_b, but at 160 rows the
+# second takes 78 us where a C-ordered copy of W and C_b W take 37; below
+# 128 rows the copy costs more than it saves (18 against 11 us at 40 rows),
+# and more so for larger W (at 3,600 x 10 it is 50 us).  On a C-ordered W,
+# (W^T C_b^T)^T takes 31-40 us at 64-80 rows where C_b W takes 20-22.
+_TALL_SLAB_ROWS = 128
+
+
+def _sweep_slab_size(slice_elements, n):
+    """Mode slices per slab of a sweep's core update whose mode slices hold
+    `slice_elements` elements each: as many as fit in _SWEEP_SLAB_BYTES, at
+    least _MIN_SLAB, at most all n."""
+    return min(n, max(_MIN_SLAB, _SWEEP_SLAB_BYTES // (8 * slice_elements)))
+
+
+def _orthogonalize_sweep(shape, sketches, next_core_fn, ledger):
     """Shared left-to-right randomized sweep of :func:`rand_orth` and
-    :func:`hatt`.
+    :func:`hatt` over a tensor of mode sizes `shape`.
 
     `sketches[k - 1]` is the sketch matrix W^(k) of bond k, and the sweep
-    takes one step per sketch.  It consumes the list: it sets W^(k) to None
-    once step k has used it, and it keeps no reference to `first_core` past
-    step 1, so a caller that passes the first core without keeping its own
-    lets the sweep hold one core at a time.  `next_core_fn(k, m)` must
-    return the (k+1)-th core contracted against m (an array of shape
-    (rows(m), n_{k+1}, tail ranks)).  Returns the output cores; every core
-    except the last has orthonormal vertical matricization.
+    takes one step per sketch; it sets W^(k) to None once step k has used
+    it.  `next_core_fn(k, m, blk)` must return the mode slices `blk` (a
+    slice) of core k + 1 contracted against m, an array of shape (rows(m),
+    slices, right rank); m is None for core 1, whose slices come as they
+    are.
+
+    Step k holds its core update C (the contracted core k, as a
+    (rows n_k) x r_k matrix) one slab of mode slices at a time (see
+    :func:`_sweep_slab_size`).  It folds each slab's sketch
+    S_b = C_b W^(k) into a running QR with a flat-tree TSQR combine (Demmel,
+    Grigori, Hoemmen and Langou, SISC 2012): the Householder QR of [R; S_b]
+    updates R, multiplies the rows of Q so far by its top block and appends
+    its bottom block as slab b's rows, and H = Q^T C becomes
+    top^T H + bottom^T C_b.  No Gram matrix and no triangular solve are
+    formed.  After the last slab the output core is Q and the next step
+    contracts against m = H.  If S has full column rank, Q is the Q of
+    S's QR up to rounding (R with a nonnegative diagonal is unique); a core
+    update that fits in one slab takes one QR and one product, as an
+    unslabbed sweep does.  Returns the output tensor; every core except the
+    last has orthonormal vertical matricization.
     """
     cores = []
-    cur = first_core
-    del first_core
-    for k in range(1, len(sketches) + 1):
-        r1, n, r2 = cur.shape
-        cur_mat = cur.reshape(r1 * n, r2)
-        # (W^T cur^T)^T: the orientation OpenBLAS runs faster for this
-        # skinny product; same ledger charge as cur @ W
-        sketched = matmul(sketches[k - 1].T, cur_mat.T, ledger).T
+    m = None
+    for k, n in enumerate(shape[:-1], start=1):
+        w = sketches[k - 1]
         sketches[k - 1] = None
-        q = econ_qr(sketched, ledger=ledger).q
-        cores.append(q.reshape(r1, n, q.shape[1]))
-        m = matmul(q.T, cur_mat, ledger)
-        # drop the current core first, so it never coexists with the next
-        del cur, cur_mat, sketched
-        cur = next_core_fn(k, m)
-    cores.append(cur)
+        rows, cols = 1 if m is None else m.shape[0], w.shape[0]
+        step = _sweep_slab_size(rows * cols, n)
+        if rows * step >= _TALL_SLAB_ROWS:
+            w = np.ascontiguousarray(w)
+        # one GEMM per slab on the C-ordered side of W (see _TALL_SLAB_ROWS)
+        plain = w.flags.c_contiguous
+        for i0 in range(0, n, step):
+            c = next_core_fn(k - 1, m, slice(i0, min(i0 + step, n))).reshape(-1, cols)
+            s = matmul(c, w, ledger) if plain else matmul(w.T, c.T, ledger).T
+            if i0 == 0:
+                res = econ_qr(s, ledger=ledger)
+                q, h = res.q, matmul(res.q.T, c, ledger)
+            else:
+                t = r.shape[0]
+                res = econ_qr(np.vstack((r, s)), ledger=ledger)
+                top, bottom = res.q[:t], res.q[t:]
+                q = np.vstack((matmul(q, top, ledger), bottom))
+                h = matmul(top.T, h, ledger) + matmul(bottom.T, c, ledger)
+            r = res.r
+            # one slab of the core update at a time
+            del c, s, res
+        cores.append(q.reshape(rows, n, -1) if step >= n else _slab_major_to_core(q, rows, step))
+        m = h
+        del w, r  # before the next core update is pulled
+    cores.append(next_core_fn(len(shape) - 1, m, slice(0, shape[-1])))
     return _sweep_result(cores)
+
+
+def _slab_major_to_core(q, rows, step):
+    """The output core (rows x n x width) of a sweep step from its Q, whose
+    rows hold each slab of `step` mode slices together, slab by slab."""
+    n = q.shape[0] // rows
+    core = np.empty((rows, n, q.shape[1]))
+    for i0 in range(0, n, step):
+        nb = min(step, n - i0)
+        core[:, i0:i0 + nb] = q[rows * i0:rows * (i0 + nb)].reshape(rows, nb, -1)
+    return core
 
 
 def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
@@ -439,20 +507,25 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
 
     Sketches come from :func:`partial_contraction_rl` against a gaussian TT
     tensor with the target ranks (drawn from `seed`, or supplied explicitly
-    via `sketch_tt`).  If a sketched matrix is rank deficient the QR keeps
-    its full width.  Target ranks, or `sketch_tt` ranks, above the ranks of
-    `a` or above feasible values are clamped with a
-    :class:`TargetRankWarning`.
+    via `sketch_tt`).  The sweep (:func:`_orthogonalize_sweep`) pulls each
+    core update slab by slab, as m times a block of columns of the next
+    core's horizontal matricization (a view, not a copy).  If a sketched
+    matrix is rank deficient the QR keeps its full width.  Target ranks, or
+    `sketch_tt` ranks, above the ranks of `a` or above feasible values are
+    clamped with a :class:`TargetRankWarning`.
     """
     sketch = _sketch(a.shape, a.ranks, targets, seed, sketch_tt)
     sketches = partial_contraction_rl(a, sketch, ledger)
 
-    def next_core(k, m):
+    def next_core(k, m, blk):
         nxt = a.cores[k]
-        out = matmul(m, h_unfold(nxt), ledger)
-        return out.reshape(m.shape[0], nxt.mode_size, nxt.right_rank)
+        if m is None:
+            return nxt.values[:, blk]
+        r2 = nxt.right_rank
+        cols = h_unfold(nxt)[:, blk.start * r2:blk.stop * r2]
+        return matmul(m, cols, ledger).reshape(m.shape[0], -1, r2)
 
-    return _orthogonalize_sweep(a.cores[0].values, sketches, next_core, ledger)
+    return _orthogonalize_sweep(a.shape, sketches, next_core, ledger)
 
 
 def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=None):
@@ -461,12 +534,15 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
     With `max_terms` None (HaTT-2), identical in exact arithmetic to
     :func:`rand_orth` applied to the materialized product with the same
     sketch tensor; an integer (HaTT-1) caps each sketch at that many SVD
-    terms (see :func:`hpcrl`).  The sketches come from :func:`hpcrl` and
-    the core updates from :func:`contract_m_onto_pkp`, so the only product
-    cores ever formed are the boundary ones (1 x n_1 x r_1 s_1 and
-    r_{d-1} s_{d-1} x n_d x 1).  Target ranks, or `sketch_tt` ranks, above
-    the product rank r_k s_k or above feasible values are clamped with a
-    :class:`TargetRankWarning`.
+    terms (see :func:`hpcrl`).  The sketches come from :func:`hpcrl`, and
+    the sweep (:func:`_orthogonalize_sweep`) pulls each core update from
+    :func:`contract_m_onto_pkp` one slab of mode slices of the factor cores
+    at a time.  The only product cores ever formed are the boundary ones:
+    the first (1 x n_1 x r_1 s_1) as the first core update, the last
+    (r_{d-1} s_{d-1} x n_d x 1) in :func:`hpcrl`.  No core update that
+    spans more than one slab is held whole.  Target ranks, or `sketch_tt`
+    ranks, above the product rank r_k s_k or above feasible values are
+    clamped with a :class:`TargetRankWarning`.
     """
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
@@ -475,12 +551,15 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
     sketches = hpcrl(y, z, sketch, max_terms, ledger)
     del sketch
 
-    def next_core(k, m):
-        return contract_m_onto_pkp(m, y.cores[k], z.cores[k], ledger).values
+    def next_core(k, m, blk):
+        yc, zc = y.cores[k], z.cores[k]
+        if blk.stop - blk.start < yc.values.shape[1]:  # views of the slab's slices
+            yc, zc = TTCore._trusted(yc.values[:, blk]), TTCore._trusted(zc.values[:, blk])
+        if m is None:  # the first product core: pkp_cores names an overflow
+            return pkp_cores(yc, zc).values
+        return contract_m_onto_pkp(m, yc, zc, ledger).values
 
-    # the first product core goes in unnamed: the sweep drops it after step 1
-    return _orthogonalize_sweep(pkp_cores(y.cores[0], z.cores[0]).values, sketches,
-                                next_core, ledger)
+    return _orthogonalize_sweep(y.shape, sketches, next_core, ledger)
 
 
 # --- the algorithm table -----------------------------------------------------
@@ -551,6 +630,10 @@ def flop_model(algorithm, d, n, r, s, ell, max_terms=None):
     it is not, :func:`tt_rounding` first trims the bond, and the formula is
     an upper bound: on hilbert_tt(5, 8, 20) squared (ranks 400 where 8, 64,
     64, 8 fit) the ledger is 0.033 of the model at ell = 4 and 8.
+
+    The randomized algorithms add, per interior core, the GEMMs of the
+    sweep's TSQR combine (see :func:`_combine_flops`).  QRs, whole or per
+    slab, are charged to the ledger's qr counter and are not modelled.
     """
     _runner(algorithm)
     if min(d, n, r, s, ell) < 1:
@@ -567,7 +650,19 @@ def flop_model(algorithm, d, n, r, s, ell, max_terms=None):
             n * r * s * (r_hat * (4 * r + 4 * s + 4 * ell) + 2 * ell**2)
             + SVD_COST_FACTOR * r * s * ell**2
         )
+    if algorithm != "tt-rounding":
+        val += (d - 2) * _combine_flops(n, r * s, ell)
     return int(round(val))
+
+
+def _combine_flops(n, cols, ell):
+    """Leading-order GEMM flops that the TSQR combine of
+    :func:`_orthogonalize_sweep` adds to one core update of ell x n x cols
+    elements.  Each slab after the first multiplies H (ell x cols) and the
+    rows of Q so far (on average ell n / 2 of them) by an ell x ell block;
+    a core update in one slab adds nothing."""
+    slabs = -(-n // _sweep_slab_size(ell * cols, n))
+    return (slabs - 1) * ell**2 * (2 * cols + ell * n)
 
 
 # --- reporting ---------------------------------------------------------------

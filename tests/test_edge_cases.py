@@ -10,6 +10,7 @@ from hatt import (
     hadamard_dense,
     hatt,
     rand_orth,
+    random_tt,
     relative_error,
     tt_hadamard,
     tt_ones,
@@ -106,3 +107,13 @@ def test_element_counts_past_int64():
     assert relative_error(x, x) <= 1e-12
     with pytest.raises(ResourceLimitError, match="sampled series"):
         fourier_tt((10,) * 19)
+
+
+@pytest.mark.parametrize("shape", ((2.5, 3), (3, float("inf")), (float("nan"), 3), ("3", 3)))
+def test_mode_sizes_must_be_whole_numbers(shape):
+    # int() would truncate 2.5 to 2 and overflow on inf
+    with pytest.raises(ValueError, match="whole numbers"):
+        tt_ones(shape)
+    with pytest.raises(ValueError, match="whole numbers"):
+        random_tt(shape, (1, 2, 1), "gaussian", 0)
+    assert tt_ones((3.0, np.int64(2))).shape == (3, 2)

@@ -251,3 +251,32 @@ def test_hatt_peak_holds_one_core_update(max_terms, d, n, r, ell):
                 + ell * r * recompress._slab_size(ell, core, core) * r  # one slab
                 + 2 * ell * n * ell)  # the QR's input and working copy
     assert peak <= elements * np.dtype(float).itemsize + 16 * 1024
+
+
+@pytest.mark.parametrize("max_terms", (None, 10), ids=("direct", "svd"))
+def test_hatt_peak_holds_one_slab_of_a_core_update(max_terms):
+    """At n = 32, r = s = 20 and ell = 10 a core update (ell x n x r s, 1 MB)
+    spans two slabs of the sweep.  Besides its output, hatt then holds the
+    sketch matrices W^(k), one slab of the core update, one slab's
+    intermediate of the kernel, and the sweep's QR of one sketched slab
+    (its input and LAPACK's working copy); 16 KiB of slack covers the small
+    matrices.  A whole core update does not fit in that bound."""
+    d, n, r, ell = 6, 32, 20, 10
+    y, z = (gaussian_tt((n,) * d, (1,) + (r,) * (d - 1) + (1,), seed=s) for s in (1, 2))
+    tracemalloc.start()
+    try:
+        out = hatt(y, z, ell, max_terms, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    step = recompress._sweep_slab_size(ell * r * r, n)
+    assert 2 * step <= n
+    core = np.zeros((r, n, r))
+    elements = (sum(c.values.size for c in out.cores)
+                + (d - 1) * r * r * ell  # the sketch matrices
+                + ell * step * r * r  # one slab of a core update
+                + ell * r * recompress._slab_size(ell, core, core) * r  # one kernel slab
+                + 2 * ell * step * ell)  # the slab QR's input and working copy
+    bound = elements * np.dtype(float).itemsize + 16 * 1024
+    assert peak <= bound
+    assert ell * n * r * r * np.dtype(float).itemsize > bound

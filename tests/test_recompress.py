@@ -30,6 +30,7 @@ from hatt import (
     tt_svd,
     tt_to_dense,
 )
+from hatt import recompress
 from hatt.recompress import normalize_targets
 from hatt.tt import TTCore, TTTensor, h_unfold
 from hatt.apps import hilbert_tt
@@ -379,6 +380,26 @@ def test_flop_measurements_match_model():
                 model = flop_model(name, 7, 10, r, r, ell)
                 ratio = rep.flops_measured.matmul_flops / model
                 assert 0.65 <= ratio <= 1.35, (name, r, ell, ratio)
+
+
+def test_flop_model_counts_the_tsqr_combine(monkeypatch):
+    # with one mode slice per sweep slab, each core update of this cell
+    # spans 12 slabs; without the combine GEMMs the model would miss about
+    # a third of hatt's matmul flops
+    monkeypatch.setattr(recompress, "_SWEEP_SLAB_BYTES", 0)
+    monkeypatch.setattr(recompress, "_MIN_SLAB", 1)
+    d, n, r, ell = 5, 12, 4, 6
+    assert recompress._sweep_slab_size(ell * r * r, n) == 1
+    combine = (d - 2) * recompress._combine_flops(n, r * r, ell)
+    y = gaussian_tt((n,) * d, (1,) + (r,) * (d - 1) + (1,), seed=1)
+    z = gaussian_tt((n,) * d, (1,) + (r,) * (d - 1) + (1,), seed=2)
+    for name in ("hatt-2", "hatt-1", "rand-orth"):
+        _, rep = recompress_hadamard(name, y, z, ell, seed=3, max_terms=3)
+        assert rep.flops_predicted == flop_model(name, d, n, r, r, ell, max_terms=3)
+        ratio = rep.flops_measured.matmul_flops / rep.flops_predicted
+        assert 0.65 <= ratio <= 1.35, (name, ratio)
+        if name != "rand-orth":
+            assert rep.flops_measured.matmul_flops > 1.35 * (rep.flops_predicted - combine)
 
 
 # the direct call each algorithm name stands for

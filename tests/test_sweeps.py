@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hatt import (
@@ -26,6 +26,7 @@ from hatt import (
     tt_svd,
     tt_to_dense,
 )
+from hatt import recompress
 from hatt.recompress import _clamp_targets
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -89,6 +90,41 @@ def test_hatt_equals_rand_orth_on_the_product(tts):
     assert got.ranks == want.ranks
     for a, b in zip(got.cores, want.cores):
         assert rel_gap(a.values, b.values) <= 1e-12
+
+
+def sweeps_in_slabs(y, z, sketch, max_terms, budget):
+    """hatt and rand_orth on the product under one sketch, with every sweep
+    slab one mode slice (budget 0) or every core update in one slab (budget
+    None); kernel slabs are one slice either way."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recompress, "_MIN_SLAB", 1)
+        mp.setattr(recompress, "_SWEEP_SLAB_BYTES", 1 << 60 if budget is None else budget)
+        return (hatt(y, z, sketch_tt=sketch, max_terms=max_terms),
+                rand_orth(tt_hadamard(y, z), sketch_tt=sketch))
+
+
+@SETTINGS
+@given(trains(3), st.sampled_from((None, 4)))
+# the first core update (one row per slice) comes in slabs of one row,
+# fewer than the target rank 3 of the first bond
+@example([gaussian_tt((4, 3, 5), (1, 3, 2, 1), seed=s) for s in (1, 2, 3)], None)
+def test_sweeps_agree_across_slabs(tts, max_terms):
+    """The TSQR combine over one-slice slabs gives the one-slab sweep's
+    cores, and keeps hatt equal to rand_orth (a cap of 4, the largest
+    sketch rank drawn, truncates nothing)."""
+    y, z, drawn = tts
+    product = tt_hadamard(y, z)
+    sketch = full_rank_sketch(drawn, product)
+    got, base = sweeps_in_slabs(y, z, sketch, max_terms, 0)
+    whole = sweeps_in_slabs(y, z, sketch, max_terms, None)
+    chain = _clamp_targets(sketch.ranks, y.shape, product.ranks)
+    for out, ref in zip((got, base), whole):
+        assert out.ranks == chain
+        assert left_orthogonality_defect(out) <= 1e-12
+        for a, b in zip(out.cores, ref.cores):
+            assert rel_gap(a.values, b.values) <= 1e-12
+    for a, b in zip(got.cores, base.cores):
+        assert rel_gap(a.values, b.values) <= 1e-10
 
 
 @SETTINGS
