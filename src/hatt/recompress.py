@@ -4,9 +4,9 @@ Given a TT tensor (or an implicit Hadamard product of two TT tensors) and a
 target rank chain, the algorithms here produce a left-orthogonal TT tensor
 with the target ranks:
 
-* :func:`tt_rounding`: deterministic rounding: a left-to-right QR trim of
-  infeasible bonds, right-to-left LQ orthogonalization, then left-to-right
-  QR + truncated-SVD compression;
+* :func:`tt_rounding`: deterministic rounding: a left-to-right trim of
+  infeasible bonds by exact core merges, right-to-left orthogonalization
+  by LQ and merges, then left-to-right QR + truncated-SVD compression;
 * :func:`rand_orth`: randomized rounding driven by sketches from
   :func:`partial_contraction_rl` against a random gaussian TT tensor;
 * :func:`hatt`: the Hadamard-avoiding variant of rand_orth: it consumes the
@@ -330,22 +330,24 @@ def tt_rounding(a, targets, ledger=None):
     """Deterministic TT rounding to a target rank chain, in three passes.
 
     Pass 1 (left to right) trims: every core whose vertical matricization
-    is wide (r_{k-1} n_k < r_k) becomes the square Q of its QR, and R
-    (r_{k-1} n_k x r_k) goes into the next core, so bond k keeps at most
-    n_1 ... n_k ranks.  It is an exact change of representation, and it
-    spares pass 2 the QRs of unfoldings wider than the tensor can use: on
-    hilbert_tt(5, 8, 20) squared it cuts the product ranks 400 to
-    (8, 64, 400, 400), and the ledger charges 0.26e9 flops where the
-    untrimmed passes charge 2.97e9.  Pass 2
-    (right to left) makes cores 2..d right-orthogonal via LQ, passing the
-    triangular factor into the previous core; its LQ keeps
-    min(r_{k-1}, n_k r_k) rows, so every bond ends at most
-    min(r_k, n_1 ... n_k, n_{k+1} ... n_d).  Pass 3 (left to right)
-    QR-factorizes each vertical matricization, truncates the triangular
-    factor by SVD at the bond target, keeps Q @ U as the new core and pushes
-    sigma V^T into the next core.  Output ranks are the targets clamped to
-    the ranks of `a` and to feasible values (with a
-    :class:`TargetRankWarning`), and cores 1..d-1 are left-orthogonal.
+    is wide (r_{k-1} n_k < r_k) is multiplied into the next core and becomes
+    the identity (r_{k-1} n_k x r_{k-1} n_k, reshaped), so bond k keeps at
+    most n_1 ... n_k ranks.  Pass 2 (right to left) makes cores 2..d
+    right-orthogonal: every core whose horizontal matricization is tall
+    (n_k r_k < r_{k-1}) is multiplied into the previous core and becomes the
+    identity, and every other core is LQ-factorized and passes its square
+    triangular factor into the previous core.  So every bond ends at most
+    min(r_k, n_1 ... n_k, n_{k+1} ... n_d).  The merges are exact changes of
+    representation that spare the passes the factorizations whose
+    orthogonal factor is square and carries nothing: on hilbert_tt(5, 8, 20)
+    squared they cut the product ranks 400 to (8, 64, 64, 8), and the ledger
+    charges 0.24e9 (ell = 4) and 0.25e9 (ell = 8) flops where the untrimmed
+    passes charge 2.97e9.  Pass 3 (left to right) QR-factorizes each
+    vertical matricization, truncates the triangular factor by SVD at the
+    bond target, keeps Q @ U as the new core and pushes sigma V^T into the
+    next core.  Output ranks are the targets clamped to the ranks of `a`
+    and to feasible values (with a :class:`TargetRankWarning`), and cores
+    1..d-1 are left-orthogonal.
     """
     d = a.d
     targets = _clamp_targets(normalize_targets(targets, d), a.shape, a.ranks)
@@ -355,26 +357,25 @@ def tt_rounding(a, targets, ledger=None):
         r1, n, r2 = cores[k - 1].shape
         if r1 * n >= r2:
             continue
-        res = econ_qr(cores[k - 1].reshape(r1 * n, r2), ledger=ledger)
-        cores[k - 1] = res.q.reshape(r1, n, r1 * n)
         nxt = cores[k]
-        cores[k] = matmul(res.r, nxt.reshape(r2, -1), ledger).reshape(r1 * n, *nxt.shape[1:])
-    # right-to-left orthogonalization
+        merged = matmul(cores[k - 1].reshape(r1 * n, r2), nxt.reshape(r2, -1), ledger)
+        cores[k] = merged.reshape(r1 * n, *nxt.shape[1:])
+        cores[k - 1] = np.eye(r1 * n).reshape(r1, n, r1 * n)
+    # right-to-left orthogonalization, merging the cores that trim their bond
     for k in range(d, 1, -1):
         core = cores[k - 1]
         r1, n, r2 = core.shape
-        res = econ_qr(core.reshape(r1, n * r2).T, ledger=ledger)
-        q_rows, l_factor = res.q.T, res.r.T
-        new_r1 = q_rows.shape[0]
-        cores[k - 1] = q_rows.reshape(new_r1, n, r2)
         prev = cores[k - 2]
         p1, pn, _ = prev.shape
         prev_mat = prev.reshape(p1 * pn, r1)
-        if l_factor.shape[0] == l_factor.shape[1]:
-            updated = tri_matmul(prev_mat, l_factor, ledger)
+        if n * r2 < r1:
+            updated = matmul(prev_mat, core.reshape(r1, n * r2), ledger)
+            cores[k - 1] = np.eye(n * r2).reshape(n * r2, n, r2)
         else:
-            updated = matmul(prev_mat, l_factor, ledger)
-        cores[k - 2] = updated.reshape(p1, pn, new_r1)
+            res = econ_qr(core.reshape(r1, n * r2).T, ledger=ledger)
+            updated = tri_matmul(prev_mat, res.r.T, ledger)
+            cores[k - 1] = res.q.T.reshape(r1, n, r2)
+        cores[k - 2] = updated.reshape(p1, pn, -1)
     # left-to-right compression
     for k in range(1, d):
         core = cores[k - 1]
@@ -629,7 +630,8 @@ def flop_model(algorithm, d, n, r, s, ell, max_terms=None):
     most the product of the mode sizes on either side of its bond).  Where
     it is not, :func:`tt_rounding` first trims the bond, and the formula is
     an upper bound: on hilbert_tt(5, 8, 20) squared (ranks 400 where 8, 64,
-    64, 8 fit) the ledger is 0.033 of the model at ell = 4 and 8.
+    64, 8 fit) the ledger is 0.031 of the model at ell = 4 and 0.032 at
+    ell = 8.
 
     The randomized algorithms add, per interior core, the GEMMs of the
     sweep's TSQR combine (see :func:`_combine_flops`).  QRs, whole or per

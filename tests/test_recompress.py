@@ -212,6 +212,18 @@ def test_tt_rounding_trims_infeasible_bonds_before_orthogonalizing():
     assert ledger.total() <= 0.5e9
 
 
+@pytest.mark.parametrize("ell, matmul_flops", [(4, 231_331_200), (8, 231_775_744)])
+def test_tt_rounding_merges_wide_unfoldings_without_qr(ell, matmul_flops):
+    # bonds 1-4 hold 8, 64, 64, 8 of the product ranks 400: the 8 x 400 and
+    # 64 x 400 unfoldings merge into their neighbours, each by one GEMM of
+    # the shape a QR's R or L would take, so no QR factors them
+    h = hilbert_tt(5, 8, 20)
+    ledger = FlopLedger()
+    tt_rounding(tt_hadamard(h, h), ell, ledger=ledger)
+    assert ledger.matmul_flops == matmul_flops
+    assert ledger.qr_flops <= 1.0e7
+
+
 def test_tt_rounding_invalid_targets():
     a = gaussian_tt((3, 3), (1, 2, 1), seed=5)
     with pytest.raises(ValueError):
