@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import DenseTensor
-from .indexing import check_shape
+from .indexing import check_shape, whole_numbers
 from .limits import check_dense
 from .linalg import scale_columns, truncated_svd
 from .rand_tt import check_rank_chain, derive_seed, seed_sequence, uniform_chain
@@ -39,8 +39,10 @@ def tt_svd(x, targets=None, rel_tol=None):
     """
     if (targets is None) == (rel_tol is None):
         raise ValueError("give exactly one of targets or rel_tol")
+    if rel_tol is not None and not rel_tol >= 0:
+        raise ValueError(f"rel_tol must be >= 0, got {rel_tol!r}")
     values = x.values if isinstance(x, DenseTensor) else np.asarray(x, dtype=float)
-    shape = values.shape
+    shape = check_shape(values.shape)
     d = len(shape)
     if d == 1:
         return TTTensor([values.reshape(1, -1, 1)])
@@ -76,6 +78,7 @@ def fourier_coefficients(n_terms, seed=0):
     uniform draws each from [COEFF_LOW, COEFF_HIGH)."""
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    (seed,) = whole_numbers((seed,), "seed")
     rng = np.random.default_rng(seed_sequence(seed, 777))
     a = rng.uniform(COEFF_LOW, COEFF_HIGH, size=n_terms)
     b = rng.uniform(COEFF_LOW, COEFF_HIGH, size=n_terms)

@@ -34,12 +34,14 @@ def check_rank_chain(ranks, d):
 
 
 def seed_sequence(seed, *keys):
-    """The SeedSequence of the stream named by `keys` under `seed`."""
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=keys)
+    """The SeedSequence of the stream named by `keys` under `seed`, a whole
+    number its public callers check (numpy refuses a float)."""
+    return np.random.SeedSequence(entropy=seed, spawn_key=keys)
 
 
 def derive_seed(seed, *keys):
     """A 32-bit seed fixed by `seed` and the small ints `keys`."""
+    (seed,) = whole_numbers((seed,), "seed")
     return int(seed_sequence(seed, *keys).generate_state(1)[0])
 
 
@@ -50,6 +52,7 @@ def random_tt(shape, ranks, kind="gaussian", seed=0):
     ranks = check_rank_chain(ranks, len(shape))
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+    (seed,) = whole_numbers((seed,), "seed")
     cores = []
     for k, n in enumerate(shape, start=1):
         l_prev, l_next = ranks[k - 1], ranks[k]

@@ -6,7 +6,7 @@ with the target ranks:
 
 * :func:`tt_rounding`: deterministic rounding: a left-to-right trim of
   infeasible bonds by exact core merges, right-to-left orthogonalization
-  by LQ and merges, then left-to-right QR + truncated-SVD compression;
+  by LQ and merges, then left-to-right truncated-SVD compression;
 * :func:`rand_orth`: randomized rounding driven by sketches from
   :func:`partial_contraction_rl` against a random gaussian TT tensor;
 * :func:`hatt`: the Hadamard-avoiding variant of rand_orth: it consumes the
@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .indexing import whole_numbers
 from .linalg import (
     SVD_COST_FACTOR,
     FlopLedger,
@@ -59,6 +60,16 @@ class TargetRankWarning(UserWarning):
 # singular values at or below this fraction of sigma_1 are dropped from a
 # capped (HaTT-1) sketch
 _RANK1_TOL = 1e-10
+
+
+def _check_max_terms(max_terms):
+    """`max_terms` as an int or None; a value that is neither None nor a
+    whole number >= 1 is a ValueError."""
+    if max_terms is not None:
+        (max_terms,) = whole_numbers((max_terms,), "max_terms")
+        if max_terms < 1:
+            raise ValueError(f"max_terms must be >= 1 or None, got {max_terms!r}")
+    return max_terms
 
 
 def rank1_decompose(w, max_terms, ledger=None):
@@ -141,8 +152,7 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     if y.shape != r.shape:
         raise ValueError(f"shape mismatch against sketch tensor: {y.shape} vs {r.shape}")
-    if max_terms is not None and max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1 or None, got {max_terms!r}")
+    max_terms = _check_max_terms(max_terms)
     d = y.d
     if d < 2:
         return []
@@ -342,12 +352,13 @@ def tt_rounding(a, targets, ledger=None):
     orthogonal factor is square and carries nothing: on hilbert_tt(5, 8, 20)
     squared they cut the product ranks 400 to (8, 64, 64, 8), and the ledger
     charges 0.24e9 (ell = 4) and 0.25e9 (ell = 8) flops where the untrimmed
-    passes charge 2.97e9.  Pass 3 (left to right) QR-factorizes each
-    vertical matricization, truncates the triangular factor by SVD at the
-    bond target, keeps Q @ U as the new core and pushes sigma V^T into the
-    next core.  Output ranks are the targets clamped to the ranks of `a`
-    and to feasible values (with a :class:`TargetRankWarning`), and cores
-    1..d-1 are left-orthogonal.
+    passes charge 2.97e9.  Pass 3 (left to right) truncates each vertical
+    matricization by SVD at the bond target, keeps U as the new core and
+    pushes sigma V^T into the next core (Oseledets, SISC 2011); after
+    pass 2 the matricization is the tensor's unfolding up to orthogonal
+    factors on both sides, so no QR needs to come first.  Output ranks are
+    the targets clamped to the ranks of `a` and to feasible values (with a
+    :class:`TargetRankWarning`), and cores 1..d-1 are left-orthogonal.
     """
     d = a.d
     targets = _clamp_targets(normalize_targets(targets, d), a.shape, a.ranks)
@@ -363,10 +374,8 @@ def tt_rounding(a, targets, ledger=None):
         cores[k - 1] = np.eye(r1 * n).reshape(r1, n, r1 * n)
     # right-to-left orthogonalization, merging the cores that trim their bond
     for k in range(d, 1, -1):
-        core = cores[k - 1]
-        r1, n, r2 = core.shape
-        prev = cores[k - 2]
-        p1, pn, _ = prev.shape
+        core, prev = cores[k - 1], cores[k - 2]
+        (r1, n, r2), (p1, pn, _) = core.shape, prev.shape
         prev_mat = prev.reshape(p1 * pn, r1)
         if n * r2 < r1:
             updated = matmul(prev_mat, core.reshape(r1, n * r2), ledger)
@@ -378,25 +387,18 @@ def tt_rounding(a, targets, ledger=None):
         cores[k - 2] = updated.reshape(p1, pn, -1)
     # left-to-right compression
     for k in range(1, d):
-        core = cores[k - 1]
-        r1, n, r2 = core.shape
-        res = econ_qr(core.reshape(r1 * n, r2), ledger=ledger)
-        q, rmat = res.q, res.r
-        bond = targets[k]
-        svd = truncated_svd(rmat, target_rank=bond, ledger=ledger)
-        cores[k - 1] = matmul(q, svd.u, ledger).reshape(r1, n, bond)
+        (r1, n, r2), bond, nxt = cores[k - 1].shape, targets[k], cores[k]
+        svd = truncated_svd(cores[k - 1].reshape(r1 * n, r2), target_rank=bond, ledger=ledger)
+        cores[k - 1] = svd.u.reshape(r1, n, bond)
         carry = scale_columns(svd.v, svd.s, ledger).T
-        nxt = cores[k]
-        cores[k] = matmul(carry, nxt.reshape(r2, -1), ledger).reshape(
-            bond, nxt.shape[1], nxt.shape[2]
-        )
+        cores[k] = matmul(carry, nxt.reshape(r2, -1), ledger).reshape(bond, *nxt.shape[1:])
     return _sweep_result(cores)
 
 
 def _sweep_result(cores):
-    """The output tensor of a rounding sweep.  Cores 1..d-1 are built from
-    orthonormal factors of matrices that ``econ_qr`` found finite; only the
-    last core can overflow, so it alone is scanned."""
+    """The output tensor of a rounding sweep.  Cores 1..d-1 are orthonormal
+    factors of matrices that ``econ_qr`` or ``truncated_svd`` found finite;
+    only the last core can overflow, so it alone is scanned."""
     if not np.all(np.isfinite(cores[-1])):
         raise ValueError("the recompressed tensor overflows float64")
     return TTTensor([TTCore._trusted(c) for c in cores])
@@ -452,12 +454,14 @@ def _orthogonalize_sweep(shape, sketches, next_core_fn, ledger):
     updates R, multiplies the rows of Q so far by its top block and appends
     its bottom block as slab b's rows, and H = Q^T C becomes
     top^T H + bottom^T C_b.  No Gram matrix and no triangular solve are
-    formed.  After the last slab the output core is Q and the next step
-    contracts against m = H.  If S has full column rank, Q is the Q of
-    S's QR up to rounding (R with a nonnegative diagonal is unique); a core
-    update that fits in one slab takes one QR and one product, as an
-    unslabbed sweep does.  Returns the output tensor; every core except the
-    last has orthonormal vertical matricization.
+    formed.  Each row of Q meets only the top block, so Q is kept as the
+    output core, a rows x (slices so far x width) matrix that each slab's
+    rows join along the mode axis, and the next step contracts against
+    m = H.  If S has full column rank, Q is the Q of S's QR up to rounding
+    (R with a nonnegative diagonal is unique); a core update in one slab
+    takes one QR and one product, as an unslabbed sweep does.  Returns the
+    output tensor; every core except the last has orthonormal vertical
+    matricization.
     """
     cores = []
     m = None
@@ -480,27 +484,17 @@ def _orthogonalize_sweep(shape, sketches, next_core_fn, ledger):
                 t = r.shape[0]
                 res = econ_qr(np.vstack((r, s)), ledger=ledger)
                 top, bottom = res.q[:t], res.q[t:]
-                q = np.vstack((matmul(q, top, ledger), bottom))
+                q = np.concatenate((matmul(q.reshape(-1, t), top, ledger).reshape(rows, -1),
+                                    bottom.reshape(rows, -1)), axis=1)
                 h = matmul(top.T, h, ledger) + matmul(bottom.T, c, ledger)
             r = res.r
             # one slab of the core update at a time
             del c, s, res
-        cores.append(q.reshape(rows, n, -1) if step >= n else _slab_major_to_core(q, rows, step))
+        cores.append(q.reshape(rows, n, -1))
         m = h
         del w, r  # before the next core update is pulled
     cores.append(next_core_fn(len(shape) - 1, m, slice(0, shape[-1])))
     return _sweep_result(cores)
-
-
-def _slab_major_to_core(q, rows, step):
-    """The output core (rows x n x width) of a sweep step from its Q, whose
-    rows hold each slab of `step` mode slices together, slab by slab."""
-    n = q.shape[0] // rows
-    core = np.empty((rows, n, q.shape[1]))
-    for i0 in range(0, n, step):
-        nb = min(step, n - i0)
-        core[:, i0:i0 + nb] = q[rows * i0:rows * (i0 + nb)].reshape(rows, nb, -1)
-    return core
 
 
 def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
@@ -582,10 +576,9 @@ def _run_rand_orth(y, z, targets, seed, max_terms, ledger):
 def _term_cap(max_terms, ell):
     """The rank-1 terms hatt-1 keeps per sketch at target rank ell: at most
     `max_terms`, and at most ell, the sketch's column bound, so a cap of ell
-    (the one None gives) truncates nothing the uncapped SVD keeps.  A cap
-    below 1 is a ValueError, as in :func:`hpcrl`."""
-    if max_terms is not None and max_terms < 1:
-        raise ValueError(f"max_terms must be >= 1 or None, got {max_terms!r}")
+    (the one None gives) truncates nothing the uncapped SVD keeps.  The cap
+    is checked as in :func:`hpcrl`."""
+    max_terms = _check_max_terms(max_terms)
     return ell if max_terms is None else min(max_terms, ell)
 
 
@@ -636,25 +629,25 @@ def flop_model(algorithm, d, n, r, s, ell, max_terms=None):
     The randomized algorithms add, per interior core, the GEMMs of the
     sweep's TSQR combine (see :func:`_combine_flops`).  QRs, whole or per
     slab, are charged to the ledger's qr counter and are not modelled.
+    Boundary cores are not modelled either: the count covers the d - 2
+    interior cores, so d <= 2 predicts 0.
     """
     _runner(algorithm)
     if min(d, n, r, s, ell) < 1:
         raise ValueError("flop model arguments must be positive")
     if algorithm == "tt-rounding":
-        val = (d - 2) * n * (5 * r**3 * s**3 + 6 * r**2 * s**2 * ell + 2 * r * s * ell**2)
+        per_core = n * (5 * r**3 * s**3 + 6 * r**2 * s**2 * ell + 2 * r * s * ell**2)
     elif algorithm == "rand-orth":
-        val = (d - 2) * n * (4 * r**2 * s**2 * ell + 6 * r * s * ell**2)
+        per_core = n * (4 * r**2 * s**2 * ell + 6 * r * s * ell**2)
     elif algorithm == "hatt-2":
-        val = (d - 2) * n * r * s * ell * (4 * r + 4 * s + 6 * ell)
+        per_core = n * r * s * ell * (4 * r + 4 * s + 6 * ell)
     else:  # hatt-1
         r_hat = (_term_cap(max_terms, ell) + ell) / 2
-        val = (d - 2) * (
-            n * r * s * (r_hat * (4 * r + 4 * s + 4 * ell) + 2 * ell**2)
-            + SVD_COST_FACTOR * r * s * ell**2
-        )
+        per_core = (n * r * s * (r_hat * (4 * r + 4 * s + 4 * ell) + 2 * ell**2)
+                    + SVD_COST_FACTOR * r * s * ell**2)
     if algorithm != "tt-rounding":
-        val += (d - 2) * _combine_flops(n, r * s, ell)
-    return int(round(val))
+        per_core += _combine_flops(n, r * s, ell)
+    return int(round(max(d - 2, 0) * per_core))
 
 
 def _combine_flops(n, cols, ell):

@@ -59,6 +59,15 @@ def test_tt_svd_argument_check(rng):
         tt_svd(dense, targets=1, rel_tol=1e-8)
 
 
+def test_tt_svd_rejects_scalars_and_negative_tolerances(rng):
+    # a 0-d array has no mode to unfold, and a negative rel_tol would keep
+    # full rank silently: both are named ValueErrors, not "math domain error"
+    with pytest.raises(ValueError, match="at least one mode"):
+        tt_svd(np.array(2.0), rel_tol=1e-8)
+    with pytest.raises(ValueError, match="rel_tol"):
+        tt_svd(rng.normal(size=(2, 3)), rel_tol=-1e-8)
+
+
 # --- trigonometric series -----------------------------------------------------
 
 

@@ -1,9 +1,12 @@
 """BENCHMARK.json declares exactly the workloads and metrics perfbench/run.py
 reports: same names, same units; and every function perfbench's tracer wraps
-exists.  perfbench's modules are imported by path; nothing is benchmarked."""
+or its source names exists.  perfbench's modules are imported by path;
+nothing is benchmarked."""
 
+import importlib
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import hatt
@@ -41,3 +44,16 @@ def test_traced_names_resolve():
     finally:
         tracer.restore()
     assert all(getattr(owner, attr) is fn for (owner, attr), fn in zip(names, originals))
+
+
+def test_perfbench_package_paths_resolve():
+    # every `hatt.<module>.<name>` that perfbench's source spells out, traced
+    # or not (selftest draws sketches with recompress._draw_sketch_tensor),
+    # must exist, or a deletion stops the benchmark before any test fails
+    paths = set()
+    for source in sorted((ROOT / "perfbench").glob("*.py")):
+        paths.update(re.findall(r"\bhatt\.(\w+)\.(\w+)", source.read_text()))
+    assert len(paths) >= 18, sorted(paths)
+    missing = [f"hatt.{module}.{name}" for module, name in sorted(paths)
+               if not hasattr(importlib.import_module(f"hatt.{module}"), name)]
+    assert not missing, missing

@@ -5,6 +5,7 @@ from hatt import (
     ResourceLimitError,
     TTTensor,
     econ_qr,
+    flop_model,
     fourier_tt,
     gaussian_tt,
     hadamard_dense,
@@ -17,6 +18,7 @@ from hatt import (
     tt_rounding,
     tt_to_dense,
 )
+from hatt.rand_tt import derive_seed
 
 
 def test_order_one_tensors():
@@ -117,3 +119,22 @@ def test_mode_sizes_must_be_whole_numbers(shape):
     with pytest.raises(ValueError, match="whole numbers"):
         random_tt(shape, (1, 2, 1), "gaussian", 0)
     assert tt_ones((3.0, np.int64(2))).shape == (3, 2)
+
+
+@pytest.mark.parametrize("bad", (2.5, float("inf"), float("nan"), "3"))
+def test_term_caps_and_seeds_must_be_whole_numbers(bad):
+    # int() would truncate 2.5 to 2: hatt would run with cap 2 and seed 2
+    # while the flop model priced a cap of 2.5
+    y = gaussian_tt((3, 3, 3), (1, 2, 2, 1), seed=1)
+    calls = (lambda: hatt(y, y, 2, max_terms=bad, seed=0),
+             lambda: flop_model("hatt-1", 4, 4, 3, 3, 6, max_terms=bad),
+             lambda: hatt(y, y, 2, seed=bad),
+             lambda: random_tt((3,), (1, 1), "gaussian", bad),
+             lambda: fourier_tt((4, 4), 2, bad),
+             lambda: derive_seed(bad, 1))
+    for call in calls:
+        with pytest.raises(ValueError, match="whole numbers"):
+            call()
+    want = hatt(y, y, 2, max_terms=2, seed=3)
+    got = hatt(y, y, 2, max_terms=2.0, seed=np.int64(3))
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(got.cores, want.cores))

@@ -212,7 +212,7 @@ def test_tt_rounding_trims_infeasible_bonds_before_orthogonalizing():
     assert ledger.total() <= 0.5e9
 
 
-@pytest.mark.parametrize("ell, matmul_flops", [(4, 231_331_200), (8, 231_775_744)])
+@pytest.mark.parametrize("ell, matmul_flops", [(4, 231_312_672), (8, 231_637_056)])
 def test_tt_rounding_merges_wide_unfoldings_without_qr(ell, matmul_flops):
     # bonds 1-4 hold 8, 64, 64, 8 of the product ranks 400: the 8 x 400 and
     # 64 x 400 unfoldings merge into their neighbours, each by one GEMM of
@@ -367,6 +367,14 @@ def test_flop_model_reference_values():
     for max_terms in (None, 5):
         assert flop_model("hatt-1", 7, 10, 2, 2, 2, max_terms=max_terms) == 12320
     assert flop_model("hatt-1", 7, 10, 2, 2, 2, max_terms=1) == 9920
+
+
+@pytest.mark.parametrize("d", (1, 2))
+def test_flop_model_predicts_nothing_without_interior_cores(d):
+    # the model counts the d - 2 interior cores only, so d = 1 must not
+    # predict negative flops
+    for name in ALGORITHMS:
+        assert flop_model(name, d, 5, 1, 1, 2) == 0
 
 
 def test_flop_model_ratio_grows_with_rank():

@@ -92,12 +92,13 @@ def test_hatt_equals_rand_orth_on_the_product(tts):
         assert rel_gap(a.values, b.values) <= 1e-12
 
 
-def sweeps_in_slabs(y, z, sketch, max_terms, budget):
+def sweeps_in_slabs(y, z, sketch, max_terms, budget, min_slab=1):
     """hatt and rand_orth on the product under one sketch, with every sweep
-    slab one mode slice (budget 0) or every core update in one slab (budget
-    None); kernel slabs are one slice either way."""
+    slab `min_slab` mode slices (budget 0; the last slab of a core is
+    shorter where `min_slab` does not divide its mode size) or every core
+    update in one slab (budget None)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recompress, "_MIN_SLAB", 1)
+        mp.setattr(recompress, "_MIN_SLAB", min_slab)
         mp.setattr(recompress, "_SWEEP_SLAB_BYTES", 1 << 60 if budget is None else budget)
         return (hatt(y, z, sketch_tt=sketch, max_terms=max_terms),
                 rand_orth(tt_hadamard(y, z), sketch_tt=sketch))
@@ -109,22 +110,24 @@ def sweeps_in_slabs(y, z, sketch, max_terms, budget):
 # fewer than the target rank 3 of the first bond
 @example([gaussian_tt((4, 3, 5), (1, 3, 2, 1), seed=s) for s in (1, 2, 3)], None)
 def test_sweeps_agree_across_slabs(tts, max_terms):
-    """The TSQR combine over one-slice slabs gives the one-slab sweep's
-    cores, and keeps hatt equal to rand_orth (a cap of 4, the largest
-    sketch rank drawn, truncates nothing)."""
+    """The TSQR combine over one- and two-slice slabs (mode sizes 3 and 5
+    end in a short slab) gives the one-slab sweep's cores, and keeps hatt
+    equal to rand_orth (a cap of 4, the largest sketch rank drawn,
+    truncates nothing)."""
     y, z, drawn = tts
     product = tt_hadamard(y, z)
     sketch = full_rank_sketch(drawn, product)
-    got, base = sweeps_in_slabs(y, z, sketch, max_terms, 0)
     whole = sweeps_in_slabs(y, z, sketch, max_terms, None)
     chain = _clamp_targets(sketch.ranks, y.shape, product.ranks)
-    for out, ref in zip((got, base), whole):
-        assert out.ranks == chain
-        assert left_orthogonality_defect(out) <= 1e-12
-        for a, b in zip(out.cores, ref.cores):
-            assert rel_gap(a.values, b.values) <= 1e-12
-    for a, b in zip(got.cores, base.cores):
-        assert rel_gap(a.values, b.values) <= 1e-10
+    for min_slab in (1, 2):
+        got, base = sweeps_in_slabs(y, z, sketch, max_terms, 0, min_slab)
+        for out, ref in zip((got, base), whole):
+            assert out.ranks == chain
+            assert left_orthogonality_defect(out) <= 1e-12
+            for a, b in zip(out.cores, ref.cores):
+                assert rel_gap(a.values, b.values) <= 1e-12
+        for a, b in zip(got.cores, base.cores):
+            assert rel_gap(a.values, b.values) <= 1e-10
 
 
 @SETTINGS
