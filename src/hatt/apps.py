@@ -22,7 +22,7 @@ from .recompress import (
     normalize_targets,
     tt_hadamard_dot,
 )
-from .tt import TTCore, TTTensor, tt_add, tt_ones, tt_scale
+from .tt import TTCore, TTTensor, _max_abs, tt_add, tt_ones, tt_scale
 
 # Not used here: perfbench/tracing.py wraps these names on this module.
 from .recompress import hatt, rand_orth, tt_rounding  # noqa: F401
@@ -76,6 +76,7 @@ SVD_TOL = 1e-12  # relative reconstruction error of each sampled series in TT fo
 def fourier_coefficients(n_terms, seed=0):
     """The seeded (a, b) coefficient pair of :func:`fourier_tt`: n_terms
     uniform draws each from [COEFF_LOW, COEFF_HIGH)."""
+    (n_terms,) = whole_numbers((n_terms,), "n_terms")
     if n_terms < 1:
         raise ValueError(f"n_terms must be >= 1, got {n_terms}")
     (seed,) = whole_numbers((seed,), "seed")
@@ -127,6 +128,9 @@ class SeparableFunctionSpec:
     def __post_init__(self):
         if self.kind not in FUNCTION_KINDS:
             raise ValueError(f"kind must be one of {FUNCTION_KINDS}, got {self.kind!r}")
+        d, n = whole_numbers((self.d, self.n), "d and n")
+        object.__setattr__(self, "d", d)  # the spec is frozen
+        object.__setattr__(self, "n", n)
         if self.d < 1 or self.n < 2:
             raise ValueError("need d >= 1 and n >= 2")
 
@@ -190,6 +194,7 @@ def hilbert_tt(d, n, r):
     Entries lie in (0, 1] and the sketch matrices it produces have rapidly
     decaying singular values.
     """
+    d, n, r = whole_numbers((d, n, r), "d, n and r")
     if min(d, n, r) < 1:
         raise ValueError("d, n, r must be positive")
     ranks = check_rank_chain(uniform_chain(d, r), d)
@@ -233,6 +238,7 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
     largest entry, so it neither overflows nor underflows while it is
     representable, and the estimate scales with y.
     """
+    (max_iter,) = whole_numbers((max_iter,), "max_iter")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     run = _runner(recompressor)
@@ -240,21 +246,22 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
     v = tt_scale(tt_ones(y.shape), 1.0 / math.sqrt(y.size))
     history = []
     prev = None
-    for t in range(1, max_iter + 1):
-        with warnings.catch_warnings():
-            # the iterate starts at rank 1, so early chains are clamped
-            warnings.simplefilter("ignore", TargetRankWarning)
+    with warnings.catch_warnings():
+        # the iterate starts at rank 1, so early chains are clamped
+        warnings.simplefilter("ignore", TargetRankWarning)
+        for t in range(1, max_iter + 1):
             w = run(y, v, chain, derive_seed(seed, t), max_terms, ledger)
-        estimate = tt_hadamard_dot(v, y, v)
-        history.append(estimate)
-        last = w.cores[-1].values
-        top = np.max(np.abs(last))
-        if top == 0.0:
-            raise ArithmeticError("power iteration collapsed to a zero iterate")
-        last = last / top
-        last /= np.linalg.norm(last)
-        v = TTTensor(w.cores[:-1] + (TTCore._trusted(last),))
-        if prev is not None and abs(estimate - prev) <= REL_CHANGE_TOL * abs(prev):
-            return PowerIterResult(estimate, t, history, v.ranks)
-        prev = estimate
+            estimate = tt_hadamard_dot(v, y, v)
+            history.append(estimate)
+            last = w.cores[-1].values
+            top = _max_abs(last)
+            if top == 0.0:
+                raise ArithmeticError("power iteration collapsed to a zero iterate")
+            last = last / top
+            flat = last.reshape(-1)
+            last /= math.sqrt(flat.dot(flat))  # np.linalg.norm(last) without its dispatch
+            v = TTTensor._trusted(w.cores[:-1] + (TTCore._trusted(last),))
+            if prev is not None and abs(estimate - prev) <= REL_CHANGE_TOL * abs(prev):
+                return PowerIterResult(estimate, t, history, v.ranks)
+            prev = estimate
     return PowerIterResult(history[-1], max_iter, history, v.ranks)

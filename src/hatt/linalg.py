@@ -13,8 +13,8 @@ flop count:
   order-of-magnitude estimate and is reported separately.
 
 Factorizations are LAPACK-backed (numpy.linalg) with deterministic sign
-conventions: R's diagonal is nonnegative, and the first nonzero entry of
-each left singular vector is nonnegative.
+conventions: R's diagonal is nonnegative (sign bit clear), and the first
+nonzero entry of each left singular vector is nonnegative.
 """
 
 from dataclasses import dataclass
@@ -111,8 +111,12 @@ def econ_qr(x, ledger=None):
 
     For m >= n returns Q (m x n, orthonormal columns) and R (n x n upper
     triangular); for m < n, Q is m x m and R is m x n upper trapezoidal.
-    The flop charge is the explicit-Q Householder cost, whether or not the
-    caller uses R.
+    Sign convention: every diagonal entry of R has its sign bit clear (a
+    zero pivot is +0.0).  Column j of Q and row j of R are negated together
+    wherever LAPACK's R(j, j) has its sign bit set, so Q R is unchanged and,
+    where x has full column rank, the factorization is the unique one with a
+    positive diagonal.  The flop charge is the explicit-Q Householder cost,
+    whether or not the caller uses R.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
@@ -121,11 +125,10 @@ def econ_qr(x, ledger=None):
         raise ValueError("econ_qr input contains non-finite values")
     m, n = x.shape
     q, r = np.linalg.qr(x, mode="reduced")
-    negative = r.diagonal() < 0
-    if negative.any():
-        signs = np.where(negative, -1.0, 1.0)
-        q *= signs
-        r *= signs[:, np.newaxis]
+    # multiplying by +1.0 is exact, so negating always costs less than testing
+    signs = np.copysign(1.0, r.diagonal())
+    q *= signs
+    r *= signs[:, np.newaxis]
     if ledger is not None:
         t = min(m, n)
         ledger.add_qr(round(4 * m * n * t - 4 * t**3 / 3))

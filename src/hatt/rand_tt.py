@@ -13,6 +13,8 @@ always yields the same core regardless of the total order d.
 iteration (per step) and ``hatt-bench`` (per input tensor) use.
 """
 
+import math
+
 import numpy as np
 
 from .indexing import check_shape, whole_numbers
@@ -58,13 +60,13 @@ def random_tt(shape, ranks, kind="gaussian", seed=0):
         l_prev, l_next = ranks[k - 1], ranks[k]
         rng = np.random.default_rng(seed_sequence(seed, k))
         if kind == "gaussian":
-            sigma = 1.0 / np.sqrt(l_prev * n * l_next)
+            sigma = 1.0 / math.sqrt(l_prev * n * l_next)
             core = rng.normal(0.0, sigma, size=(l_prev, n, l_next))
         else:
             core = rng.uniform(0.0, 1.0, size=(l_prev, n, l_next))
         # draws are finite by construction, so they skip the finiteness scan
         cores.append(TTCore._trusted(core))
-    return TTTensor(cores)
+    return TTTensor._trusted(cores)
 
 
 def gaussian_tt(shape, ranks, seed=0):

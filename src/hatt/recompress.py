@@ -102,6 +102,22 @@ def _slab_size(rows, yv, zv):
     return min(n, max(_MIN_SLAB, _SLAB_BUDGET // (rows * width)))
 
 
+def _slabs(step, *arrays):
+    """Views of `arrays`, which share their mode axis (axis 1), `step` mode
+    slices at a time, one slab's views alive at a time; arrays that fit in
+    one slab come back as they are, so a small core pays for no view."""
+    n = arrays[0].shape[1]
+    if step >= n:
+        return (arrays,)
+    return _slab_views(n, step, arrays)
+
+
+def _slab_views(n, step, arrays):
+    """The views of :func:`_slabs` that span more than one slab."""
+    for i0 in range(0, n, step):
+        yield [a[:, i0:i0 + step] for a in arrays]
+
+
 def partial_contraction_rl(a, r, ledger=None):
     """Right-to-left partial contractions of a TT tensor against a sketch.
 
@@ -180,15 +196,19 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
         # contiguous Z^T lets _contract_slabs reshape each slab as a view
         u_t = np.ascontiguousarray(u.T)
         yt, zt = yc.transpose(2, 1, 0), np.ascontiguousarray(zc.transpose(2, 1, 0))
-        # W^(k-1) accumulates transposed: one wide GEMM closes each slab
-        acc = np.zeros((l1, r1 * s1))
-        step = _slab_size(terms, yt, zt)
-        for i0 in range(0, n, step):
-            blk = slice(i0, min(i0 + step, n))
+        # W^(k-1) accumulates transposed: one wide GEMM closes each slab,
+        # and the first slab's closing product is the accumulator
+        acc = None
+        for ys, zs, rs in _slabs(_slab_size(terms, yt, zt), yt, zt, right):
             # x[g, i] = kron(Y(i), Z(i)) @ u[:, g]
-            x = _contract_slabs(u_t, yt[:, blk], zt[:, blk], ledger)
-            acc += right[:, blk].reshape(-1, l1).T @ x.reshape(-1, r1 * s1)
+            x = _contract_slabs(u_t, ys, zs, ledger)
+            closed = rs.reshape(-1, l1).T @ x.reshape(-1, r1 * s1)
             del x  # one slab's x at a time
+            if acc is None:
+                acc = closed
+            else:
+                acc += closed
+            del closed
         mats[k - 2] = acc.T
     return mats
 
@@ -206,21 +226,19 @@ def _contract_slabs(m, yv, zv, ledger=None):
     one slab's intermediate at a time: each slab's is released before the
     next slab's GEMM."""
     r1, n, r2 = yv.shape
-    s1, s2 = zv.shape[0], zv.shape[2]
+    s1, _, s2 = zv.shape
     rows = m.shape[0]
     if ledger is not None:
         ledger.add_matmul(n * rows * (s2 * (2 * s1 - 1) * r1 + s2 * (2 * r1 - 1) * r2))
     out = np.empty((rows, n, r2 * s2))
     m_rows = m.reshape(rows * r1, s1)
-    step = _slab_size(rows, yv, zv)
-    for i0 in range(0, n, step):
-        blk = slice(i0, min(i0 + step, n))
-        nb = blk.stop - i0
+    for ys, zs, outs in _slabs(_slab_size(rows, yv, zv), yv, zv, out):
+        nb = ys.shape[1]
         # Z side: p[g, a, i, e] = sum_c m[g, (a, c)] Z(i)[c, e]
-        p = (m_rows @ zv[:, blk].reshape(s1, nb * s2)).reshape(rows, r1, nb, s2)
+        p = (m_rows @ zs.reshape(s1, nb * s2)).reshape(rows, r1, nb, s2)
         # Y side, batched over (g, i): out[g, i] = Y(i)^T p[g, :, i, :]
-        np.matmul(yv[:, blk].transpose(1, 2, 0), p.transpose(0, 2, 1, 3),
-                  out=out[:, blk].reshape(rows, nb, r2, s2))
+        np.matmul(ys.transpose(1, 2, 0), p.transpose(0, 2, 1, 3),
+                  out=outs.reshape(rows, nb, r2, s2))
         del p
     return out
 
@@ -399,9 +417,9 @@ def _sweep_result(cores):
     """The output tensor of a rounding sweep.  Cores 1..d-1 are orthonormal
     factors of matrices that ``econ_qr`` or ``truncated_svd`` found finite;
     only the last core can overflow, so it alone is scanned."""
-    if not np.all(np.isfinite(cores[-1])):
+    if not np.isfinite(cores[-1]).all():
         raise ValueError("the recompressed tensor overflows float64")
-    return TTTensor([TTCore._trusted(c) for c in cores])
+    return TTTensor._trusted([TTCore._trusted(c) for c in cores])
 
 
 # Bytes of one slab of a randomized sweep's core update: a core update of
@@ -442,9 +460,10 @@ def _orthogonalize_sweep(shape, sketches, next_core_fn, ledger):
     `sketches[k - 1]` is the sketch matrix W^(k) of bond k, and the sweep
     takes one step per sketch; it sets W^(k) to None once step k has used
     it.  `next_core_fn(k, m, blk)` must return the mode slices `blk` (a
-    slice) of core k + 1 contracted against m, an array of shape (rows(m),
-    slices, right rank); m is None for core 1, whose slices come as they
-    are.
+    slice, or None for all of them: a core update in one slab is pulled
+    without a slab view) of core k + 1 contracted against m, an array of
+    shape (rows(m), slices, right rank); m is None for core 1, whose
+    slices come as they are.
 
     Step k holds its core update C (the contracted core k, as a
     (rows n_k) x r_k matrix) one slab of mode slices at a time (see
@@ -475,25 +494,32 @@ def _orthogonalize_sweep(shape, sketches, next_core_fn, ledger):
         # one GEMM per slab on the C-ordered side of W (see _TALL_SLAB_ROWS)
         plain = w.flags.c_contiguous
         for i0 in range(0, n, step):
-            c = next_core_fn(k - 1, m, slice(i0, min(i0 + step, n))).reshape(-1, cols)
+            blk = slice(i0, i0 + step) if step < n else None
+            c = next_core_fn(k - 1, m, blk).reshape(-1, cols)
             s = matmul(c, w, ledger) if plain else matmul(w.T, c.T, ledger).T
             if i0 == 0:
                 res = econ_qr(s, ledger=ledger)
                 q, h = res.q, matmul(res.q.T, c, ledger)
             else:
+                # [R; S_b] in LAPACK's column-major layout, which numpy's QR
+                # copies in and out of its workspace faster than a C-ordered one
                 t = r.shape[0]
-                res = econ_qr(np.vstack((r, s)), ledger=ledger)
+                stacked = np.empty((t + s.shape[0], s.shape[1]), order="F")
+                stacked[:t], stacked[t:] = r, s
+                res = econ_qr(stacked, ledger=ledger)
+                del stacked
                 top, bottom = res.q[:t], res.q[t:]
                 q = np.concatenate((matmul(q.reshape(-1, t), top, ledger).reshape(rows, -1),
                                     bottom.reshape(rows, -1)), axis=1)
                 h = matmul(top.T, h, ledger) + matmul(bottom.T, c, ledger)
+                del top, bottom  # views that would keep this QR's Q alive
             r = res.r
             # one slab of the core update at a time
             del c, s, res
         cores.append(q.reshape(rows, n, -1))
         m = h
         del w, r  # before the next core update is pulled
-    cores.append(next_core_fn(len(shape) - 1, m, slice(0, shape[-1])))
+    cores.append(next_core_fn(len(shape) - 1, m, None))
     return _sweep_result(cores)
 
 
@@ -513,12 +539,13 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     sketches = partial_contraction_rl(a, sketch, ledger)
 
     def next_core(k, m, blk):
-        nxt = a.cores[k]
+        values = a.cores[k].values
+        if blk is not None:
+            values = values[:, blk]
         if m is None:
-            return nxt.values[:, blk]
-        r2 = nxt.right_rank
-        cols = h_unfold(nxt)[:, blk.start * r2:blk.stop * r2]
-        return matmul(m, cols, ledger).reshape(m.shape[0], -1, r2)
+            return values
+        r1, slices, r2 = values.shape
+        return matmul(m, values.reshape(r1, slices * r2), ledger).reshape(-1, slices, r2)
 
     return _orthogonalize_sweep(a.shape, sketches, next_core, ledger)
 
@@ -548,7 +575,7 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
 
     def next_core(k, m, blk):
         yc, zc = y.cores[k], z.cores[k]
-        if blk.stop - blk.start < yc.values.shape[1]:  # views of the slab's slices
+        if blk is not None:  # views of the slab's slices
             yc, zc = TTCore._trusted(yc.values[:, blk]), TTCore._trusted(zc.values[:, blk])
         if m is None:  # the first product core: pkp_cores names an overflow
             return pkp_cores(yc, zc).values

@@ -18,7 +18,9 @@ Cores that the package builds from cores it has already validated (kernel
 outputs, sweep outputs, random draws, the block cores of :func:`tt_add`,
 which only rearrange their factors' values) go through ``TTCore._trusted``,
 which skips the copy and the scan but keeps the core cap and the read-only
-flag; the sweeps check their one core that can overflow, the last.
+flag; the sweeps check their one core that can overflow, the last.  Tensors
+whose rank chain the package built itself (sweep outputs, power iterates,
+random draws) go through ``TTTensor._trusted``, which skips the rank checks.
 """
 
 import math
@@ -100,6 +102,16 @@ class TTTensor:
         self.cores = cores
         self.shape = tuple(c.mode_size for c in cores)
 
+    @classmethod
+    def _trusted(cls, cores):
+        """A tensor of cores the package built with matching ranks and unit
+        boundary ranks (sweep outputs, power iterates, random draws): no
+        rank checks."""
+        x = cls.__new__(cls)
+        x.cores = tuple(cores)
+        x.shape = tuple(c.values.shape[1] for c in x.cores)
+        return x
+
     @property
     def d(self):
         return len(self.cores)
@@ -152,7 +164,7 @@ def pkp_cores(y, z):
     zx = np.repeat(z.values[:, :, None], r2, axis=2).reshape(s1, -1)
     step = max(1, _BLOCK // out.shape[2])
     # Python floats: an infinite bound is a value here, not a RuntimeWarning
-    finite = np.isfinite(_max_abs(y.values) * _max_abs(z.values))
+    finite = math.isfinite(_max_abs(y.values) * _max_abs(z.values))
     # an overflow is the ValueError below
     with nullcontext() if finite else np.errstate(over="ignore"):
         for a0 in range(0, r1, step):

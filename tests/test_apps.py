@@ -245,6 +245,19 @@ def test_power_iteration_clamps_to_the_product_ranks(alg):
         power_iteration_max(y, 5, max_iter=5, recompressor=alg)
 
 
+def test_power_iteration_restores_the_warning_filters():
+    # the solve ignores its clamps through one filter for all its
+    # iterations, and leaves the caller's filters as they were, also when
+    # it raises
+    y = separable_tt(SeparableFunctionSpec("qing", 4, 6))
+    before = list(warnings.filters)
+    power_iteration_max(y, 5, max_iter=5, recompressor="hatt-2")
+    assert warnings.filters == before
+    with pytest.raises(ArithmeticError, match="zero iterate"):
+        power_iteration_max(tt_scale(y, 0.0), 5, max_iter=5, recompressor="hatt-2")
+    assert warnings.filters == before
+
+
 def test_power_iteration_backends_agree():
     spec = SeparableFunctionSpec("qing", 4, 10)
     y = separable_tt(spec)

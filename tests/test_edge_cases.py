@@ -3,6 +3,7 @@ import pytest
 
 from hatt import (
     ResourceLimitError,
+    SeparableFunctionSpec,
     TTTensor,
     econ_qr,
     flop_model,
@@ -10,9 +11,12 @@ from hatt import (
     gaussian_tt,
     hadamard_dense,
     hatt,
+    hilbert_tt,
+    power_iteration_max,
     rand_orth,
     random_tt,
     relative_error,
+    separable_tt,
     tt_hadamard,
     tt_ones,
     tt_rounding,
@@ -138,3 +142,24 @@ def test_term_caps_and_seeds_must_be_whole_numbers(bad):
     want = hatt(y, y, 2, max_terms=2, seed=3)
     got = hatt(y, y, 2, max_terms=2.0, seed=np.int64(3))
     assert all(np.array_equal(a.values, b.values) for a, b in zip(got.cores, want.cores))
+
+
+@pytest.mark.parametrize("bad", (2.5, float("inf"), float("nan"), "3"))
+def test_generator_counts_must_be_whole_numbers(bad):
+    # hilbert_tt(3, 2.5, 2) built mode size 3; the others raised TypeError
+    # deep inside numpy or range()
+    f = separable_tt(SeparableFunctionSpec("qing", 2, 4))
+    calls = (lambda: hilbert_tt(3, bad, 2),
+             lambda: hilbert_tt(bad, 3, 2),
+             lambda: hilbert_tt(3, 3, bad),
+             lambda: fourier_tt((4, 4), n_terms=bad),
+             lambda: SeparableFunctionSpec("qing", 3, bad),
+             lambda: SeparableFunctionSpec("qing", bad, 4),
+             lambda: power_iteration_max(f, 2, max_iter=bad))
+    for call in calls:
+        with pytest.raises(ValueError, match="whole numbers"):
+            call()
+    assert hilbert_tt(3.0, np.int64(2), 2).shape == (2, 2, 2)
+    spec = SeparableFunctionSpec("qing", 3.0, np.int64(4))
+    assert (spec.d, spec.n) == (3, 4) and separable_tt(spec).shape == (4, 4, 4)
+    assert power_iteration_max(f, 2, max_iter=2.0).iterations_used <= 2

@@ -72,6 +72,21 @@ def test_econ_qr_properties(rng):
     assert np.all(np.diag(res.r) >= 0)
 
 
+@pytest.mark.parametrize("shape", ((6, 3), (3, 5)))
+@pytest.mark.parametrize("col, value", ((0, 0.0), (1, 0.0), (0, -0.0), (2, -0.0)))
+def test_econ_qr_signs_of_rank_deficient_inputs(rng, shape, col, value):
+    # LAPACK returns a zero pivot as -0.0 for a column of -0.0 in first or
+    # last place; the convention clears that sign bit too, negating Q's
+    # column with R's row, so Q stays orthonormal and Q R is still x
+    x = rng.normal(size=shape)
+    x[:, col] = value
+    res = econ_qr(x)
+    t = min(shape)
+    assert not np.signbit(np.diag(res.r)).any()
+    assert np.max(np.abs(res.q.T @ res.q - np.eye(t))) <= 1e-13
+    assert np.max(np.abs(res.q @ res.r - x)) <= 1e-13 * np.max(np.abs(x))
+
+
 def test_econ_qr_deterministic(rng):
     x = rng.normal(size=(8, 3))
     a = econ_qr(x)
