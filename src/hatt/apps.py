@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import DenseTensor
-from .indexing import check_shape, whole_numbers
+from .indexing import check_shape, positive_whole, whole_numbers
 from .limits import check_dense
 from .linalg import scale_columns, truncated_svd
 from .rand_tt import check_rank_chain, derive_seed, seed_sequence, uniform_chain
@@ -22,7 +22,7 @@ from .recompress import (
     normalize_targets,
     tt_hadamard_dot,
 )
-from .tt import TTCore, TTTensor, _max_abs, tt_add, tt_ones, tt_scale
+from .tt import TTCore, TTTensor, _max_abs, check_trains, tt_add, tt_ones, tt_scale
 
 # Not used here: perfbench/tracing.py wraps these names on this module.
 from .recompress import hatt, rand_orth, tt_rounding  # noqa: F401
@@ -76,9 +76,7 @@ SVD_TOL = 1e-12  # relative reconstruction error of each sampled series in TT fo
 def fourier_coefficients(n_terms, seed=0):
     """The seeded (a, b) coefficient pair of :func:`fourier_tt`: n_terms
     uniform draws each from [COEFF_LOW, COEFF_HIGH)."""
-    (n_terms,) = whole_numbers((n_terms,), "n_terms")
-    if n_terms < 1:
-        raise ValueError(f"n_terms must be >= 1, got {n_terms}")
+    n_terms = positive_whole(n_terms, "n_terms")
     (seed,) = whole_numbers((seed,), "seed")
     rng = np.random.default_rng(seed_sequence(seed, 777))
     a = rng.uniform(COEFF_LOW, COEFF_HIGH, size=n_terms)
@@ -238,9 +236,8 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
     largest entry, so it neither overflows nor underflows while it is
     representable, and the estimate scales with y.
     """
-    (max_iter,) = whole_numbers((max_iter,), "max_iter")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_trains(y=y)
+    max_iter = positive_whole(max_iter, "max_iter")
     run = _runner(recompressor)
     chain = normalize_targets(ell, y.d)
     v = tt_scale(tt_ones(y.shape), 1.0 / math.sqrt(y.size))

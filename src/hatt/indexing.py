@@ -1,4 +1,4 @@
-"""Shape validation and the package's multi-index convention.
+"""Argument validation and the package's multi-index convention.
 
 Tensor multi-indexing is 1-based and *last-index-fastest*:
 ``(i_1, ..., i_d) -> i_d + (i_{d-1}-1) n_d + ... + (i_1-1) n_2...n_d``,
@@ -17,6 +17,15 @@ def whole_numbers(values, what):
     if ints != values:
         raise ValueError(f"{what} must be whole numbers, got {values}")
     return ints
+
+
+def positive_whole(value, what):
+    """`value` as an int; one that is not a whole number >= 1 is a
+    ValueError naming `what`."""
+    (value,) = whole_numbers((value,), what)
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {value}")
+    return value
 
 
 def check_shape(shape):

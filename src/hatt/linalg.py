@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .indexing import positive_whole
+
 SVD_COST_FACTOR = 14
 
 
@@ -140,8 +142,13 @@ def truncated_svd(x, target_rank=None, max_terms=None, ledger=None, rank_tol=1e-
 
     Keeps ``min(target_rank or numeric rank, max_terms or inf)`` triplets,
     where the numeric rank drops singular values sigma_i <= rank_tol * sigma_1.
-    Ties keep the earlier-indexed triplets.
+    Ties keep the earlier-indexed triplets.  `target_rank` and `max_terms`
+    must each be None or a whole number >= 1.
     """
+    if target_rank is not None:
+        target_rank = positive_whole(target_rank, "target_rank")
+    if max_terms is not None:
+        max_terms = positive_whole(max_terms, "max_terms")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("truncated_svd expects a matrix")
@@ -154,13 +161,13 @@ def truncated_svd(x, target_rank=None, max_terms=None, ledger=None, rank_tol=1e-
     if ledger is not None:
         ledger.add_svd(SVD_COST_FACTOR * max(m, n) * min(m, n) ** 2)
     if target_rank is not None:
-        keep = int(target_rank)
+        keep = target_rank
     elif s.size and s[0] > 0:
         keep = int(np.sum(s > rank_tol * s[0]))
     else:
         keep = 0
     if max_terms is not None:
-        keep = min(keep, int(max_terms))
+        keep = min(keep, max_terms)
     keep = max(keep, 1) if s.size else 0
     u, s, v = u[:, :keep].copy(), s[:keep].copy(), vt[:keep].T.copy()
     # sign convention: first nonzero entry of each left singular vector >= 0

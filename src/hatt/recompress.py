@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .indexing import whole_numbers
+from .indexing import positive_whole, whole_numbers
 from .linalg import (
     SVD_COST_FACTOR,
     FlopLedger,
@@ -46,6 +46,7 @@ from .tt import (
     _BLOCK,
     TTCore,
     TTTensor,
+    check_trains,
     h_unfold,
     pkp_cores,
     tt_hadamard,
@@ -65,11 +66,7 @@ _RANK1_TOL = 1e-10
 def _check_max_terms(max_terms):
     """`max_terms` as an int or None; a value that is neither None nor a
     whole number >= 1 is a ValueError."""
-    if max_terms is not None:
-        (max_terms,) = whole_numbers((max_terms,), "max_terms")
-        if max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1 or None, got {max_terms!r}")
-    return max_terms
+    return None if max_terms is None else positive_whole(max_terms, "max_terms")
 
 
 def rank1_decompose(w, max_terms, ledger=None):
@@ -82,13 +79,12 @@ def rank1_decompose(w, max_terms, ledger=None):
 # --- sketches ---------------------------------------------------------------
 
 # Mode slices per slab in the Hadamard-avoiding kernels: as many as keep a
-# slab's intermediates within _SLAB_BUDGET elements, but at least _MIN_SLAB.
+# slab's intermediates within _BLOCK elements, but at least _MIN_SLAB.
 # Small cores then take one slab per core, so a kernel pays its per-call
 # overhead once per core.  Large cores keep 4-slice slabs: at 8 slices
 # the tracemalloc peak of hatt-2 on hilbert_tt(5, 8, 20) squared rises from
 # 0.57 to 0.95 MiB, and the 2-slice slabs that the budget alone gives at
 # r = s = 20, ell = 10 were no faster there in interleaved timings.
-_SLAB_BUDGET = 8192
 _MIN_SLAB = 4
 
 
@@ -99,7 +95,7 @@ def _slab_size(rows, yv, zv):
     :func:`_contract_slabs`."""
     n = yv.shape[1]
     width = max(yv.shape[0], yv.shape[2]) * zv.shape[2]
-    return min(n, max(_MIN_SLAB, _SLAB_BUDGET // (rows * width)))
+    return min(n, max(_MIN_SLAB, _BLOCK // (rows * width)))
 
 
 def _slabs(step, *arrays):
@@ -121,14 +117,15 @@ def _slab_views(n, step, arrays):
 def partial_contraction_rl(a, r, ledger=None):
     """Right-to-left partial contractions of a TT tensor against a sketch.
 
-    Returns the list [W^(1), ..., W^(d-1)], so W^(k) is item k-1.  W^(k)
-    contracts cores k+1..d of `a` with cores k+1..d of `r`; the recursion
-    per core is: fold W^(k) into the k-th core of `a` from the right (one
-    product against the vertical matricization), then contract the mode
-    against the k-th core of `r` (one product against the horizontal
-    matricization of `r`).  The temporary folded core exists only as a
-    matrix.  The skinny fold ``V<A_k> W^(k)`` is computed as ``(W^(k)^T V<A_k>^T)^T``
-    in row blocks, an orientation OpenBLAS runs faster; same ledger charge.
+    Returns the list [W^(1), ..., W^(d-1)] of C-ordered matrices, so W^(k)
+    is item k-1.  W^(k) contracts cores k+1..d of `a` with cores k+1..d of
+    `r`; the recursion per core is: fold W^(k) into the k-th core of `a`
+    from the right (one product against the vertical matricization), then
+    contract the mode against the k-th core of `r` (one product against the
+    horizontal matricization of `r`).  The temporary folded core exists
+    only as a matrix.  The skinny fold ``V<A_k> W^(k)`` is computed as
+    ``(W^(k)^T V<A_k>^T)^T`` in row blocks, an orientation OpenBLAS runs
+    faster; same ledger charge.
     """
     if a.shape != r.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {r.shape}")
@@ -162,7 +159,8 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
     :func:`contract_m_onto_pkp` applied to the transposed factor cores;
     each slab of mode slices is then closed against the sketch core's
     slices into W^(k-1).  Slabs keep every intermediate a fraction of a
-    factor core.
+    factor core.  Every W^(k) is returned C-ordered, as
+    :func:`partial_contraction_rl` returns its sketches.
     """
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
@@ -176,6 +174,7 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
     # the last product core has right rank 1: r_d s_d x n_d entries only
     mats[d - 2] = matmul(h_unfold(pkp_cores(y.cores[d - 1], z.cores[d - 1])),
                          h_unfold(r.cores[d - 1]).T, ledger)
+    w_t = mats[d - 2].T  # W^(k)^T: the uncapped kernel's rows
     for k in range(d - 1, 1, -1):
         yc, zc, rc = y.cores[k - 1].values, z.cores[k - 1].values, r.cores[k - 1].values
         r1, n, _ = yc.shape
@@ -183,18 +182,18 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
         l1 = rc.shape[0]
         # right[g, i] is R(i) v_g sigma_g (R(i)'s column g without a cap)
         if max_terms is None:
-            u, right = mats[k - 1], rc
+            u_t, right = w_t, rc
         else:
             svd = rank1_decompose(mats[k - 1], max_terms, ledger)
-            u, right = svd.u, matmul(rc.reshape(l1 * n, -1), svd.v, ledger)
-            right = scale_columns(right, svd.s, ledger).reshape(l1, n, u.shape[1])
-        terms = u.shape[1]
+            u_t, right = svd.u.T, matmul(rc.reshape(l1 * n, -1), svd.v, ledger)
+            right = scale_columns(right, svd.s, ledger).reshape(l1, n, len(svd.s))
+        terms = u_t.shape[0]
         right = right.transpose(2, 1, 0)
         if ledger is not None:
             ledger.add_matmul(r1 * s1 * (2 * n * terms - 1) * l1)
-        # uncapped, u is the previous step's acc.T and u.T needs no copy; a
-        # contiguous Z^T lets _contract_slabs reshape each slab as a view
-        u_t = np.ascontiguousarray(u.T)
+        # uncapped, u^T is the last step's acc (copied at the first step only);
+        # a contiguous Z^T lets _contract_slabs reshape each slab as a view
+        u_t = np.ascontiguousarray(u_t)
         yt, zt = yc.transpose(2, 1, 0), np.ascontiguousarray(zc.transpose(2, 1, 0))
         # W^(k-1) accumulates transposed: one wide GEMM closes each slab,
         # and the first slab's closing product is the accumulator
@@ -209,7 +208,7 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
             else:
                 acc += closed
             del closed
-        mats[k - 2] = acc.T
+        mats[k - 2], w_t = np.ascontiguousarray(acc.T), acc  # one copy per bond
     return mats
 
 
@@ -288,7 +287,8 @@ def normalize_targets(targets, d):
     """Accept a scalar, an interior list (length d-1), or a full chain."""
     if targets is None:
         raise ValueError("target ranks are required (or pass an explicit sketch tensor)")
-    if np.isscalar(targets):
+    # a 0-d array is a scalar too; np.ndim would refuse a ragged list opaquely
+    if np.isscalar(targets) or getattr(targets, "ndim", None) == 0:
         chain = uniform_chain(d, targets)
     else:
         targets = tuple(targets)
@@ -342,6 +342,7 @@ def _sketch(shape, ranks, targets, seed, sketch_tt):
     if sketch_tt is None:
         chain = _clamp_targets(normalize_targets(targets, len(shape)), shape, ranks, stacklevel=4)
         return _draw_sketch_tensor(shape, chain, seed)
+    check_trains(sketch_tt=sketch_tt)
     if sketch_tt.shape != tuple(shape):
         raise ValueError(f"sketch tensor shape {sketch_tt.shape} does not match {tuple(shape)}")
     chain = _clamp_targets(sketch_tt.ranks, shape, ranks, stacklevel=4)
@@ -378,6 +379,7 @@ def tt_rounding(a, targets, ledger=None):
     the targets clamped to the ranks of `a` and to feasible values (with a
     :class:`TargetRankWarning`), and cores 1..d-1 are left-orthogonal.
     """
+    check_trains(a=a)
     d = a.d
     targets = _clamp_targets(normalize_targets(targets, d), a.shape, a.ranks)
     cores = [c.values for c in a.cores]
@@ -422,9 +424,9 @@ def _sweep_result(cores):
     return TTTensor._trusted([TTCore._trusted(c) for c in cores])
 
 
-# Bytes of one slab of a randomized sweep's core update: a core update of
+# Elements of one slab of a randomized sweep's core update: a core update of
 # rows x n x cols elements is pulled `_sweep_slab_size` mode slices at a time
-# (at least _MIN_SLAB).  At 512 KiB, hadamard-large's core updates
+# (at least _MIN_SLAB).  At 2^16 (512 KiB), hadamard-large's core updates
 # (10 x 32 x 400 elements) split into 2 slabs of 16 slices, and the
 # tracemalloc peak of hatt-2 there falls from 1.38 to 0.94 MiB; in one
 # interleaved run of 300 calls each, 2 slabs took 0.97x the time of one
@@ -433,33 +435,23 @@ def _sweep_result(cores):
 # The floor matters at r = s = 60: one-slice slabs (32 per core) took 1.22x
 # the unslabbed time and 4-slice slabs 1.02x (20 calls each), at the same
 # 5.76 MiB peak, which hpcrl sets there.
-_SWEEP_SLAB_BYTES = 1 << 19
-# Rows of a sweep slab from which its sketched block C_b W is formed on a
-# C-ordered copy of W.  Each block is one GEMM against the C-ordered side of
-# W: C_b W when W is C-ordered (rand_orth's sketches), (W^T C_b^T)^T on
-# hpcrl's, which are transposed views.  With one OpenBLAS thread and W of
-# 400 x 10, those two run alike up to 120 rows of C_b, but at 160 rows the
-# second takes 78 us where a C-ordered copy of W and C_b W take 37; below
-# 128 rows the copy costs more than it saves (18 against 11 us at 40 rows),
-# and more so for larger W (at 3,600 x 10 it is 50 us).  On a C-ordered W,
-# (W^T C_b^T)^T takes 31-40 us at 64-80 rows where C_b W takes 20-22.
-_TALL_SLAB_ROWS = 128
+_SWEEP_BLOCK = 1 << 16
 
 
 def _sweep_slab_size(slice_elements, n):
     """Mode slices per slab of a sweep's core update whose mode slices hold
-    `slice_elements` elements each: as many as fit in _SWEEP_SLAB_BYTES, at
+    `slice_elements` elements each: as many as fit in _SWEEP_BLOCK, at
     least _MIN_SLAB, at most all n."""
-    return min(n, max(_MIN_SLAB, _SWEEP_SLAB_BYTES // (8 * slice_elements)))
+    return min(n, max(_MIN_SLAB, _SWEEP_BLOCK // slice_elements))
 
 
 def _orthogonalize_sweep(shape, sketches, next_core_fn, ledger):
     """Shared left-to-right randomized sweep of :func:`rand_orth` and
     :func:`hatt` over a tensor of mode sizes `shape`.
 
-    `sketches[k - 1]` is the sketch matrix W^(k) of bond k, and the sweep
-    takes one step per sketch; it sets W^(k) to None once step k has used
-    it.  `next_core_fn(k, m, blk)` must return the mode slices `blk` (a
+    `sketches[k - 1]` is the C-ordered sketch matrix W^(k) of bond k, and
+    the sweep takes one step per sketch; it sets W^(k) to None once step k
+    has used it.  `next_core_fn(k, m, blk)` must return the mode slices `blk` (a
     slice, or None for all of them: a core update in one slab is pulled
     without a slab view) of core k + 1 contracted against m, an array of
     shape (rows(m), slices, right rank); m is None for core 1, whose
@@ -467,20 +459,20 @@ def _orthogonalize_sweep(shape, sketches, next_core_fn, ledger):
 
     Step k holds its core update C (the contracted core k, as a
     (rows n_k) x r_k matrix) one slab of mode slices at a time (see
-    :func:`_sweep_slab_size`).  It folds each slab's sketch
-    S_b = C_b W^(k) into a running QR with a flat-tree TSQR combine (Demmel,
-    Grigori, Hoemmen and Langou, SISC 2012): the Householder QR of [R; S_b]
-    updates R, multiplies the rows of Q so far by its top block and appends
-    its bottom block as slab b's rows, and H = Q^T C becomes
-    top^T H + bottom^T C_b.  No Gram matrix and no triangular solve are
-    formed.  Each row of Q meets only the top block, so Q is kept as the
-    output core, a rows x (slices so far x width) matrix that each slab's
-    rows join along the mode axis, and the next step contracts against
-    m = H.  If S has full column rank, Q is the Q of S's QR up to rounding
-    (R with a nonnegative diagonal is unique); a core update in one slab
-    takes one QR and one product, as an unslabbed sweep does.  Returns the
-    output tensor; every core except the last has orthonormal vertical
-    matricization.
+    :func:`_sweep_slab_size`).  It forms each slab's sketch S_b = C_b W^(k)
+    with one GEMM and folds it into a running QR with a flat-tree TSQR
+    combine (Demmel, Grigori, Hoemmen and Langou, SISC 2012): the
+    Householder QR of [R; S_b] updates R, multiplies the rows of Q so far by
+    its top block and appends its bottom block as slab b's rows, and
+    H = Q^T C becomes top^T H + bottom^T C_b.  No Gram matrix and no
+    triangular solve are formed.  Each row of Q meets only the top block,
+    so Q is kept as the output core, a rows x (slices so far x width)
+    matrix that each slab's rows join along the mode axis, and the next
+    step contracts against m = H.  If S has full column rank, Q is the Q of
+    S's QR up to rounding (R with a nonnegative diagonal is unique); a core
+    update in one slab takes one QR and one product, as an unslabbed sweep
+    does.  Returns the output tensor; every core except the last has
+    orthonormal vertical matricization.
     """
     cores = []
     m = None
@@ -489,14 +481,10 @@ def _orthogonalize_sweep(shape, sketches, next_core_fn, ledger):
         sketches[k - 1] = None
         rows, cols = 1 if m is None else m.shape[0], w.shape[0]
         step = _sweep_slab_size(rows * cols, n)
-        if rows * step >= _TALL_SLAB_ROWS:
-            w = np.ascontiguousarray(w)
-        # one GEMM per slab on the C-ordered side of W (see _TALL_SLAB_ROWS)
-        plain = w.flags.c_contiguous
         for i0 in range(0, n, step):
             blk = slice(i0, i0 + step) if step < n else None
             c = next_core_fn(k - 1, m, blk).reshape(-1, cols)
-            s = matmul(c, w, ledger) if plain else matmul(w.T, c.T, ledger).T
+            s = matmul(c, w, ledger)
             if i0 == 0:
                 res = econ_qr(s, ledger=ledger)
                 q, h = res.q, matmul(res.q.T, c, ledger)
@@ -535,6 +523,7 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     `sketch_tt` ranks, above the ranks of `a` or above feasible values are
     clamped with a :class:`TargetRankWarning`.
     """
+    check_trains(a=a)
     sketch = _sketch(a.shape, a.ranks, targets, seed, sketch_tt)
     sketches = partial_contraction_rl(a, sketch, ledger)
 
@@ -566,6 +555,7 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
     ranks, above the product rank r_k s_k or above feasible values are
     clamped with a :class:`TargetRankWarning`.
     """
+    check_trains(y=y, z=z)
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
@@ -660,6 +650,7 @@ def flop_model(algorithm, d, n, r, s, ell, max_terms=None):
     interior cores, so d <= 2 predicts 0.
     """
     _runner(algorithm)
+    d, n, r, s, ell = whole_numbers((d, n, r, s, ell), "flop model arguments")
     if min(d, n, r, s, ell) < 1:
         raise ValueError("flop model arguments must be positive")
     if algorithm == "tt-rounding":
@@ -708,6 +699,7 @@ def recompress_hadamard(algorithm, y, z, targets, seed=None, max_terms=None):
     target rank); the other algorithms ignore it.
     """
     run = _runner(algorithm)
+    check_trains(y=y, z=z)
     ledger = FlopLedger()
     d = y.d
     ell = max(normalize_targets(targets, d))

@@ -129,9 +129,18 @@ class TTTensor:
         return f"TTTensor(shape={self.shape}, ranks={self.ranks})"
 
 
-# Elements (128 KiB) one block's temporary holds in pkp_cores and the fold of
-# partial_contraction_rl; 2^13 to 2^15 ran alike, and smaller blocks peak lower.
-_BLOCK = 1 << 14
+def check_trains(**named):
+    """Each keyword argument must be a TTTensor; one that is not (an
+    ndarray, a list) is a TypeError naming its keyword, raised before any
+    attribute of it is read."""
+    for name, value in named.items():
+        if not isinstance(value, TTTensor):
+            raise TypeError(f"{name} must be a TTTensor, got {type(value).__name__}")
+
+
+# Elements (64 KiB) of every transient block (pkp_cores' Y blocks, the fold and
+# kernel slabs of hatt.recompress); 2^13 to 2^15 ran alike, smaller peak lower.
+_BLOCK = 1 << 13
 
 
 def _max_abs(values):
@@ -217,6 +226,7 @@ def tt_hadamard(y, z):
     cost of writing their bytes (:func:`pkp_cores`); the sketching sweeps in
     :mod:`hatt.recompress` exist to avoid exactly that.
     """
+    check_trains(y=y, z=z)
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     return TTTensor([pkp_cores(cy, cz) for cy, cz in zip(y.cores, z.cores)])
@@ -267,6 +277,7 @@ def tt_dot(y, z):
     The carry C (r_{k-1} x s_{k-1}) takes two GEMMs per core:
     ``U = C^T H<Y_k>`` refolded to (s_{k-1} n_k) x r_k, then ``C = U^T V<Z_k>``.
     """
+    check_trains(y=y, z=z)
     if y.shape != z.shape:
         raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     c = np.ones((1, 1))

@@ -15,8 +15,10 @@ from hatt import (
     power_iteration_max,
     rand_orth,
     random_tt,
+    recompress_hadamard,
     relative_error,
     separable_tt,
+    tt_dot,
     tt_hadamard,
     tt_ones,
     tt_rounding,
@@ -132,6 +134,7 @@ def test_term_caps_and_seeds_must_be_whole_numbers(bad):
     y = gaussian_tt((3, 3, 3), (1, 2, 2, 1), seed=1)
     calls = (lambda: hatt(y, y, 2, max_terms=bad, seed=0),
              lambda: flop_model("hatt-1", 4, 4, 3, 3, 6, max_terms=bad),
+             lambda: flop_model("hatt-2", bad, 4, 2, 2, 2),
              lambda: hatt(y, y, 2, seed=bad),
              lambda: random_tt((3,), (1, 1), "gaussian", bad),
              lambda: fourier_tt((4, 4), 2, bad),
@@ -140,8 +143,32 @@ def test_term_caps_and_seeds_must_be_whole_numbers(bad):
         with pytest.raises(ValueError, match="whole numbers"):
             call()
     want = hatt(y, y, 2, max_terms=2, seed=3)
-    got = hatt(y, y, 2, max_terms=2.0, seed=np.int64(3))
-    assert all(np.array_equal(a.values, b.values) for a, b in zip(got.cores, want.cores))
+    # a 0-d array target is a scalar, as np.int64 is
+    for got in (hatt(y, y, 2, max_terms=2.0, seed=np.int64(3)),
+                hatt(y, y, np.array(2), max_terms=2, seed=3)):
+        assert all(np.array_equal(a.values, b.values) for a, b in zip(got.cores, want.cores))
+
+
+TRAIN = gaussian_tt((4,) * 4, (1, 2, 2, 2, 1), seed=1)
+ARRAY = np.zeros((4,) * 4)
+
+
+# each raised an AttributeError naming `ranks`, `d`, `cores` or `shape`, or
+# a shape mismatch for the sketch
+@pytest.mark.parametrize("name, call", (
+    ("y", lambda: hatt(ARRAY, TRAIN, 2, seed=0)),
+    ("sketch_tt", lambda: hatt(TRAIN, TRAIN, sketch_tt=ARRAY[0])),
+    ("a", lambda: rand_orth(ARRAY, 2, seed=0)),
+    ("a", lambda: tt_rounding(ARRAY.tolist(), 2)),
+    ("z", lambda: tt_dot(TRAIN, ARRAY)),
+    ("y", lambda: tt_hadamard(ARRAY, ARRAY)),
+    ("z", lambda: recompress_hadamard("hatt-2", TRAIN, ARRAY, 2, seed=0)),
+    ("y", lambda: power_iteration_max(ARRAY, 2)),
+), ids=("hatt", "hatt-sketch", "rand_orth", "tt_rounding", "tt_dot", "tt_hadamard",
+        "recompress_hadamard", "power_iteration_max"))
+def test_non_train_arguments_are_named_type_errors(name, call):
+    with pytest.raises(TypeError, match=f"^{name} must be a TTTensor, got (ndarray|list)$"):
+        call()
 
 
 @pytest.mark.parametrize("bad", (2.5, float("inf"), float("nan"), "3"))

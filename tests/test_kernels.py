@@ -18,17 +18,22 @@ from hypothesis import strategies as st
 
 from hatt import (
     FlopLedger,
+    SeparableFunctionSpec,
     TTCore,
     contract_m_onto_pkp,
     gaussian_tt,
     hatt,
+    hilbert_tt,
     hpcrl,
     partial_contraction_rl,
+    power_iteration_max,
     rank1_decompose,
+    separable_tt,
     tt_dot,
     tt_hadamard,
     tt_hadamard_dot,
     tt_to_dense,
+    uniform_chain,
 )
 from hatt import recompress
 from hatt.linalg import SvdResult, matmul, scale_columns
@@ -141,6 +146,8 @@ def test_hpcrl_matches_materialized_product_and_loop(tts, max_terms):
     loop = loop_hpcrl(y, z, sketch, max_terms, loop_ledger)
     tol = 1e-12 if max_terms is None else 1e-11
     for w, w_ref, w_plain, w_loop in zip(got, ref, plain, loop):
+        # the sweep forms every sketched block as C_b W, one GEMM on either
+        assert w.flags.c_contiguous and w_ref.flags.c_contiguous
         assert rel_gap(w, w_ref) <= tol
         assert rel_gap(w_ref, w_plain) <= 1e-13
         assert rel_gap(w, w_loop) <= 1e-12
@@ -205,7 +212,7 @@ def test_inner_products_match_dense(tts):
                                   test_inner_products_match_dense),
                          ids=("hpcrl", "contract_m", "inner_products"))
 def test_properties_hold_across_several_slabs(prop, monkeypatch):
-    monkeypatch.setattr(recompress, "_SLAB_BUDGET", 0)
+    monkeypatch.setattr(recompress, "_BLOCK", 0)
     core = np.zeros((4, 9, 4))
     assert recompress._slab_size(1, core, core) == 4
     prop()
@@ -215,7 +222,7 @@ def test_properties_hold_across_several_slabs(prop, monkeypatch):
 def test_hpcrl_peak_stays_below_one_unslabbed_intermediate(max_terms):
     # applying every rank-1 term to every slice of a product core at once
     # forms ell x n x (r s) entries, which dominate at these sizes; slabs
-    # of at most _SLAB_BUDGET elements keep hpcrl well below one such array
+    # of at most _BLOCK elements keep hpcrl well below one such array
     d, n, r, ell = 4, 128, 8, 8
     y, z = (gaussian_tt((n,) * d, (1,) + (r,) * (d - 1) + (1,), seed=s) for s in (1, 2))
     sketch = gaussian_tt((n,) * d, (1,) + (ell,) * (d - 1) + (1,), seed=3)
@@ -280,3 +287,51 @@ def test_hatt_peak_holds_one_slab_of_a_core_update(max_terms):
     bound = elements * np.dtype(float).itemsize + 16 * 1024
     assert peak <= bound
     assert ell * n * r * r * np.dtype(float).itemsize > bound
+
+
+def slab_splits(run):
+    """The slab lengths into which every kernel call and every sweep step
+    that `run` makes splits its mode slices."""
+    kernel, sweep = set(), set()
+    slabs, sweep_slab_size = recompress._slabs, recompress._sweep_slab_size
+
+    def split(n, step):
+        return tuple(min(step, n - i) for i in range(0, n, step))
+
+    def kernel_slabs(step, *arrays):
+        kernel.add(split(arrays[0].shape[1], step))
+        return slabs(step, *arrays)
+
+    def sweep_step(slice_elements, n):
+        step = sweep_slab_size(slice_elements, n)
+        sweep.add(split(n, step))
+        return step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(recompress, "_slabs", kernel_slabs)
+        mp.setattr(recompress, "_sweep_slab_size", sweep_step)
+        run()
+    return kernel, sweep
+
+
+@pytest.mark.parametrize("max_terms", (None, 5), ids=("hatt-2", "hatt-1"))
+def test_slab_splits_on_the_benchmark_cells(max_terms):
+    """The block budgets split the benchmark's cells as they were tuned:
+    on the hadamard-large inputs (d=10, n=32, r=s=20, ell=10) kernel slabs
+    of 4 slices and interior sweep steps in two slabs of 16; on
+    hilbert_tt(5, 8, 20) squared kernel slabs of 5+3 slices at ell=4 and
+    4+4 at ell=8, every sweep step whole; at power-iteration size (d=6,
+    n=10, ell=8) every core whole.  A single slab, (n,), is a boundary
+    core, a first sweep step, or the kernel call on one slab of hpcrl."""
+    y, z = (gaussian_tt((32,) * 10, uniform_chain(10, 20), seed=s) for s in (1, 2))
+    assert slab_splits(lambda: hatt(y, z, 10, max_terms, seed=3)) == (
+        {(4,) * 8, (4,) * 4, (4,), (32,)}, {(16, 16), (32,)})
+    h = hilbert_tt(5, 8, 20)
+    assert slab_splits(lambda: hatt(h, h, 4, max_terms, seed=3)) == (
+        {(5, 3), (5,), (3,), (8,)}, {(8,)})
+    assert slab_splits(lambda: hatt(h, h, 8, max_terms, seed=3)) == (
+        {(4, 4), (4,), (8,)}, {(8,)})
+    f = separable_tt(SeparableFunctionSpec("qing", 6, 10))
+    name = "hatt-2" if max_terms is None else "hatt-1"
+    assert slab_splits(lambda: power_iteration_max(f, 8, max_iter=3, recompressor=name,
+                                                   max_terms=max_terms)) == ({(10,)}, {(10,)})

@@ -138,6 +138,18 @@ def test_truncated_svd_target_rank_bound():
         truncated_svd(np.ones((3, 4)), target_rank=4)
 
 
+@pytest.mark.parametrize("name, value, match", (("target_rank", 0, ">= 1"),
+                                                ("target_rank", -2, ">= 1"),
+                                                ("max_terms", 0, ">= 1"),
+                                                ("max_terms", -1, ">= 1"),
+                                                ("target_rank", 2.5, "whole numbers")))
+def test_truncated_svd_counts_are_whole_numbers_from_one(name, value, match):
+    # each of these returned one triplet (two for 2.5) instead of refusing
+    with pytest.raises(ValueError, match=f"{name} must be {match}"):
+        truncated_svd(np.diag([3.0, 2.0, 1.0]), **{name: value})
+    assert truncated_svd(np.diag([3.0, 2.0, 1.0]), **{name: 2.0}).n_terms == 2
+
+
 def test_truncated_svd_optimality(rng):
     # dropping any other subset of singular directions is never better
     x = rng.normal(size=(6, 6))

@@ -406,7 +406,7 @@ def test_flop_model_counts_the_tsqr_combine(monkeypatch):
     # with one mode slice per sweep slab, each core update of this cell
     # spans 12 slabs; without the combine GEMMs the model would miss about
     # a third of hatt's matmul flops
-    monkeypatch.setattr(recompress, "_SWEEP_SLAB_BYTES", 0)
+    monkeypatch.setattr(recompress, "_SWEEP_BLOCK", 0)
     monkeypatch.setattr(recompress, "_MIN_SLAB", 1)
     d, n, r, ell = 5, 12, 4, 6
     assert recompress._sweep_slab_size(ell * r * r, n) == 1
@@ -537,9 +537,10 @@ def test_normalize_targets_forms():
     assert normalize_targets((2, 3, 2), 4) == (1, 2, 3, 2, 1)
     assert normalize_targets((1, 2, 3, 2, 1), 4) == (1, 2, 3, 2, 1)
     assert normalize_targets(np.int64(3), 4) == (1, 3, 3, 3, 1)
+    assert normalize_targets(np.array(3), 4) == (1, 3, 3, 3, 1)
     with pytest.raises(ValueError):
         normalize_targets((2, 2), 4)
-    for fractional in (2.9, (2, 2.5, 2)):
+    for fractional in (2.9, (2, 2.5, 2), (2, (2, 3), 2)):
         with pytest.raises(ValueError, match="whole numbers"):
             normalize_targets(fractional, 4)
 

@@ -27,7 +27,8 @@ from hatt import (
     tt_to_dense,
 )
 from hatt import recompress
-from hatt.recompress import _clamp_targets
+from hatt.recompress import _clamp_targets, _sketch, partial_contraction_rl
+from hatt.tt import h_unfold
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 pytestmark = pytest.mark.filterwarnings("ignore::hatt.TargetRankWarning")
@@ -99,7 +100,7 @@ def sweeps_in_slabs(y, z, sketch, max_terms, budget, min_slab=1):
     update in one slab (budget None)."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(recompress, "_MIN_SLAB", min_slab)
-        mp.setattr(recompress, "_SWEEP_SLAB_BYTES", 1 << 60 if budget is None else budget)
+        mp.setattr(recompress, "_SWEEP_BLOCK", 1 << 60 if budget is None else budget)
         return (hatt(y, z, sketch_tt=sketch, max_terms=max_terms),
                 rand_orth(tt_hadamard(y, z), sketch_tt=sketch))
 
@@ -128,6 +129,50 @@ def test_sweeps_agree_across_slabs(tts, max_terms):
                 assert rel_gap(a.values, b.values) <= 1e-12
         for a, b in zip(got.cores, base.cores):
             assert rel_gap(a.values, b.values) <= 1e-10
+
+
+def sketch_conditions(product, sketch):
+    """κ(S_k) of every step k of an unslabbed randomized sweep of `product`
+    under `sketch` (clamped as the sweeps clamp it), where S_k = C_k W^(k)
+    is the sketched core update."""
+    sketch = _sketch(product.shape, product.ranks, None, None, sketch)
+    m, conditions = np.ones((1, 1)), []
+    for core, w in zip(product.cores, partial_contraction_rl(product, sketch)):
+        c = (m @ h_unfold(core)).reshape(-1, core.right_rank)
+        s = c @ w
+        conditions.append(np.linalg.cond(s))
+        m = np.linalg.qr(s)[0].T @ c
+    return conditions
+
+
+@SETTINGS
+@given(trains(3), st.sampled_from((None, 4)))
+# hatt's and rand_orth's third cores differ by 5.8e-12 here, at
+# κ(S_3) = 2.0e5: 0.13 eps κ, but above the fixed 1e-12 bound of
+# test_hatt_equals_rand_orth_on_the_product
+@example([gaussian_tt((6, 5, 4, 3), ranks, seed=757285346 + j)
+          for j, ranks in enumerate(((1, 3, 4, 1, 1), (1, 1, 2, 3, 1), (1, 2, 3, 3, 1)))],
+         None)
+def test_sweep_gaps_follow_the_sketch_conditioning(tts, max_terms):
+    """Two sweeps equal in exact arithmetic (hatt and rand_orth on the
+    product under one sketch, a slabbed sweep and the one-slab sweep) give
+    cores that differ as a QR's Q does under rounding: core k within
+    2 eps max_{j <= k} κ(S_j), plus a floor of about 450 eps.  The tensors
+    they represent agree to 1e-12."""
+    y, z, drawn = tts
+    product = tt_hadamard(y, z)
+    sketch = full_rank_sketch(drawn, product)
+    conditions = sketch_conditions(product, sketch)
+    whole = sweeps_in_slabs(y, z, sketch, max_terms, None)
+    pairs = [whole]
+    for min_slab in (1, 2):
+        pairs.extend(zip(sweeps_in_slabs(y, z, sketch, max_terms, 0, min_slab), whole))
+    eps = np.finfo(float).eps
+    for got, want in pairs:
+        for k, (a, b) in enumerate(zip(got.cores, want.cores)):
+            kappa = max(conditions[:k + 1], default=1.0)
+            assert rel_gap(a.values, b.values) <= 2 * eps * kappa + 1e-13, (k, kappa)
+        assert rel_gap(tt_to_dense(got).values, tt_to_dense(want).values) <= 1e-12
 
 
 @SETTINGS
