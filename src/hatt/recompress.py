@@ -78,24 +78,35 @@ def rank1_decompose(w, max_terms, ledger=None):
 
 # --- sketches ---------------------------------------------------------------
 
-# Mode slices per slab in the Hadamard-avoiding kernels: as many as keep a
-# slab's intermediates within _BLOCK elements, but at least _MIN_SLAB.
-# Small cores then take one slab per core, so a kernel pays its per-call
-# overhead once per core.  Large cores keep 4-slice slabs: at 8 slices
-# the tracemalloc peak of hatt-2 on hilbert_tt(5, 8, 20) squared rises from
-# 0.57 to 0.95 MiB, and the 2-slice slabs that the budget alone gives at
-# r = s = 20, ell = 10 were no faster there in interleaved timings.
+# Mode slices per slab, in the kernels (_contract_slabs, hpcrl) and in the
+# randomized sweep's core updates alike: as many as keep a slab within a
+# budget of elements, but at least _MIN_SLAB, and at most all of them (see
+# _slab_size).  The kernels' budget is tt._BLOCK, counted over one slab's
+# intermediate; small cores then take one slab per core, so a kernel pays
+# its per-call overhead once per core.  Large cores keep 4-slice slabs: at
+# 8 slices the tracemalloc peak of hatt-2 on hilbert_tt(5, 8, 20) squared
+# rises from 0.57 to 0.95 MiB, and the 2-slice slabs that the budget alone
+# gives at r = s = 20, ell = 10 were no faster there in interleaved timings.
+# The sweep's budget is _SWEEP_BLOCK (2^16 elements, 512 KiB), counted over
+# one slab of a core update: hadamard-large's core updates (10 x 32 x 400
+# elements) split into 2 slabs of 16 slices, and the tracemalloc peak of
+# hatt-2 there falls from 1.38 to 0.94 MiB; in one interleaved run of 300
+# calls each, 2 slabs took 0.97x the time of one and 4 slabs of 8 slices
+# (0.83 MiB) 1.08x.  The Hilbert (at most 25,600 elements) and
+# power-iteration (at most 1,280) core updates fit one slab.  The floor
+# matters at r = s = 60: one-slice sweep slabs (32 per core) took 1.22x the
+# unslabbed time and 4-slice slabs 1.02x (20 calls each), at the same
+# 5.76 MiB peak, which hpcrl sets there.
 _MIN_SLAB = 4
+_SWEEP_BLOCK = 1 << 16
 
 
-def _slab_size(rows, yv, zv):
-    """Mode slices per slab when `rows` rows meet the product of the cores
-    yv (r1 x n x r2) and zv (s1 x n x s2); one row of one slice takes at
-    most max(r1, r2) s2 elements in either intermediate of
-    :func:`_contract_slabs`."""
-    n = yv.shape[1]
-    width = max(yv.shape[0], yv.shape[2]) * zv.shape[2]
-    return min(n, max(_MIN_SLAB, _BLOCK // (rows * width)))
+def _slab_size(n, slice_elements, budget):
+    """Mode slices per slab of n slices that hold `slice_elements` elements
+    each: as many as fit in `budget` elements, at least _MIN_SLAB, at most
+    n.  The budget is passed at each call, so a patched module constant is
+    seen."""
+    return min(n, max(_MIN_SLAB, budget // slice_elements))
 
 
 def _slabs(step, *arrays):
@@ -105,13 +116,7 @@ def _slabs(step, *arrays):
     n = arrays[0].shape[1]
     if step >= n:
         return (arrays,)
-    return _slab_views(n, step, arrays)
-
-
-def _slab_views(n, step, arrays):
-    """The views of :func:`_slabs` that span more than one slab."""
-    for i0 in range(0, n, step):
-        yield [a[:, i0:i0 + step] for a in arrays]
+    return ([a[:, i0:i0 + step] for a in arrays] for i0 in range(0, n, step))
 
 
 def partial_contraction_rl(a, r, ledger=None):
@@ -127,8 +132,7 @@ def partial_contraction_rl(a, r, ledger=None):
     ``(W^(k)^T V<A_k>^T)^T`` in row blocks, an orientation OpenBLAS runs
     faster; same ledger charge.
     """
-    if a.shape != r.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {r.shape}")
+    check_trains(a=a, r=r)
     d = a.d
     if d < 2:
         return []
@@ -162,10 +166,7 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
     factor core.  Every W^(k) is returned C-ordered, as
     :func:`partial_contraction_rl` returns its sketches.
     """
-    if y.shape != z.shape:
-        raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
-    if y.shape != r.shape:
-        raise ValueError(f"shape mismatch against sketch tensor: {y.shape} vs {r.shape}")
+    check_trains(y=y, z=z, r=r)
     max_terms = _check_max_terms(max_terms)
     d = y.d
     if d < 2:
@@ -177,7 +178,7 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
     w_t = mats[d - 2].T  # W^(k)^T: the uncapped kernel's rows
     for k in range(d - 1, 1, -1):
         yc, zc, rc = y.cores[k - 1].values, z.cores[k - 1].values, r.cores[k - 1].values
-        r1, n, _ = yc.shape
+        r1, n, r2 = yc.shape
         s1 = zc.shape[0]
         l1 = rc.shape[0]
         # right[g, i] is R(i) v_g sigma_g (R(i)'s column g without a cap)
@@ -198,7 +199,9 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
         # W^(k-1) accumulates transposed: one wide GEMM closes each slab,
         # and the first slab's closing product is the accumulator
         acc = None
-        for ys, zs, rs in _slabs(_slab_size(terms, yt, zt), yt, zt, right):
+        # the kernel's elements per slice on the transposed cores
+        step = _slab_size(n, terms * max(r1, r2) * s1, _BLOCK)
+        for ys, zs, rs in _slabs(step, yt, zt, right):
             # x[g, i] = kron(Y(i), Z(i)) @ u[:, g]
             x = _contract_slabs(u_t, ys, zs, ledger)
             closed = rs.reshape(-1, l1).T @ x.reshape(-1, r1 * s1)
@@ -231,7 +234,10 @@ def _contract_slabs(m, yv, zv, ledger=None):
         ledger.add_matmul(n * rows * (s2 * (2 * s1 - 1) * r1 + s2 * (2 * r1 - 1) * r2))
     out = np.empty((rows, n, r2 * s2))
     m_rows = m.reshape(rows * r1, s1)
-    for ys, zs, outs in _slabs(_slab_size(rows, yv, zv), yv, zv, out):
+    # one row of one slice takes at most max(r1, r2) s2 elements in either
+    # intermediate
+    step = _slab_size(n, rows * max(r1, r2) * s2, _BLOCK)
+    for ys, zs, outs in _slabs(step, yv, zv, out):
         nb = ys.shape[1]
         # Z side: p[g, a, i, e] = sum_c m[g, (a, c)] Z(i)[c, e]
         p = (m_rows @ zs.reshape(s1, nb * s2)).reshape(rows, r1, nb, s2)
@@ -271,8 +277,7 @@ def tt_hadamard_dot(x, y, z):
     product core like :func:`contract_m_onto_pkp` and closes the mode
     against x's core with one GEMM.
     """
-    if not x.shape == y.shape == z.shape:
-        raise ValueError(f"shape mismatch {x.shape}, {y.shape}, {z.shape}")
+    check_trains(x=x, y=y, z=z)
     c = np.ones((1, 1))
     for cx, cy, cz in zip(x.cores, y.cores, z.cores):
         slabs = _contract_slabs(c, cy.values, cz.values)
@@ -424,68 +429,49 @@ def _sweep_result(cores):
     return TTTensor._trusted([TTCore._trusted(c) for c in cores])
 
 
-# Elements of one slab of a randomized sweep's core update: a core update of
-# rows x n x cols elements is pulled `_sweep_slab_size` mode slices at a time
-# (at least _MIN_SLAB).  At 2^16 (512 KiB), hadamard-large's core updates
-# (10 x 32 x 400 elements) split into 2 slabs of 16 slices, and the
-# tracemalloc peak of hatt-2 there falls from 1.38 to 0.94 MiB; in one
-# interleaved run of 300 calls each, 2 slabs took 0.97x the time of one
-# and 4 slabs of 8 slices (0.83 MiB) 1.08x.  The Hilbert (at most 25,600
-# elements) and power-iteration (at most 1,280) core updates fit one slab.
-# The floor matters at r = s = 60: one-slice slabs (32 per core) took 1.22x
-# the unslabbed time and 4-slice slabs 1.02x (20 calls each), at the same
-# 5.76 MiB peak, which hpcrl sets there.
-_SWEEP_BLOCK = 1 << 16
-
-
-def _sweep_slab_size(slice_elements, n):
-    """Mode slices per slab of a sweep's core update whose mode slices hold
-    `slice_elements` elements each: as many as fit in _SWEEP_BLOCK, at
-    least _MIN_SLAB, at most all n."""
-    return min(n, max(_MIN_SLAB, _SWEEP_BLOCK // slice_elements))
-
-
-def _orthogonalize_sweep(shape, sketches, next_core_fn, ledger):
+def _orthogonalize_sweep(cores, sketches, contract, ledger):
     """Shared left-to-right randomized sweep of :func:`rand_orth` and
-    :func:`hatt` over a tensor of mode sizes `shape`.
+    :func:`hatt`.
 
-    `sketches[k - 1]` is the C-ordered sketch matrix W^(k) of bond k, and
-    the sweep takes one step per sketch; it sets W^(k) to None once step k
-    has used it.  `next_core_fn(k, m, blk)` must return the mode slices `blk` (a
-    slice, or None for all of them: a core update in one slab is pulled
-    without a slab view) of core k + 1 contracted against m, an array of
-    shape (rows(m), slices, right rank); m is None for core 1, whose
-    slices come as they are.
+    `cores[k - 1]` holds the arrays of core k that share its mode axis
+    (axis 1): (A_k,) for rand_orth, (Y_k, Z_k) for hatt.  `sketches[k - 1]`
+    is the C-ordered sketch matrix W^(k) of bond k, and the sweep takes one
+    step per sketch; it sets W^(k) to None once step k has used it.
+    `contract(m, *slab)` must return core k's mode slices in `slab` (the
+    arrays of `cores[k - 1]`, cut to those slices by :func:`_slabs`)
+    contracted against m, an array of shape (rows(m), slices, right rank);
+    m is None for core 1, whose slices come as they are.
 
     Step k holds its core update C (the contracted core k, as a
-    (rows n_k) x r_k matrix) one slab of mode slices at a time (see
-    :func:`_sweep_slab_size`).  It forms each slab's sketch S_b = C_b W^(k)
-    with one GEMM and folds it into a running QR with a flat-tree TSQR
-    combine (Demmel, Grigori, Hoemmen and Langou, SISC 2012): the
-    Householder QR of [R; S_b] updates R, multiplies the rows of Q so far by
-    its top block and appends its bottom block as slab b's rows, and
-    H = Q^T C becomes top^T H + bottom^T C_b.  No Gram matrix and no
-    triangular solve are formed.  Each row of Q meets only the top block,
-    so Q is kept as the output core, a rows x (slices so far x width)
-    matrix that each slab's rows join along the mode axis, and the next
-    step contracts against m = H.  If S has full column rank, Q is the Q of
-    S's QR up to rounding (R with a nonnegative diagonal is unique); a core
-    update in one slab takes one QR and one product, as an unslabbed sweep
-    does.  Returns the output tensor; every core except the last has
-    orthonormal vertical matricization.
+    (rows n_k) x r_k matrix) one slab of mode slices at a time, as many as
+    :func:`_slab_size` fits in _SWEEP_BLOCK elements; a core update in one
+    slab is pulled from the whole arrays, without a slab view.  It forms
+    each slab's sketch S_b = C_b W^(k) with one GEMM and folds it into a
+    running QR with a flat-tree TSQR combine (Demmel, Grigori, Hoemmen and
+    Langou, SISC 2012): the Householder QR of [R; S_b] updates R,
+    multiplies the rows of Q so far by its top block and appends its bottom
+    block as slab b's rows, and H = Q^T C becomes top^T H + bottom^T C_b.
+    No Gram matrix and no triangular solve are formed.  Each row of Q
+    meets only the top block, so Q is kept as the output core, a rows x
+    (slices so far x width) matrix that each slab's rows join along the
+    mode axis, and the next step contracts against m = H.  If S has full
+    column rank, Q is the Q of S's QR up to rounding (R with a nonnegative
+    diagonal is unique); a core update in one slab takes one QR and one
+    product, as an unslabbed sweep does.  Returns the output tensor; every
+    core except the last has orthonormal vertical matricization.
     """
-    cores = []
+    out = []
     m = None
-    for k, n in enumerate(shape[:-1], start=1):
-        w = sketches[k - 1]
-        sketches[k - 1] = None
-        rows, cols = 1 if m is None else m.shape[0], w.shape[0]
-        step = _sweep_slab_size(rows * cols, n)
-        for i0 in range(0, n, step):
-            blk = slice(i0, i0 + step) if step < n else None
-            c = next_core_fn(k - 1, m, blk).reshape(-1, cols)
+    for k, arrays in enumerate(cores[:-1]):
+        w = sketches[k]
+        sketches[k] = None
+        rows, n, cols = 1 if m is None else m.shape[0], arrays[0].shape[1], w.shape[0]
+        r = None
+        for slab in _slabs(_slab_size(n, rows * cols, _SWEEP_BLOCK), *arrays):
+            c = contract(m, *slab).reshape(-1, cols)
+            del slab  # its views, not held through the QR
             s = matmul(c, w, ledger)
-            if i0 == 0:
+            if r is None:
                 res = econ_qr(s, ledger=ledger)
                 q, h = res.q, matmul(res.q.T, c, ledger)
             else:
@@ -504,11 +490,11 @@ def _orthogonalize_sweep(shape, sketches, next_core_fn, ledger):
             r = res.r
             # one slab of the core update at a time
             del c, s, res
-        cores.append(q.reshape(rows, n, -1))
+        out.append(q.reshape(rows, n, -1))
         m = h
         del w, r  # before the next core update is pulled
-    cores.append(next_core_fn(len(shape) - 1, m, None))
-    return _sweep_result(cores)
+    out.append(contract(m, *cores[-1]))
+    return _sweep_result(out)
 
 
 def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
@@ -527,16 +513,13 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     sketch = _sketch(a.shape, a.ranks, targets, seed, sketch_tt)
     sketches = partial_contraction_rl(a, sketch, ledger)
 
-    def next_core(k, m, blk):
-        values = a.cores[k].values
-        if blk is not None:
-            values = values[:, blk]
+    def contract(m, values):
         if m is None:
             return values
         r1, slices, r2 = values.shape
         return matmul(m, values.reshape(r1, slices * r2), ledger).reshape(-1, slices, r2)
 
-    return _orthogonalize_sweep(a.shape, sketches, next_core, ledger)
+    return _orthogonalize_sweep([(c.values,) for c in a.cores], sketches, contract, ledger)
 
 
 def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=None):
@@ -556,22 +539,19 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
     clamped with a :class:`TargetRankWarning`.
     """
     check_trains(y=y, z=z)
-    if y.shape != z.shape:
-        raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
     sketch = _sketch(y.shape, products, targets, seed, sketch_tt)
     sketches = hpcrl(y, z, sketch, max_terms, ledger)
     del sketch
 
-    def next_core(k, m, blk):
-        yc, zc = y.cores[k], z.cores[k]
-        if blk is not None:  # views of the slab's slices
-            yc, zc = TTCore._trusted(yc.values[:, blk]), TTCore._trusted(zc.values[:, blk])
+    def contract(m, ys, zs):
+        yc, zc = TTCore._trusted(ys), TTCore._trusted(zs)
         if m is None:  # the first product core: pkp_cores names an overflow
             return pkp_cores(yc, zc).values
         return contract_m_onto_pkp(m, yc, zc, ledger).values
 
-    return _orthogonalize_sweep(y.shape, sketches, next_core, ledger)
+    cores = [(cy.values, cz.values) for cy, cz in zip(y.cores, z.cores)]
+    return _orthogonalize_sweep(cores, sketches, contract, ledger)
 
 
 # --- the algorithm table -----------------------------------------------------
@@ -674,7 +654,7 @@ def _combine_flops(n, cols, ell):
     elements.  Each slab after the first multiplies H (ell x cols) and the
     rows of Q so far (on average ell n / 2 of them) by an ell x ell block;
     a core update in one slab adds nothing."""
-    slabs = -(-n // _sweep_slab_size(ell * cols, n))
+    slabs = -(-n // _slab_size(n, ell * cols, _SWEEP_BLOCK))
     return (slabs - 1) * ell**2 * (2 * cols + ell * n)
 
 

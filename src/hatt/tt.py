@@ -130,16 +130,28 @@ class TTTensor:
 
 
 def check_trains(**named):
-    """Each keyword argument must be a TTTensor; one that is not (an
-    ndarray, a list) is a TypeError naming its keyword, raised before any
-    attribute of it is read."""
+    """Each keyword argument must be a TTTensor, and all of them must share
+    one shape.  One that is not a TTTensor (an ndarray, a list) is a
+    TypeError naming its keyword, raised before any attribute of it is
+    read; differing shapes are a ValueError (see :func:`_check_shapes`)."""
     for name, value in named.items():
         if not isinstance(value, TTTensor):
             raise TypeError(f"{name} must be a TTTensor, got {type(value).__name__}")
+    _check_shapes(named)
 
 
-# Elements (64 KiB) of every transient block (pkp_cores' Y blocks, the fold and
-# kernel slabs of hatt.recompress); 2^13 to 2^15 ran alike, smaller peak lower.
+def _check_shapes(named):
+    """A ValueError naming every shape in the dict `named` unless all are
+    one."""
+    if len({x.shape for x in named.values()}) > 1:
+        desc = " vs ".join(f"{name} {x.shape}" for name, x in named.items())
+        raise ValueError(f"shape mismatch: {desc}")
+
+
+# Elements (64 KiB) of every transient block: pkp_cores' Y blocks, the fold
+# blocks of recompress.partial_contraction_rl, and the slabs of the kernels
+# recompress._contract_slabs and recompress.hpcrl; 2^13 to 2^15 ran alike,
+# the smaller with the lower peak.
 _BLOCK = 1 << 13
 
 
@@ -193,6 +205,7 @@ def tt_to_dense(x):
     whose largest intermediate is smallest, so no intermediate carries a
     large trailing (or leading) rank when a smaller split exists.
     """
+    check_trains(x=x)
     return DenseTensor._adopt(_dense_values(x))
 
 
@@ -227,8 +240,6 @@ def tt_hadamard(y, z):
     :mod:`hatt.recompress` exist to avoid exactly that.
     """
     check_trains(y=y, z=z)
-    if y.shape != z.shape:
-        raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     return TTTensor([pkp_cores(cy, cz) for cy, cz in zip(y.cores, z.cores)])
 
 
@@ -237,8 +248,7 @@ def tt_add(y, z):
 
     Interior ranks add exactly; boundary ranks stay 1.
     """
-    if y.shape != z.shape:
-        raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
+    check_trains(y=y, z=z)
     if y.d == 1:
         return TTTensor([y.cores[0].values + z.cores[0].values])
     cores = []
@@ -260,6 +270,7 @@ def tt_add(y, z):
 
 def tt_scale(y, c):
     """Multiply a TT tensor by a scalar (absorbed into the first core)."""
+    check_trains(y=y)
     cores = [TTCore(y.cores[0].values * float(c))]
     cores.extend(y.cores[1:])
     return TTTensor(cores)
@@ -278,8 +289,6 @@ def tt_dot(y, z):
     ``U = C^T H<Y_k>`` refolded to (s_{k-1} n_k) x r_k, then ``C = U^T V<Z_k>``.
     """
     check_trains(y=y, z=z)
-    if y.shape != z.shape:
-        raise ValueError(f"shape mismatch {y.shape} vs {z.shape}")
     c = np.ones((1, 1))
     for cy, cz in zip(y.cores, z.cores):
         u = (c.T @ h_unfold(cy)).reshape(-1, cy.right_rank)
@@ -297,6 +306,7 @@ def tt_norm(y):
     is exact, so no step overflows or underflows while the norm is
     representable (a norm beyond float64 is inf).
     """
+    check_trains(y=y)
     carry, exponent = np.ones((1, 1)), 0
     for core in y.cores:
         rows = (carry @ h_unfold(core)).reshape(-1, core.right_rank)
@@ -315,8 +325,8 @@ def relative_error(x_approx, x_ref):
     errors); a larger TT reference through the norm of the TT difference.
     """
     ref_dense = isinstance(x_ref, DenseTensor)
-    if x_approx.shape != x_ref.shape:
-        raise ValueError(f"shape mismatch {x_approx.shape} vs {x_ref.shape}")
+    check_trains(x_approx=x_approx, **({} if ref_dense else {"x_ref": x_ref}))
+    _check_shapes({"x_approx": x_approx, "x_ref": x_ref})  # a dense reference too
     cap = dense_cap()
     if ref_dense or cap is None or x_ref.size <= cap:
         ref = x_ref if ref_dense else tt_to_dense(x_ref)
@@ -335,6 +345,7 @@ def relative_error(x_approx, x_ref):
 
 def left_orthogonality_defect(x):
     """max_k ||V<G_k>^T V<G_k> - I||_max over cores 1..d-1 (0 for d = 1)."""
+    check_trains(x=x)
     defect = 0.0
     for core in x.cores[:-1]:
         v = v_unfold(core)

@@ -5,6 +5,7 @@ from hatt import (
     ResourceLimitError,
     SeparableFunctionSpec,
     TTTensor,
+    contract_m_onto_pkp,
     econ_qr,
     flop_model,
     fourier_tt,
@@ -12,16 +13,23 @@ from hatt import (
     hadamard_dense,
     hatt,
     hilbert_tt,
+    hpcrl,
+    left_orthogonality_defect,
+    partial_contraction_rl,
     power_iteration_max,
     rand_orth,
     random_tt,
     recompress_hadamard,
     relative_error,
     separable_tt,
+    tt_add,
     tt_dot,
     tt_hadamard,
+    tt_hadamard_dot,
+    tt_norm,
     tt_ones,
     tt_rounding,
+    tt_scale,
     tt_to_dense,
 )
 from hatt.rand_tt import derive_seed
@@ -164,11 +172,59 @@ ARRAY = np.zeros((4,) * 4)
     ("y", lambda: tt_hadamard(ARRAY, ARRAY)),
     ("z", lambda: recompress_hadamard("hatt-2", TRAIN, ARRAY, 2, seed=0)),
     ("y", lambda: power_iteration_max(ARRAY, 2)),
+    ("y", lambda: tt_norm(ARRAY)),
+    ("z", lambda: tt_add(TRAIN, ARRAY)),
+    ("y", lambda: tt_scale(ARRAY, 2.0)),
+    ("x", lambda: tt_to_dense(ARRAY)),
+    ("x_approx", lambda: relative_error(ARRAY, TRAIN)),
+    ("x_ref", lambda: relative_error(TRAIN, ARRAY)),
+    ("x", lambda: left_orthogonality_defect(ARRAY)),
+    ("z", lambda: tt_hadamard_dot(TRAIN, TRAIN, ARRAY)),
+    ("r", lambda: hpcrl(TRAIN, TRAIN, ARRAY)),
+    ("a", lambda: partial_contraction_rl(ARRAY, TRAIN)),
 ), ids=("hatt", "hatt-sketch", "rand_orth", "tt_rounding", "tt_dot", "tt_hadamard",
-        "recompress_hadamard", "power_iteration_max"))
+        "recompress_hadamard", "power_iteration_max", "tt_norm", "tt_add", "tt_scale",
+        "tt_to_dense", "relative_error", "relative_error-ref", "left_orthogonality_defect",
+        "tt_hadamard_dot", "hpcrl", "partial_contraction_rl"))
 def test_non_train_arguments_are_named_type_errors(name, call):
     with pytest.raises(TypeError, match=f"^{name} must be a TTTensor, got (ndarray|list)$"):
         call()
+
+
+SHORT = gaussian_tt((4, 3, 4, 4), (1, 2, 2, 2, 1), seed=2)
+SHAPES = (str(TRAIN.shape), str(SHORT.shape))
+
+
+@pytest.mark.parametrize("call, names", (
+    (lambda: tt_hadamard(TRAIN, SHORT), SHAPES),
+    (lambda: tt_add(SHORT, TRAIN), SHAPES),
+    (lambda: tt_dot(TRAIN, SHORT), SHAPES),
+    (lambda: relative_error(TRAIN, SHORT), SHAPES),
+    (lambda: relative_error(SHORT, tt_to_dense(TRAIN)), SHAPES),
+    (lambda: tt_hadamard_dot(TRAIN, TRAIN, SHORT), SHAPES),
+    (lambda: partial_contraction_rl(TRAIN, SHORT), SHAPES),
+    (lambda: hpcrl(TRAIN, SHORT, TRAIN), SHAPES),
+    (lambda: hpcrl(TRAIN, TRAIN, SHORT), SHAPES),
+    (lambda: hatt(TRAIN, SHORT, 2, seed=0), SHAPES),
+    (lambda: hatt(TRAIN, TRAIN, sketch_tt=SHORT), SHAPES),
+    (lambda: rand_orth(TRAIN, sketch_tt=SHORT), SHAPES),
+    (lambda: recompress_hadamard("hatt-2", SHORT, TRAIN, 2, seed=0), SHAPES),
+    (lambda: contract_m_onto_pkp(np.ones((1, 4)), TRAIN.cores[1], SHORT.cores[1]),
+     ("mode mismatch 4 vs 3",)),
+    (lambda: contract_m_onto_pkp(np.ones((1, 5)), TRAIN.cores[1], TRAIN.cores[1]),
+     ("(1, 5)", "2*2")),
+), ids=("tt_hadamard", "tt_add", "tt_dot", "relative_error", "relative_error-dense",
+        "tt_hadamard_dot", "partial_contraction_rl", "hpcrl", "hpcrl-sketch", "hatt",
+        "hatt-sketch", "rand_orth-sketch", "recompress_hadamard", "contract_m-mode",
+        "contract_m-columns"))
+def test_mismatched_arguments_are_value_errors_naming_both(call, names):
+    """Every public function that takes two or more trains refuses trains of
+    different shapes with a ValueError naming both shapes, and
+    contract_m_onto_pkp refuses cores of different mode sizes or a matrix
+    whose columns do not match their ranks, naming both."""
+    with pytest.raises(ValueError) as err:
+        call()
+    assert all(name in str(err.value) for name in names), str(err.value)
 
 
 @pytest.mark.parametrize("bad", (2.5, float("inf"), float("nan"), "3"))

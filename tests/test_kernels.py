@@ -213,8 +213,7 @@ def test_inner_products_match_dense(tts):
                          ids=("hpcrl", "contract_m", "inner_products"))
 def test_properties_hold_across_several_slabs(prop, monkeypatch):
     monkeypatch.setattr(recompress, "_BLOCK", 0)
-    core = np.zeros((4, 9, 4))
-    assert recompress._slab_size(1, core, core) == 4
+    assert recompress._slab_size(9, 16, recompress._BLOCK) == 4
     prop()
 
 
@@ -251,11 +250,11 @@ def test_hatt_peak_holds_one_core_update(max_terms, d, n, r, ell):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    core = np.zeros((r, n, r))
+    kernel_step = recompress._slab_size(n, ell * r * r, recompress._BLOCK)
     elements = (sum(c.values.size for c in out.cores)
                 + ell * n * r * r  # one core update
                 + (d - 1) * r * r * ell  # the sketch matrices
-                + ell * r * recompress._slab_size(ell, core, core) * r  # one slab
+                + ell * r * kernel_step * r  # one slab
                 + 2 * ell * n * ell)  # the QR's input and working copy
     assert peak <= elements * np.dtype(float).itemsize + 16 * 1024
 
@@ -276,13 +275,13 @@ def test_hatt_peak_holds_one_slab_of_a_core_update(max_terms):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    step = recompress._sweep_slab_size(ell * r * r, n)
+    step = recompress._slab_size(n, ell * r * r, recompress._SWEEP_BLOCK)
     assert 2 * step <= n
-    core = np.zeros((r, n, r))
+    kernel_step = recompress._slab_size(n, ell * r * r, recompress._BLOCK)
     elements = (sum(c.values.size for c in out.cores)
                 + (d - 1) * r * r * ell  # the sketch matrices
                 + ell * step * r * r  # one slab of a core update
-                + ell * r * recompress._slab_size(ell, core, core) * r  # one kernel slab
+                + ell * r * kernel_step * r  # one kernel slab
                 + 2 * ell * step * ell)  # the slab QR's input and working copy
     bound = elements * np.dtype(float).itemsize + 16 * 1024
     assert peak <= bound
@@ -291,25 +290,21 @@ def test_hatt_peak_holds_one_slab_of_a_core_update(max_terms):
 
 def slab_splits(run):
     """The slab lengths into which every kernel call and every sweep step
-    that `run` makes splits its mode slices."""
+    that `run` makes splits its mode slices, told apart by the budget they
+    pass to the one slab rule."""
     kernel, sweep = set(), set()
-    slabs, sweep_slab_size = recompress._slabs, recompress._sweep_slab_size
+    slab_size = recompress._slab_size
 
     def split(n, step):
         return tuple(min(step, n - i) for i in range(0, n, step))
 
-    def kernel_slabs(step, *arrays):
-        kernel.add(split(arrays[0].shape[1], step))
-        return slabs(step, *arrays)
-
-    def sweep_step(slice_elements, n):
-        step = sweep_slab_size(slice_elements, n)
-        sweep.add(split(n, step))
+    def recorded_slab_size(n, slice_elements, budget):
+        step = slab_size(n, slice_elements, budget)
+        (sweep if budget == recompress._SWEEP_BLOCK else kernel).add(split(n, step))
         return step
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(recompress, "_slabs", kernel_slabs)
-        mp.setattr(recompress, "_sweep_slab_size", sweep_step)
+        mp.setattr(recompress, "_slab_size", recorded_slab_size)
         run()
     return kernel, sweep
 

@@ -409,7 +409,7 @@ def test_flop_model_counts_the_tsqr_combine(monkeypatch):
     monkeypatch.setattr(recompress, "_SWEEP_BLOCK", 0)
     monkeypatch.setattr(recompress, "_MIN_SLAB", 1)
     d, n, r, ell = 5, 12, 4, 6
-    assert recompress._sweep_slab_size(ell * r * r, n) == 1
+    assert recompress._slab_size(n, ell * r * r, recompress._SWEEP_BLOCK) == 1
     combine = (d - 2) * recompress._combine_flops(n, r * r, ell)
     y = gaussian_tt((n,) * d, (1,) + (r,) * (d - 1) + (1,), seed=1)
     z = gaussian_tt((n,) * d, (1,) + (r,) * (d - 1) + (1,), seed=2)

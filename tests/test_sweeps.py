@@ -80,8 +80,39 @@ def full_rank_sketch(drawn, product):
     return TTTensor([c.values[:chain[k], :, :chain[k + 1]] for k, c in enumerate(drawn.cores)])
 
 
+def sketch_conditions(product, sketch):
+    """κ(S_k) of every step k of an unslabbed randomized sweep of `product`
+    under `sketch` (clamped as the sweeps clamp it), where S_k = C_k W^(k)
+    is the sketched core update."""
+    sketch = _sketch(product.shape, product.ranks, None, None, sketch)
+    m, conditions = np.ones((1, 1)), []
+    for core, w in zip(product.cores, partial_contraction_rl(product, sketch)):
+        c = (m @ h_unfold(core)).reshape(-1, core.right_rank)
+        s = c @ w
+        conditions.append(np.linalg.cond(s))
+        m = np.linalg.qr(s)[0].T @ c
+    return conditions
+
+
+def assert_cores_close(got, want, conditions):
+    """Core k of `got` within 2 eps max_{j <= k} κ(S_j) + 1e-13 of core k
+    of `want`, for two sweeps equal in exact arithmetic whose sketched core
+    updates have the conditions κ(S_j) (see :func:`sketch_conditions`)."""
+    eps = np.finfo(float).eps
+    for k, (a, b) in enumerate(zip(got.cores, want.cores)):
+        kappa = max(conditions[:k + 1], default=1.0)
+        assert rel_gap(a.values, b.values) <= 2 * eps * kappa + 1e-13, (k, kappa)
+
+
+# κ(S_3) = 2.0e5: hatt's and rand_orth's third cores differ by 5.8e-12 here,
+# 0.13 eps κ, above a fixed 1e-12 bound
+CONDITIONED = [gaussian_tt((6, 5, 4, 3), ranks, seed=757285346 + j)
+               for j, ranks in enumerate(((1, 3, 4, 1, 1), (1, 1, 2, 3, 1), (1, 2, 3, 3, 1)))]
+
+
 @SETTINGS
 @given(trains(3))
+@example(CONDITIONED)
 def test_hatt_equals_rand_orth_on_the_product(tts):
     y, z, drawn = tts
     product = tt_hadamard(y, z)
@@ -89,8 +120,7 @@ def test_hatt_equals_rand_orth_on_the_product(tts):
     got = hatt(y, z, sketch_tt=sketch)
     want = rand_orth(product, sketch_tt=sketch)
     assert got.ranks == want.ranks
-    for a, b in zip(got.cores, want.cores):
-        assert rel_gap(a.values, b.values) <= 1e-12
+    assert_cores_close(got, want, sketch_conditions(product, sketch))
 
 
 def sweeps_in_slabs(y, z, sketch, max_terms, budget, min_slab=1):
@@ -110,6 +140,7 @@ def sweeps_in_slabs(y, z, sketch, max_terms, budget, min_slab=1):
 # the first core update (one row per slice) comes in slabs of one row,
 # fewer than the target rank 3 of the first bond
 @example([gaussian_tt((4, 3, 5), (1, 3, 2, 1), seed=s) for s in (1, 2, 3)], None)
+@example(CONDITIONED, None)
 def test_sweeps_agree_across_slabs(tts, max_terms):
     """The TSQR combine over one- and two-slice slabs (mode sizes 3 and 5
     end in a short slab) gives the one-slab sweep's cores, and keeps hatt
@@ -118,6 +149,7 @@ def test_sweeps_agree_across_slabs(tts, max_terms):
     y, z, drawn = tts
     product = tt_hadamard(y, z)
     sketch = full_rank_sketch(drawn, product)
+    conditions = sketch_conditions(product, sketch)
     whole = sweeps_in_slabs(y, z, sketch, max_terms, None)
     chain = _clamp_targets(sketch.ranks, y.shape, product.ranks)
     for min_slab in (1, 2):
@@ -125,34 +157,14 @@ def test_sweeps_agree_across_slabs(tts, max_terms):
         for out, ref in zip((got, base), whole):
             assert out.ranks == chain
             assert left_orthogonality_defect(out) <= 1e-12
-            for a, b in zip(out.cores, ref.cores):
-                assert rel_gap(a.values, b.values) <= 1e-12
+            assert_cores_close(out, ref, conditions)
         for a, b in zip(got.cores, base.cores):
             assert rel_gap(a.values, b.values) <= 1e-10
 
 
-def sketch_conditions(product, sketch):
-    """κ(S_k) of every step k of an unslabbed randomized sweep of `product`
-    under `sketch` (clamped as the sweeps clamp it), where S_k = C_k W^(k)
-    is the sketched core update."""
-    sketch = _sketch(product.shape, product.ranks, None, None, sketch)
-    m, conditions = np.ones((1, 1)), []
-    for core, w in zip(product.cores, partial_contraction_rl(product, sketch)):
-        c = (m @ h_unfold(core)).reshape(-1, core.right_rank)
-        s = c @ w
-        conditions.append(np.linalg.cond(s))
-        m = np.linalg.qr(s)[0].T @ c
-    return conditions
-
-
 @SETTINGS
 @given(trains(3), st.sampled_from((None, 4)))
-# hatt's and rand_orth's third cores differ by 5.8e-12 here, at
-# κ(S_3) = 2.0e5: 0.13 eps κ, but above the fixed 1e-12 bound of
-# test_hatt_equals_rand_orth_on_the_product
-@example([gaussian_tt((6, 5, 4, 3), ranks, seed=757285346 + j)
-          for j, ranks in enumerate(((1, 3, 4, 1, 1), (1, 1, 2, 3, 1), (1, 2, 3, 3, 1)))],
-         None)
+@example(CONDITIONED, None)
 def test_sweep_gaps_follow_the_sketch_conditioning(tts, max_terms):
     """Two sweeps equal in exact arithmetic (hatt and rand_orth on the
     product under one sketch, a slabbed sweep and the one-slab sweep) give
@@ -167,11 +179,8 @@ def test_sweep_gaps_follow_the_sketch_conditioning(tts, max_terms):
     pairs = [whole]
     for min_slab in (1, 2):
         pairs.extend(zip(sweeps_in_slabs(y, z, sketch, max_terms, 0, min_slab), whole))
-    eps = np.finfo(float).eps
     for got, want in pairs:
-        for k, (a, b) in enumerate(zip(got.cores, want.cores)):
-            kappa = max(conditions[:k + 1], default=1.0)
-            assert rel_gap(a.values, b.values) <= 2 * eps * kappa + 1e-13, (k, kappa)
+        assert_cores_close(got, want, conditions)
         assert rel_gap(tt_to_dense(got).values, tt_to_dense(want).values) <= 1e-12
 
 
