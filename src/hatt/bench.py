@@ -38,6 +38,7 @@ from .apps import (
     separable_tt,
 )
 from .dense import brute_force_max, hadamard_dense
+from .indexing import whole_numbers
 from .limits import ResourceLimitError, core_limit, dense_cap, dense_limit
 from .linalg import FlopLedger
 from .recompress import (
@@ -156,7 +157,7 @@ class Scenario:
         for field, value in {"algorithms": ALGORITHMS, **_DEFAULTS[self.name]}.items():
             if getattr(self, field) is None:
                 setattr(self, field, value)
-        self.seeds = tuple(int(s) for s in self.seeds)
+        self.seeds = whole_numbers(self.seeds, "seeds")
         if not self.seeds or len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
             raise ValueError(f"seeds must be distinct integers >= 0, got {self.seeds}")
         self.algorithms = tuple(self.algorithms)
@@ -166,11 +167,12 @@ class Scenario:
             _runner(alg)
         for field in ("d", "n", "ranks", "targets", "max_terms", "fourier_terms", "max_iter",
                       "dense_cap", "core_cap"):
-            value = getattr(self, field)
-            if value is not None and (np.size(value) == 0 or np.min(value) < 1):
-                raise ValueError(f"{field} must be >= 1, got {value!r}")
-        self.ranks, self.targets = (v if v is None else tuple(int(x) for x in v)
-                                    for v in (self.ranks, self.targets))
+            value, many = getattr(self, field), field in ("ranks", "targets")
+            if value is not None:
+                values = whole_numbers(value if many else (value,), field)
+                if not values or min(values) < 1:
+                    raise ValueError(f"{field} must be >= 1, got {value!r}")
+                setattr(self, field, values if many else values[0])
         if self.name == "example3" and self.n < 2:
             raise ValueError(f"example3 needs n >= 2, got {self.n}")
 

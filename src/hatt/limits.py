@@ -9,10 +9,13 @@ Two independent caps:
   Hadamard-avoiding sweep never materializes a product core.
 
 Both caps are changed only for the extent of a ``with`` block, through
-:func:`dense_limit` and :func:`core_limit` (None disables a cap).
+:func:`dense_limit` and :func:`core_limit` (a whole number >= 1; None
+disables a cap).
 """
 
 from contextlib import contextmanager
+
+from .indexing import positive_whole
 
 
 class ResourceLimitError(RuntimeError):
@@ -45,7 +48,7 @@ def check_core(n_elements):
 def dense_limit(n):
     """Cap dense arrays at n elements inside the block (None: no cap)."""
     global _dense_cap
-    old, _dense_cap = _dense_cap, None if n is None else int(n)
+    old, _dense_cap = _dense_cap, None if n is None else positive_whole(n, "dense cap")
     try:
         yield
     finally:
@@ -56,7 +59,7 @@ def dense_limit(n):
 def core_limit(n):
     """Cap single TT cores at n elements inside the block (None: no cap)."""
     global _core_cap
-    old, _core_cap = _core_cap, None if n is None else int(n)
+    old, _core_cap = _core_cap, None if n is None else positive_whole(n, "core cap")
     try:
         yield
     finally:

@@ -48,7 +48,6 @@ from .tt import (
     TTTensor,
     check_trains,
     h_unfold,
-    pkp_cores,
     tt_hadamard,
     v_unfold,
 )
@@ -124,8 +123,9 @@ def partial_contraction_rl(a, r, ledger=None):
 
     Returns the list [W^(1), ..., W^(d-1)] of C-ordered matrices, so W^(k)
     is item k-1.  W^(k) contracts cores k+1..d of `a` with cores k+1..d of
-    `r`; the recursion per core is: fold W^(k) into the k-th core of `a`
-    from the right (one product against the vertical matricization), then
+    `r`; the recursion starts from W^(d) = 1 (the 1 x 1 identity) and runs
+    one step per core k = d..2: fold W^(k) into the k-th core of `a` from
+    the right (one product against the vertical matricization), then
     contract the mode against the k-th core of `r` (one product against the
     horizontal matricization of `r`).  The temporary folded core exists
     only as a matrix.  The skinny fold ``V<A_k> W^(k)`` is computed as
@@ -133,20 +133,17 @@ def partial_contraction_rl(a, r, ledger=None):
     faster; same ledger charge.
     """
     check_trains(a=a, r=r)
-    d = a.d
-    if d < 2:
-        return []
-    mats = [None] * (d - 1)
-    mats[d - 2] = matmul(h_unfold(a.cores[d - 1]), h_unfold(r.cores[d - 1]).T, ledger)
-    for k in range(d - 1, 1, -1):
+    mats = [None] * (a.d - 1)
+    w = np.ones((1, 1))
+    for k in range(a.d, 1, -1):
         core = a.cores[k - 1]
-        v, w_t = v_unfold(core), mats[k - 1].T
+        v, w_t = v_unfold(core), w.T
         b = np.empty((v.shape[0], w_t.shape[0]))
         step = max(1, _BLOCK // w_t.shape[0])
         for j in range(0, v.shape[0], step):
             b[j:j + step] = matmul(w_t, v[j:j + step].T, ledger).T
         bh = b.reshape(core.left_rank, -1)
-        mats[k - 2] = matmul(bh, h_unfold(r.cores[k - 1]).T, ledger)
+        w = mats[k - 2] = matmul(bh, h_unfold(r.cores[k - 1]).T, ledger)
     return mats
 
 
@@ -163,26 +160,20 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
     :func:`contract_m_onto_pkp` applied to the transposed factor cores;
     each slab of mode slices is then closed against the sketch core's
     slices into W^(k-1).  Slabs keep every intermediate a fraction of a
-    factor core.  Every W^(k) is returned C-ordered, as
-    :func:`partial_contraction_rl` returns its sketches.
+    factor core.  As in :func:`partial_contraction_rl`, the recursion
+    starts from W^(d) = 1 and every W^(k) is returned C-ordered; a 1 x 1
+    sketch is its own rank-1 term, never decomposed.  A sketch W^(k-1)
+    that overflows float64 is a ValueError.
     """
     check_trains(y=y, z=z, r=r)
     max_terms = _check_max_terms(max_terms)
-    d = y.d
-    if d < 2:
-        return []
-    mats = [None] * (d - 1)
-    # the last product core has right rank 1: r_d s_d x n_d entries only
-    mats[d - 2] = matmul(h_unfold(pkp_cores(y.cores[d - 1], z.cores[d - 1])),
-                         h_unfold(r.cores[d - 1]).T, ledger)
-    w_t = mats[d - 2].T  # W^(k)^T: the uncapped kernel's rows
-    for k in range(d - 1, 1, -1):
+    mats = [None] * (y.d - 1)
+    w_t = np.ones((1, 1))  # W^(k)^T: the uncapped kernel's rows
+    for k in range(y.d, 1, -1):
         yc, zc, rc = y.cores[k - 1].values, z.cores[k - 1].values, r.cores[k - 1].values
-        r1, n, r2 = yc.shape
-        s1 = zc.shape[0]
-        l1 = rc.shape[0]
+        (r1, n, r2), s1, l1 = yc.shape, zc.shape[0], rc.shape[0]
         # right[g, i] is R(i) v_g sigma_g (R(i)'s column g without a cap)
-        if max_terms is None:
+        if max_terms is None or w_t.size == 1:
             u_t, right = w_t, rc
         else:
             svd = rank1_decompose(mats[k - 1], max_terms, ledger)
@@ -192,8 +183,8 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
         right = right.transpose(2, 1, 0)
         if ledger is not None:
             ledger.add_matmul(r1 * s1 * (2 * n * terms - 1) * l1)
-        # uncapped, u^T is the last step's acc (copied at the first step only);
-        # a contiguous Z^T lets _contract_slabs reshape each slab as a view
+        # uncapped, u^T is the last step's acc, already contiguous; a
+        # contiguous Z^T lets _contract_slabs reshape each slab as a view
         u_t = np.ascontiguousarray(u_t)
         yt, zt = yc.transpose(2, 1, 0), np.ascontiguousarray(zc.transpose(2, 1, 0))
         # W^(k-1) accumulates transposed: one wide GEMM closes each slab,
@@ -206,11 +197,10 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
             x = _contract_slabs(u_t, ys, zs, ledger)
             closed = rs.reshape(-1, l1).T @ x.reshape(-1, r1 * s1)
             del x  # one slab's x at a time
-            if acc is None:
-                acc = closed
-            else:
-                acc += closed
+            acc = closed if acc is None else np.add(acc, closed, out=acc)
             del closed
+        if not np.isfinite(acc).all():
+            raise ValueError(f"the sketch W^({k - 1}) of the Hadamard product overflows float64")
         mats[k - 2], w_t = np.ascontiguousarray(acc.T), acc  # one copy per bond
     return mats
 
@@ -440,37 +430,40 @@ def _orthogonalize_sweep(cores, sketches, contract, ledger):
     `contract(m, *slab)` must return core k's mode slices in `slab` (the
     arrays of `cores[k - 1]`, cut to those slices by :func:`_slabs`)
     contracted against m, an array of shape (rows(m), slices, right rank);
-    m is None for core 1, whose slices come as they are.
+    m = 1 (the 1 x 1 identity) for core 1, so that step is like the others.
 
     Step k holds its core update C (the contracted core k, as a
     (rows n_k) x r_k matrix) one slab of mode slices at a time, as many as
     :func:`_slab_size` fits in _SWEEP_BLOCK elements; a core update in one
     slab is pulled from the whole arrays, without a slab view.  It forms
-    each slab's sketch S_b = C_b W^(k) with one GEMM and folds it into a
-    running QR with a flat-tree TSQR combine (Demmel, Grigori, Hoemmen and
-    Langou, SISC 2012): the Householder QR of [R; S_b] updates R,
-    multiplies the rows of Q so far by its top block and appends its bottom
-    block as slab b's rows, and H = Q^T C becomes top^T H + bottom^T C_b.
-    No Gram matrix and no triangular solve are formed.  Each row of Q
-    meets only the top block, so Q is kept as the output core, a rows x
-    (slices so far x width) matrix that each slab's rows join along the
-    mode axis, and the next step contracts against m = H.  If S has full
-    column rank, Q is the Q of S's QR up to rounding (R with a nonnegative
-    diagonal is unique); a core update in one slab takes one QR and one
-    product, as an unslabbed sweep does.  Returns the output tensor; every
-    core except the last has orthonormal vertical matricization.
+    each slab's sketch S_b = C_b W^(k) with one GEMM (a ValueError if S_b
+    overflows float64) and folds it into a running QR with a flat-tree TSQR
+    combine (Demmel, Grigori, Hoemmen and Langou, SISC 2012): the
+    Householder QR of [R; S_b] updates R, multiplies the rows of Q so far
+    by its top block and appends its bottom block as slab b's rows, and
+    H = Q^T C becomes top^T H + bottom^T C_b.  No Gram matrix and no
+    triangular solve are formed.  Each row of Q meets only the top block,
+    so Q is kept as the output core, a rows x (slices so far x width)
+    matrix that each slab's rows join along the mode axis, and the next
+    step contracts against m = H.  If S has full column rank, Q is the Q of
+    S's QR up to rounding (R with a nonnegative diagonal is unique); a core
+    update in one slab takes one QR and one product, as an unslabbed sweep
+    does.  Returns the output tensor; every core except the last has
+    orthonormal vertical matricization.
     """
     out = []
-    m = None
+    m = np.ones((1, 1))
     for k, arrays in enumerate(cores[:-1]):
         w = sketches[k]
         sketches[k] = None
-        rows, n, cols = 1 if m is None else m.shape[0], arrays[0].shape[1], w.shape[0]
+        rows, n, cols = m.shape[0], arrays[0].shape[1], w.shape[0]
         r = None
         for slab in _slabs(_slab_size(n, rows * cols, _SWEEP_BLOCK), *arrays):
             c = contract(m, *slab).reshape(-1, cols)
             del slab  # its views, not held through the QR
             s = matmul(c, w, ledger)
+            if not np.isfinite(s).all():
+                raise ValueError(f"the sketched update of core {k + 1} overflows float64")
             if r is None:
                 res = econ_qr(s, ledger=ledger)
                 q, h = res.q, matmul(res.q.T, c, ledger)
@@ -511,15 +504,15 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     """
     check_trains(a=a)
     sketch = _sketch(a.shape, a.ranks, targets, seed, sketch_tt)
-    sketches = partial_contraction_rl(a, sketch, ledger)
 
     def contract(m, values):
-        if m is None:
-            return values
         r1, slices, r2 = values.shape
         return matmul(m, values.reshape(r1, slices * r2), ledger).reshape(-1, slices, r2)
 
-    return _orthogonalize_sweep([(c.values,) for c in a.cores], sketches, contract, ledger)
+    # an overflow is the sweep's named ValueError, not a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sketches = partial_contraction_rl(a, sketch, ledger)
+        return _orthogonalize_sweep([(c.values,) for c in a.cores], sketches, contract, ledger)
 
 
 def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=None):
@@ -531,27 +524,26 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
     terms (see :func:`hpcrl`).  The sketches come from :func:`hpcrl`, and
     the sweep (:func:`_orthogonalize_sweep`) pulls each core update from
     :func:`contract_m_onto_pkp` one slab of mode slices of the factor cores
-    at a time.  The only product cores ever formed are the boundary ones:
-    the first (1 x n_1 x r_1 s_1) as the first core update, the last
-    (r_{d-1} s_{d-1} x n_d x 1) in :func:`hpcrl`.  No core update that
-    spans more than one slab is held whole.  Target ranks, or `sketch_tt`
-    ranks, above the product rank r_k s_k or above feasible values are
-    clamped with a :class:`TargetRankWarning`.
+    at a time.  The boundary cores take the same steps as the others, so no
+    product core is formed, and no core update that spans more than one slab
+    is held whole.  A product that overflows float64 is a ValueError from
+    :func:`hpcrl`, the sweep or its last-core check.  Target ranks, or
+    `sketch_tt` ranks, above the product rank r_k s_k or above feasible
+    values are clamped with a :class:`TargetRankWarning`.
     """
     check_trains(y=y, z=z)
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
     sketch = _sketch(y.shape, products, targets, seed, sketch_tt)
-    sketches = hpcrl(y, z, sketch, max_terms, ledger)
-    del sketch
 
     def contract(m, ys, zs):
-        yc, zc = TTCore._trusted(ys), TTCore._trusted(zs)
-        if m is None:  # the first product core: pkp_cores names an overflow
-            return pkp_cores(yc, zc).values
-        return contract_m_onto_pkp(m, yc, zc, ledger).values
+        return contract_m_onto_pkp(m, TTCore._trusted(ys), TTCore._trusted(zs), ledger).values
 
     cores = [(cy.values, cz.values) for cy, cz in zip(y.cores, z.cores)]
-    return _orthogonalize_sweep(cores, sketches, contract, ledger)
+    # an overflow is hpcrl's or the sweep's named ValueError, not a RuntimeWarning
+    with np.errstate(over="ignore", invalid="ignore"):
+        sketches = hpcrl(y, z, sketch, max_terms, ledger)
+        del sketch
+        return _orthogonalize_sweep(cores, sketches, contract, ledger)
 
 
 # --- the algorithm table -----------------------------------------------------

@@ -18,9 +18,10 @@ Cores that the package builds from cores it has already validated (kernel
 outputs, sweep outputs, random draws, the block cores of :func:`tt_add`,
 which only rearrange their factors' values) go through ``TTCore._trusted``,
 which skips the copy and the scan but keeps the core cap and the read-only
-flag; the sweeps check their one core that can overflow, the last.  Tensors
-whose rank chain the package built itself (sweep outputs, power iterates,
-random draws) go through ``TTTensor._trusted``, which skips the rank checks.
+flag; the sweeps scan where every path crosses: each sketch of ``hpcrl``,
+each sketched block and the last output core.  Tensors whose rank chain
+the package built itself (sweep outputs, power iterates, random draws) go
+through ``TTTensor._trusted``, which skips the rank checks.
 """
 
 import math
@@ -169,12 +170,13 @@ def pkp_cores(y, z):
     1, last cores with right ranks 1) are this same operation.  Row (a, b)
     is Y's row a expanded across s2 times Z's row b expanded across r2: one
     contiguous multiply of n r2 s2 elements, not an einsum's runs of s2.  Z
-    is expanded once, Y in blocks of ``_BLOCK`` elements (one for
-    :func:`hatt`'s small boundary cores).  A product that overflows float64
-    raises ValueError.  Each element is one rounded product, and rounding is
-    monotone, so no element can overflow unless max|Y| * max|Z| does: that
-    bound is taken first, and only when it is not finite does the multiply
-    run with overflow warnings off and the output get scanned.
+    is expanded once, Y in blocks of ``_BLOCK`` elements (one for small
+    cores); :func:`tt_hadamard` forms the baselines' product with it.  A
+    product that overflows float64 raises ValueError.  Each element is one
+    rounded product, and rounding is monotone, so no element can overflow
+    unless max|Y| * max|Z| does: that bound is taken first, and only when
+    it is not finite does the multiply run with overflow warnings off and
+    the output get scanned.
     """
     if y.mode_size != z.mode_size:
         raise ValueError(f"mode mismatch {y.mode_size} vs {z.mode_size}")

@@ -1,0 +1,97 @@
+"""Output digest of the benchmark's computations, two SHA-256 lines per group.
+
+Run from the repository root:
+
+    PYTHONPATH=src python tests/digest.py
+
+Each line is ``group/values sha256`` or ``group/flops sha256``.  The first
+hash covers the outputs of every run in the group: the ranks and float64
+bytes of each output core, or a power iteration's estimate, history,
+iteration count and ranks.  The second covers the flop ledger's three
+counters of those runs.  Two trees that print the same line compute the same
+values, or charge the same flops, bit for bit; the two are kept apart so
+that a change of bookkeeping shows apart from a change of values.  The
+groups follow perfbench's workloads:
+
+* ``large/hatt-2``, ``large/hatt-1``, ``large/rand-orth``: gaussian factors
+  with d=10, n=32, r=s=20 (product rank 400) at target 10, sketch seeds 7-9;
+* ``hilbert/tt-rounding``: hilbert_tt(5, 8, 20) squared at targets 4 and 8;
+* ``hilbert/hatt-2``, ``hilbert/hatt-1`` (max_terms=5), ``hilbert/rand-orth``:
+  the same product and targets, 16 sketch seeds each;
+* ``power/qing``, ``power/alpine``: power_iteration_max with the hatt-2
+  backend on d=6, n=10 at target 8, 100 iterations.
+
+This file has no ``test_`` prefix, so pytest does not collect it.
+"""
+
+import hashlib
+
+import numpy as np
+
+from hatt import (
+    FlopLedger,
+    SeparableFunctionSpec,
+    gaussian_tt,
+    hilbert_tt,
+    power_iteration_max,
+    recompress_hadamard,
+    separable_tt,
+    uniform_chain,
+)
+
+LARGE_SEEDS = (7, 8, 9)
+HILBERT_TARGETS = (4, 8)
+HILBERT_SKETCHES = 16
+HILBERT_MAX_TERMS = 5
+
+
+class Digest:
+    """The two hashes of one group."""
+
+    def __init__(self):
+        self.values, self.flops = hashlib.sha256(), hashlib.sha256()
+
+    def add(self, arrays, ledger):
+        for a in arrays:
+            self.values.update(np.ascontiguousarray(a).tobytes())
+        self.flops.update(np.array([ledger.matmul_flops, ledger.qr_flops, ledger.svd_flops],
+                                   dtype=np.int64).tobytes())
+
+    def recompress(self, algorithm, y, z, ell, seeds, max_terms=None):
+        for seed in seeds:
+            out, report = recompress_hadamard(algorithm, y, z, ell, seed=seed,
+                                              max_terms=max_terms)
+            ranks = np.array(out.ranks, dtype=np.int64)
+            self.add([ranks] + [c.values for c in out.cores], report.flops_measured)
+
+    def lines(self, group):
+        return [(f"{group}/values", self.values.hexdigest()),
+                (f"{group}/flops", self.flops.hexdigest())]
+
+
+def groups():
+    y, z = (gaussian_tt((32,) * 10, uniform_chain(10, 20), seed=s) for s in (1, 2))
+    for alg in ("hatt-2", "hatt-1", "rand-orth"):
+        digest = Digest()
+        digest.recompress(alg, y, z, 10, LARGE_SEEDS)
+        yield from digest.lines(f"large/{alg}")
+    h = hilbert_tt(5, 8, 20)
+    for alg in ("tt-rounding", "hatt-2", "hatt-1", "rand-orth"):
+        seeds = (None,) if alg == "tt-rounding" else range(HILBERT_SKETCHES)
+        digest = Digest()
+        for ell in HILBERT_TARGETS:
+            digest.recompress(alg, h, h, ell, seeds, HILBERT_MAX_TERMS)
+        yield from digest.lines(f"hilbert/{alg}")
+    for k, kind in enumerate(("qing", "alpine")):
+        ledger = FlopLedger()
+        result = power_iteration_max(separable_tt(SeparableFunctionSpec(kind, 6, 10)), 8,
+                                     max_iter=100, recompressor="hatt-2", seed=k, ledger=ledger)
+        digest = Digest()
+        digest.add([np.array([result.estimate] + result.history),
+                    np.array((result.iterations_used,) + result.ranks, dtype=np.int64)], ledger)
+        yield from digest.lines(f"power/{kind}")
+
+
+if __name__ == "__main__":
+    for name, digest in groups():
+        print(name, digest, flush=True)

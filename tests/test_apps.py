@@ -36,6 +36,9 @@ def test_tt_svd_rank_one_separable(rng):
     out = tt_svd(dense, rel_tol=1e-12)
     assert out.ranks == (1, 1, 1, 1)
     assert relative_error(out, dense) <= 1e-12
+    # a 1-way tensor is its own single core
+    (core,) = tt_svd(a, targets=(1, 1)).cores
+    assert np.array_equal(core.values, a.reshape(1, -1, 1))
 
 
 def test_tt_svd_error_bound(rng):
@@ -168,6 +171,8 @@ def test_separable_dense_is_the_broadcast_sum(kind, d, n):
 def test_separable_unknown_kind():
     with pytest.raises(ValueError):
         SeparableFunctionSpec("rosenbrock", 3, 4)
+    with pytest.raises(ValueError, match="need d >= 1"):
+        SeparableFunctionSpec("qing", 0, 4)
 
 
 # --- Hilbert-type tensor ------------------------------------------------------
@@ -184,6 +189,8 @@ def test_hilbert_entries():
 
 def test_hilbert_chain():
     assert hilbert_tt(4, 5, 6).ranks == (1, 6, 6, 6, 1)
+    with pytest.raises(ValueError, match="must be positive"):
+        hilbert_tt(4, 5, 0)
 
 
 # --- power iteration ----------------------------------------------------------

@@ -29,6 +29,21 @@ def test_scenario_validation():
         Scenario("example1", seeds=(1, 1))
     with pytest.raises(ValueError):
         Scenario("example1", algorithms=("gradient-descent",))
+    with pytest.raises(ValueError, match="at least one algorithm"):
+        Scenario("example1", algorithms=())
+    # int() would truncate these (seed 1, rank 2, target 2, cap 2), and a
+    # fractional d would fail only inside the run
+    for name, options in (("custom", dict(seeds=(1.5,))), ("custom", dict(ranks=(2.5,))),
+                          ("custom", dict(targets=(2, 2.7))), ("custom", dict(d=3.5)),
+                          ("custom", dict(n=float("inf"))), ("custom", dict(max_terms=1.5)),
+                          ("custom", dict(dense_cap=2.5)), ("custom", dict(core_cap=1000.5)),
+                          ("example1", dict(fourier_terms=4.5)),
+                          ("example3", dict(max_iter=float("nan")))):
+        with pytest.raises(ValueError, match="must be whole numbers"):
+            Scenario(name, **options)
+    config = Scenario("custom", seeds=(1.0,), ranks=(np.int64(2),), d=3.0, core_cap=None)
+    assert (config.seeds, config.ranks, config.d, config.core_cap) == ((1,), (2,), 3, None)
+    assert all(type(v) is int for v in config.seeds + config.ranks + (config.d,))
 
 
 def test_example1_rows_complete():

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from hatt.bench import _READ_BY, CSV_COLUMNS, SCENARIOS
+from hatt import cli
 from hatt.cli import cli_parse, main
 
 
@@ -48,6 +49,31 @@ def test_duplicate_seeds_usage_error():
     with pytest.raises(SystemExit) as err:
         cli_parse(["--scenario", "example1", "--seeds", "1,1"])
     assert err.value.code == 2
+
+
+def test_non_integer_list_usage_error(capsys):
+    with pytest.raises(SystemExit) as err:
+        cli_parse(["--scenario", "example1", "--seeds", "1,x"])
+    assert err.value.code == 2
+    assert "expected comma-separated integers, got '1,x'" in capsys.readouterr().err
+
+
+def refuse_with_value_error(config):
+    raise ValueError("the recompressed tensor overflows float64")
+
+
+@pytest.mark.parametrize("argv, run, code, message", (
+    # 8^7 = 2,097,152 sampled points, past the default dense cap
+    (["--scenario", "example1", "--d", "7", "--n", "8"], None, 1, "dense cap"),
+    (["--scenario", "custom"], refuse_with_value_error, 2, "overflows float64"),
+), ids=("resource-limit", "value-error"))
+def test_errors_of_the_run_exit_with_their_codes(argv, run, code, message, monkeypatch,
+                                                  capsys):
+    if run is not None:
+        monkeypatch.setattr(cli, "run_scenario", run)
+    assert main(argv + ["--seeds", "0"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ") and message in captured.err
 
 
 def test_main_writes_csv(tmp_path, capsys):

@@ -10,9 +10,12 @@ from hatt import (
     DenseTensor,
     ResourceLimitError,
     brute_force_max,
+    core_limit,
+    dense_cap,
     dense_limit,
     hadamard_dense,
 )
+from hatt import limits
 
 
 def test_hadamard_identity(rng):
@@ -31,6 +34,19 @@ def test_dense_cap():
         with pytest.raises(ResourceLimitError):
             DenseTensor(np.zeros((3, 4)))
         DenseTensor(np.zeros((2, 5)))  # exactly at the cap is fine
+
+
+@pytest.mark.parametrize("limit", (dense_limit, core_limit))
+def test_caps_are_whole_numbers_from_one(limit):
+    # int() would make 2.5 a cap of 2, and -5 is a cap nothing fits under
+    for bad in (2.5, -5, 0, float("inf")):
+        with pytest.raises(ValueError, match="cap must be"):
+            with limit(bad):
+                pass
+    with limit(None):
+        pass
+    with limit(3.0):
+        assert (dense_cap() if limit is dense_limit else limits._core_cap) == 3
 
 
 def test_dense_cap_ignores_the_environment():

@@ -67,19 +67,17 @@ def rel_gap(a, b):
 
 
 def loop_hpcrl(y, z, r, max_terms, ledger):
-    d = y.d
-    mats = [None] * (d - 1)
-    h_last = np.einsum("ai,bi->abi", y.cores[d - 1].values[:, :, 0],
-                       z.cores[d - 1].values[:, :, 0]).reshape(-1, y.shape[d - 1])
-    mats[d - 2] = matmul(h_last, h_unfold(r.cores[d - 1]).T, ledger)
-    for k in range(d - 1, 1, -1):
+    mats = [None] * (y.d - 1)
+    w = np.ones((1, 1))  # W^(d); a 1 x 1 sketch is its own rank-1 term
+    for k in range(y.d, 1, -1):
         yc, zc, rc = y.cores[k - 1], z.cores[k - 1], r.cores[k - 1]
         n = yc.mode_size
-        if max_terms is None:
-            ell = mats[k - 1].shape[1]
-            rep = SvdResult(mats[k - 1], np.ones(ell), np.eye(ell))
+        decompose = max_terms is not None and w.size > 1
+        if not decompose:
+            ell = w.shape[1]
+            rep = SvdResult(w, np.ones(ell), np.eye(ell))
         else:
-            rep = rank1_decompose(mats[k - 1], max_terms, ledger)
+            rep = rank1_decompose(w, max_terms, ledger)
         terms = rep.n_terms
         r1, r2 = yc.left_rank, yc.right_rank
         s1, s2 = zc.left_rank, zc.right_rank
@@ -88,16 +86,16 @@ def loop_hpcrl(y, z, r, max_terms, ledger):
         w_right = np.empty((rc.left_rank, n * terms))
         for i in range(1, n + 1):
             block = slice((i - 1) * terms, i * terms)
-            if max_terms is None:
+            if not decompose:
                 w_right[:, block] = rc.values[:, i - 1, :]
             else:
                 w_right[:, block] = matmul(rc.values[:, i - 1, :], rep.v, ledger)
             t = (zc.values[:, i - 1, :] @ u_fold) @ yc.values[:, i - 1, :].T
             w_left[:, block] = t.transpose(0, 2, 1).reshape(terms, r1 * s1).T
             ledger.add_matmul(terms * (s1 * (2 * s2 - 1) * r2 + s1 * (2 * r2 - 1) * r1))
-        if max_terms is not None:
+        if decompose:
             w_right = scale_columns(w_right, np.tile(rep.s, n), ledger)
-        mats[k - 2] = matmul(w_left, w_right.T, ledger)
+        w = mats[k - 2] = matmul(w_left, w_right.T, ledger)
     return mats
 
 
@@ -115,15 +113,15 @@ def loop_contract(m, ycore, zcore, ledger):
 
 
 def plain_partial_contraction_rl(a, r, ledger):
-    """The sketch pass with its fold as the plain ``V<A_k> @ W^(k)``."""
-    d = a.d
-    mats = [None] * (d - 1)
-    mats[d - 2] = matmul(h_unfold(a.cores[d - 1]), h_unfold(r.cores[d - 1]).T, ledger)
-    for k in range(d - 1, 1, -1):
+    """The sketch pass with its fold as the plain ``V<A_k> @ W^(k)``, from
+    W^(d) = 1."""
+    mats = [None] * (a.d - 1)
+    w = np.ones((1, 1))
+    for k in range(a.d, 1, -1):
         core = a.cores[k - 1]
-        b = matmul(v_unfold(core), mats[k - 1], ledger)
-        mats[k - 2] = matmul(b.reshape(core.left_rank, -1), h_unfold(r.cores[k - 1]).T,
-                             ledger)
+        b = matmul(v_unfold(core), w, ledger)
+        w = mats[k - 2] = matmul(b.reshape(core.left_rank, -1), h_unfold(r.cores[k - 1]).T,
+                                 ledger)
     return mats
 
 
@@ -317,10 +315,13 @@ def test_slab_splits_on_the_benchmark_cells(max_terms):
     hilbert_tt(5, 8, 20) squared kernel slabs of 5+3 slices at ell=4 and
     4+4 at ell=8, every sweep step whole; at power-iteration size (d=6,
     n=10, ell=8) every core whole.  A single slab, (n,), is a boundary
-    core, a first sweep step, or the kernel call on one slab of hpcrl."""
+    core, a first sweep step, or the kernel call on one slab of hpcrl.  The
+    boundary kernel calls on the hadamard-large inputs (hpcrl's first step
+    and the sweep's first core update, one row each) split 20+12, and
+    hpcrl's kernel calls on those slabs are whole."""
     y, z = (gaussian_tt((32,) * 10, uniform_chain(10, 20), seed=s) for s in (1, 2))
     assert slab_splits(lambda: hatt(y, z, 10, max_terms, seed=3)) == (
-        {(4,) * 8, (4,) * 4, (4,), (32,)}, {(16, 16), (32,)})
+        {(4,) * 8, (4,) * 4, (4,), (32,), (20, 12), (20,), (12,)}, {(16, 16), (32,)})
     h = hilbert_tt(5, 8, 20)
     assert slab_splits(lambda: hatt(h, h, 4, max_terms, seed=3)) == (
         {(5, 3), (5,), (3,), (8,)}, {(8,)})

@@ -32,6 +32,10 @@ def test_matmul_associativity(rng):
 def test_matmul_shape_error():
     with pytest.raises(ValueError):
         matmul(np.ones((2, 3)), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="square triangular"):
+        tri_matmul(np.ones((2, 3)), np.ones((3, 2)))
+    with pytest.raises(ValueError, match="cannot multiply"):
+        tri_matmul(np.ones((2, 3)), np.ones((2, 2)))
 
 
 def test_ledger_sums_exactly(rng):
@@ -103,6 +107,12 @@ def test_econ_qr_ledger_formula(rng):
 def test_econ_qr_rejects_nonfinite():
     with pytest.raises(ValueError):
         econ_qr(np.array([[np.inf, 1.0], [0.0, 1.0]]))
+    with pytest.raises(ValueError, match="econ_qr expects a matrix"):
+        econ_qr(np.ones(3))
+    with pytest.raises(ValueError, match="truncated_svd expects a matrix"):
+        truncated_svd(np.ones(3))
+    with pytest.raises(ValueError, match="truncated_svd input contains non-finite"):
+        truncated_svd(np.array([[np.nan, 1.0]]))
 
 
 def reconstruction_error(x, res):

@@ -29,6 +29,8 @@ def test_invalid_chain_rejected():
         random_tt((3, 3), (2, 2, 1), "gaussian", 0)
     with pytest.raises(ValueError):
         random_tt((3, 3), (1, 2, 1), "poisson", 0)
+    with pytest.raises(ValueError, match="ranks must be positive"):
+        random_tt((3, 3, 3), (1, 2, 0, 1), "gaussian", 0)
     for bad in (2.5, float("inf"), float("nan")):
         with pytest.raises(ValueError, match="whole numbers"):
             random_tt((3, 3), (1, bad, 1), "gaussian", 0)

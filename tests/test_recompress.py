@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +387,8 @@ def test_flop_model_ratio_grows_with_rank():
 def test_flop_model_unknown_algorithm():
     with pytest.raises(ValueError):
         flop_model("unknown", 5, 5, 5, 5, 5)
+    with pytest.raises(ValueError, match="must be positive"):
+        flop_model("hatt-2", 5, 5, 0, 5, 5)
     with pytest.raises(ValueError, match="unknown algorithm"):
         flop_model("HATT_2", 5, 8, 6, 6, 4)  # a name no entry point runs
 
@@ -514,6 +517,34 @@ def test_sweeps_never_return_an_overflowed_core():
             sweep()
 
 
+def scale_core(x, k, c):
+    return TTTensor(x.cores[:k] + (TTCore(x.cores[k].values * c),) + x.cores[k + 1:])
+
+
+@pytest.mark.parametrize("max_terms", (None, 2), ids=("hatt-2", "hatt-1"))
+@pytest.mark.parametrize("d, k", [(d, k) for d in (1, 2, 4) for k in range(d)])
+def test_overflow_at_any_core_is_a_named_error(d, k, max_terms):
+    # core k of both factors at 1e200: every factor core is finite, but product
+    # core k's entries (near 1e398) are not; the sketch pass meets cores d..2,
+    # the sweep core 1, and neither lets numpy warn first
+    y, z = (scale_core(gaussian_tt((6,) * d, (1,) + (3,) * (d - 1) + (1,), seed=s), k, 1e200)
+            for s in (1, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            hatt(y, z, 2, max_terms, seed=5)
+
+
+def test_rand_orth_overflow_is_a_named_error():
+    # cores 1 and 2 at 1e160: the train is finite, its entries (near 1e318) are not
+    a = gaussian_tt((6,) * 4, (1, 3, 3, 3, 1), seed=1)
+    a = scale_core(scale_core(a, 0, 1e160), 1, 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow"):
+            rand_orth(a, 2, seed=5)
+
+
 def test_library_built_cores_are_read_only():
     y = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
     z = gaussian_tt((4,) * 4, (1, 2, 2, 2, 1), seed=2)
@@ -540,6 +571,8 @@ def test_normalize_targets_forms():
     assert normalize_targets(np.array(3), 4) == (1, 3, 3, 3, 1)
     with pytest.raises(ValueError):
         normalize_targets((2, 2), 4)
+    with pytest.raises(ValueError, match="target ranks are required"):
+        normalize_targets(None, 4)
     for fractional in (2.9, (2, 2.5, 2), (2, (2, 3), 2)):
         with pytest.raises(ValueError, match="whole numbers"):
             normalize_targets(fractional, 4)
@@ -557,7 +590,8 @@ def test_report_fields(rng):
 
 
 def test_hpcrl_last_core_uses_boundary_pkp(rng):
-    # the initial sketch comes from the (rank-1-sided) last-core product
+    # the first step, from W^(d) = 1, contracts the last product core (right
+    # rank 1) against the sketch's last core
     y, z = random_pair(rng, 3, 4, 3)
     sketch = gaussian_tt(y.shape, (1, 2, 2, 1), seed=90)
     got = hpcrl(y, z, sketch)

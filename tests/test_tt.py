@@ -49,6 +49,10 @@ def test_tt_validation():
         TTTensor([np.ones((2, 3, 1))])  # boundary rank
     with pytest.raises(ValueError):
         TTTensor([np.ones((1, 3, 2)), np.ones((3, 3, 1))])  # chain mismatch
+    with pytest.raises(ValueError, match="3-way array, got ndim=2"):
+        TTCore(np.ones((1, 3)))
+    with pytest.raises(ValueError, match="at least one core"):
+        TTTensor([])
 
 
 def test_unfold_shapes_of_core():
@@ -304,6 +308,8 @@ def test_relative_error_zero_reference():
     y = tt_ones((2, 2))
     with pytest.raises(ZeroDivisionError):
         relative_error(y, zero)
+    with dense_limit(1), pytest.raises(ZeroDivisionError, match="zero norm"):
+        relative_error(y, zero)  # the TT path
 
 
 def test_dense_cap_on_reconstruction():
