@@ -35,7 +35,8 @@ def tt_svd(x, targets=None, rel_tol=None):
     Exactly one of `targets` (rank chain) or `rel_tol` must be given.  With
     `rel_tol`, each of the d-1 truncations drops a tail of Frobenius norm at
     most rel_tol / sqrt(d-1) * ||x||_F, so the reconstruction error is at
-    most rel_tol * ||x||_F.
+    most rel_tol * ||x||_F.  With `targets`, a bond keeps at most as many
+    ranks as its unfolding has nonzero singular values, and at least one.
     """
     if (targets is None) == (rel_tol is None):
         raise ValueError("give exactly one of targets or rel_tol")
@@ -52,9 +53,9 @@ def tt_svd(x, targets=None, rel_tol=None):
     rank = 1
     rest = values.reshape(rank * shape[0], -1)
     for k in range(1, d):
-        svd = truncated_svd(rest, rank_tol=0.0)
+        svd = truncated_svd(rest)
         if chain is not None:
-            keep = min(chain[k], svd.n_terms)
+            keep = max(1, min(chain[k], int(np.count_nonzero(svd.s))))
         else:
             tails = np.sqrt(np.cumsum(svd.s[::-1] ** 2))[::-1]  # tails[j] = ||s[j:]||
             above = np.nonzero(tails > budget)[0]

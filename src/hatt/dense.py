@@ -11,7 +11,7 @@ from .limits import check_dense
 
 
 class DenseTensor:
-    """Explicit d-way real array with 1-based element access.
+    """Explicit d-way real array, held as a read-only float64 ``values``.
 
     Construction copies `values` and enforces the dense element-count cap
     and finiteness; instances are immutable.

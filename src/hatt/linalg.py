@@ -7,10 +7,10 @@ flop count:
 * ``tri_matmul`` (m x k times triangular k x k): ``m k^2``;
 * ``econ_qr`` of m x n: ``4 m n t - 4 t^3 / 3`` with ``t = min(m, n)``
   (Householder cost with explicit Q; charged whether or not R is consumed);
-* ``truncated_svd`` of m x n: a single calibrated bucket
-  ``SVD_COST_FACTOR * max(m, n) * min(m, n)^2``; the exact constant of a
-  full SVD is implementation-dependent, so this counter is an
-  order-of-magnitude estimate and is reported separately.
+* ``truncated_svd`` of m x n: one thin SVD, charged
+  ``SVD_COST_FACTOR * max(m, n) * min(m, n)^2`` however many triplets it
+  keeps; the exact constant of an SVD is implementation-dependent, so this
+  counter is an order-of-magnitude estimate and is reported separately.
 
 Factorizations are LAPACK-backed (numpy.linalg) with deterministic sign
 conventions: R's diagonal is nonnegative (sign bit clear), and the first
@@ -64,10 +64,6 @@ class SvdResult:
     u: np.ndarray
     s: np.ndarray
     v: np.ndarray
-
-    @property
-    def n_terms(self):
-        return len(self.s)
 
 
 def matmul(a, b, ledger=None):
@@ -137,18 +133,15 @@ def econ_qr(x, ledger=None):
     return QrResult(q, r)
 
 
-def truncated_svd(x, target_rank=None, max_terms=None, ledger=None, rank_tol=1e-12):
+def truncated_svd(x, target_rank=None, ledger=None):
     """Leading singular triplets of a matrix.
 
-    Keeps ``min(target_rank or numeric rank, max_terms or inf)`` triplets,
-    where the numeric rank drops singular values sigma_i <= rank_tol * sigma_1.
-    Ties keep the earlier-indexed triplets.  `target_rank` and `max_terms`
-    must each be None or a whole number >= 1.
+    Keeps the leading `target_rank` triplets, a whole number >= 1 and at
+    most min(m, n), or all min(m, n) of them for None.  Ties keep the
+    earlier-indexed triplets.
     """
     if target_rank is not None:
         target_rank = positive_whole(target_rank, "target_rank")
-    if max_terms is not None:
-        max_terms = positive_whole(max_terms, "max_terms")
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("truncated_svd expects a matrix")
@@ -160,21 +153,13 @@ def truncated_svd(x, target_rank=None, max_terms=None, ledger=None, rank_tol=1e-
     u, s, vt = np.linalg.svd(x, full_matrices=False)
     if ledger is not None:
         ledger.add_svd(SVD_COST_FACTOR * max(m, n) * min(m, n) ** 2)
-    if target_rank is not None:
-        keep = target_rank
-    elif s.size and s[0] > 0:
-        keep = int(np.sum(s > rank_tol * s[0]))
-    else:
-        keep = 0
-    if max_terms is not None:
-        keep = min(keep, max_terms)
-    keep = max(keep, 1) if s.size else 0
-    u, s, v = u[:, :keep].copy(), s[:keep].copy(), vt[:keep].T.copy()
+    # a slice to None keeps every triplet
+    u, s, v = u[:, :target_rank].copy(), s[:target_rank].copy(), vt[:target_rank].T.copy()
     # sign convention: first nonzero entry of each left singular vector >= 0
     # (an all-zero column's argmax is row 0, which is not negative); a matrix
     # with no rows has no entry to take an argmax over
     if u.shape[0]:
-        first = u[np.argmax(u != 0, axis=0), np.arange(keep)]
+        first = u[np.argmax(u != 0, axis=0), np.arange(u.shape[1])]
         negative = first < 0
         if negative.any():
             signs = np.where(negative, -1.0, 1.0)

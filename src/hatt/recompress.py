@@ -15,9 +15,9 @@ with the target ranks:
   (r_k s_k) x n x (r_{k+1} s_{k+1}) is ever materialized.
 
 `hatt` comes in two flavours, selected by its `max_terms` argument: an
-integer (HaTT-1) re-expresses each sketch by a truncated SVD of at most that
-many terms before the recursion step, None (HaTT-2) uses the sketch columns
-as they are.
+integer (HaTT-1) re-expresses each sketch by at most that many leading
+singular triplets before the recursion step, by the term rule of
+:func:`rank1_decompose`; None (HaTT-2) uses the sketch columns as they are.
 
 :func:`flop_model` gives the leading-order operation count of one run of
 each algorithm, so measured ledgers can be checked against predictions.
@@ -35,6 +35,7 @@ from .indexing import positive_whole, whole_numbers
 from .linalg import (
     SVD_COST_FACTOR,
     FlopLedger,
+    SvdResult,
     econ_qr,
     matmul,
     scale_columns,
@@ -62,17 +63,14 @@ class TargetRankWarning(UserWarning):
 _RANK1_TOL = 1e-10
 
 
-def _check_max_terms(max_terms):
-    """`max_terms` as an int or None; a value that is neither None nor a
-    whole number >= 1 is a ValueError."""
-    return None if max_terms is None else positive_whole(max_terms, "max_terms")
-
-
 def rank1_decompose(w, max_terms, ledger=None):
-    """A sketch matrix as its leading singular triplets, at most `max_terms`
-    of them (HaTT-1); the dropped tail is the only approximation in the
-    whole sketch recursion."""
-    return truncated_svd(w, max_terms=max_terms, ledger=ledger, rank_tol=_RANK1_TOL)
+    """HaTT-1's term rule: a sketch matrix as its singular triplets above
+    _RANK1_TOL sigma_1, at most `max_terms` and at least one; the dropped
+    tail is the only approximation in the whole sketch recursion."""
+    max_terms = positive_whole(max_terms, "max_terms")
+    svd = truncated_svd(w, ledger=ledger)
+    keep = max(1, min(max_terms, int(np.sum(svd.s > _RANK1_TOL * svd.s.max(initial=0.0)))))
+    return SvdResult(svd.u[:, :keep], svd.s[:keep], svd.v[:, :keep])
 
 
 # --- sketches ---------------------------------------------------------------
@@ -151,22 +149,23 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
     """Sketches of the Hadamard product y ⊙ z without forming its cores.
 
     Produces exactly the matrices :func:`partial_contraction_rl` would give
-    for the materialized product, up to the terms that
-    :func:`rank1_decompose` drops when `max_terms` caps each sketch W^(k)
-    (None: W^(k)'s columns are the rank-1 terms).  Each rank-1 term g of
-    W^(k) folds into an r_k x s_k matrix U_g, and the product core applied
-    to it is the Kronecker-times-vector trick ``Y(i) U_g Z(i)^T``, so the
-    work scales with r + s instead of r * s.  That is the kernel of
-    :func:`contract_m_onto_pkp` applied to the transposed factor cores;
-    each slab of mode slices is then closed against the sketch core's
-    slices into W^(k-1).  Slabs keep every intermediate a fraction of a
-    factor core.  As in :func:`partial_contraction_rl`, the recursion
-    starts from W^(d) = 1 and every W^(k) is returned C-ordered; a 1 x 1
-    sketch is its own rank-1 term, never decomposed.  A sketch W^(k-1)
-    that overflows float64 is a ValueError.
+    for the materialized product, up to the terms that HaTT-1's rule,
+    :func:`rank1_decompose`, drops from each sketch W^(k) when `max_terms`
+    is an integer (None: W^(k)'s columns are the rank-1 terms).  Each
+    rank-1 term g of W^(k) folds into an r_k x s_k matrix U_g, and the
+    product core applied to it is the Kronecker-times-vector trick
+    ``Y(i) U_g Z(i)^T``, so the work scales with r + s instead of r * s.
+    That is the kernel of :func:`contract_m_onto_pkp` applied to the
+    transposed factor cores; each slab of mode slices is then closed
+    against the sketch core's slices into W^(k-1).  Slabs keep every
+    intermediate a fraction of a factor core.  As in
+    :func:`partial_contraction_rl`, the recursion starts from W^(d) = 1 and
+    every W^(k) is returned C-ordered; a 1 x 1 sketch is its own rank-1
+    term, never decomposed.  A sketch W^(k-1) that overflows float64 is a
+    ValueError.
     """
     check_trains(y=y, z=z, r=r)
-    max_terms = _check_max_terms(max_terms)
+    max_terms = None if max_terms is None else positive_whole(max_terms, "max_terms")
     mats = [None] * (y.d - 1)
     w_t = np.ones((1, 1))  # W^(k)^T: the uncapped kernel's rows
     for k in range(y.d, 1, -1):
@@ -372,50 +371,60 @@ def tt_rounding(a, targets, ledger=None):
     pass 2 the matricization is the tensor's unfolding up to orthogonal
     factors on both sides, so no QR needs to come first.  Output ranks are
     the targets clamped to the ranks of `a` and to feasible values (with a
-    :class:`TargetRankWarning`), and cores 1..d-1 are left-orthogonal.
+    :class:`TargetRankWarning`), and cores 1..d-1 are left-orthogonal.  A
+    core that overflows float64 is a ValueError before a QR or SVD reads it.
     """
     check_trains(a=a)
     d = a.d
     targets = _clamp_targets(normalize_targets(targets, d), a.shape, a.ranks)
     cores = [c.values for c in a.cores]
-    # left-to-right trim of the bonds wider than their leading modes
-    for k in range(1, d):
-        r1, n, r2 = cores[k - 1].shape
-        if r1 * n >= r2:
-            continue
-        nxt = cores[k]
-        merged = matmul(cores[k - 1].reshape(r1 * n, r2), nxt.reshape(r2, -1), ledger)
-        cores[k] = merged.reshape(r1 * n, *nxt.shape[1:])
-        cores[k - 1] = np.eye(r1 * n).reshape(r1, n, r1 * n)
-    # right-to-left orthogonalization, merging the cores that trim their bond
-    for k in range(d, 1, -1):
-        core, prev = cores[k - 1], cores[k - 2]
-        (r1, n, r2), (p1, pn, _) = core.shape, prev.shape
-        prev_mat = prev.reshape(p1 * pn, r1)
-        if n * r2 < r1:
-            updated = matmul(prev_mat, core.reshape(r1, n * r2), ledger)
-            cores[k - 1] = np.eye(n * r2).reshape(n * r2, n, r2)
-        else:
-            res = econ_qr(core.reshape(r1, n * r2).T, ledger=ledger)
-            updated = tri_matmul(prev_mat, res.r.T, ledger)
-            cores[k - 1] = res.q.T.reshape(r1, n, r2)
-        cores[k - 2] = updated.reshape(p1, pn, -1)
-    # left-to-right compression
-    for k in range(1, d):
-        (r1, n, r2), bond, nxt = cores[k - 1].shape, targets[k], cores[k]
-        svd = truncated_svd(cores[k - 1].reshape(r1 * n, r2), target_rank=bond, ledger=ledger)
-        cores[k - 1] = svd.u.reshape(r1, n, bond)
-        carry = scale_columns(svd.v, svd.s, ledger).T
-        cores[k] = matmul(carry, nxt.reshape(r2, -1), ledger).reshape(bond, *nxt.shape[1:])
-    return _sweep_result(cores)
+    # an overflow is a named ValueError before a factorization reads it
+    with np.errstate(over="ignore", invalid="ignore"):
+        # left-to-right trim of the bonds wider than their leading modes
+        for k in range(1, d):
+            r1, n, r2 = cores[k - 1].shape
+            if r1 * n >= r2:
+                continue
+            nxt = cores[k]
+            merged = matmul(cores[k - 1].reshape(r1 * n, r2), nxt.reshape(r2, -1), ledger)
+            cores[k] = merged.reshape(r1 * n, *nxt.shape[1:])
+            cores[k - 1] = np.eye(r1 * n).reshape(r1, n, r1 * n)
+        # right-to-left orthogonalization, merging the cores that trim their bond
+        for k in range(d, 1, -1):
+            core, prev = _finite_core(cores[k - 1], k), cores[k - 2]
+            (r1, n, r2), (p1, pn, _) = core.shape, prev.shape
+            prev_mat = prev.reshape(p1 * pn, r1)
+            if n * r2 < r1:
+                updated = matmul(prev_mat, core.reshape(r1, n * r2), ledger)
+                cores[k - 1] = np.eye(n * r2).reshape(n * r2, n, r2)
+            else:
+                res = econ_qr(core.reshape(r1, n * r2).T, ledger=ledger)
+                updated = tri_matmul(prev_mat, res.r.T, ledger)
+                cores[k - 1] = res.q.T.reshape(r1, n, r2)
+            cores[k - 2] = updated.reshape(p1, pn, -1)
+        # left-to-right compression
+        for k in range(1, d):
+            (r1, n, r2), bond, nxt = cores[k - 1].shape, targets[k], cores[k]
+            mat = _finite_core(cores[k - 1], k).reshape(r1 * n, r2)
+            svd = truncated_svd(mat, target_rank=bond, ledger=ledger)
+            cores[k - 1] = svd.u.reshape(r1, n, bond)
+            carry = scale_columns(svd.v, svd.s, ledger).T
+            cores[k] = matmul(carry, nxt.reshape(r2, -1), ledger).reshape(bond, *nxt.shape[1:])
+        return _sweep_result(cores)
+
+
+def _finite_core(core, k):
+    """Core k (1-based) of a sweep, or a ValueError if it overflows float64."""
+    if not np.isfinite(core).all():
+        raise ValueError(f"core {k} of the recompressed tensor overflows float64")
+    return core
 
 
 def _sweep_result(cores):
     """The output tensor of a rounding sweep.  Cores 1..d-1 are orthonormal
     factors of matrices that ``econ_qr`` or ``truncated_svd`` found finite;
     only the last core can overflow, so it alone is scanned."""
-    if not np.isfinite(cores[-1]).all():
-        raise ValueError("the recompressed tensor overflows float64")
+    _finite_core(cores[-1], len(cores))
     return TTTensor._trusted([TTCore._trusted(c) for c in cores])
 
 
@@ -520,16 +529,16 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
 
     With `max_terms` None (HaTT-2), identical in exact arithmetic to
     :func:`rand_orth` applied to the materialized product with the same
-    sketch tensor; an integer (HaTT-1) caps each sketch at that many SVD
-    terms (see :func:`hpcrl`).  The sketches come from :func:`hpcrl`, and
-    the sweep (:func:`_orthogonalize_sweep`) pulls each core update from
-    :func:`contract_m_onto_pkp` one slab of mode slices of the factor cores
-    at a time.  The boundary cores take the same steps as the others, so no
-    product core is formed, and no core update that spans more than one slab
-    is held whole.  A product that overflows float64 is a ValueError from
-    :func:`hpcrl`, the sweep or its last-core check.  Target ranks, or
-    `sketch_tt` ranks, above the product rank r_k s_k or above feasible
-    values are clamped with a :class:`TargetRankWarning`.
+    sketch tensor; an integer (HaTT-1) re-expresses each sketch by at most
+    that many singular triplets (see :func:`hpcrl`).  The sketches come from
+    :func:`hpcrl`, and the sweep (:func:`_orthogonalize_sweep`) pulls each
+    core update from :func:`contract_m_onto_pkp` one slab of mode slices of
+    the factor cores at a time.  The boundary cores take the same steps as
+    the others, so no product core is formed, and no core update that spans
+    more than one slab is held whole.  A product that overflows float64 is
+    a ValueError from :func:`hpcrl`, the sweep or its last-core check.
+    Target ranks, or `sketch_tt` ranks, above the product rank r_k s_k or
+    above feasible values are clamped with a :class:`TargetRankWarning`.
     """
     check_trains(y=y, z=z)
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
@@ -566,9 +575,8 @@ def _term_cap(max_terms, ell):
     """The rank-1 terms hatt-1 keeps per sketch at target rank ell: at most
     `max_terms`, and at most ell, the sketch's column bound, so a cap of ell
     (the one None gives) truncates nothing the uncapped SVD keeps.  The cap
-    is checked as in :func:`hpcrl`."""
-    max_terms = _check_max_terms(max_terms)
-    return ell if max_terms is None else min(max_terms, ell)
+    is checked as in :func:`hpcrl` and :func:`rank1_decompose`."""
+    return ell if max_terms is None else min(positive_whole(max_terms, "max_terms"), ell)
 
 
 def _run_hatt1(y, z, targets, seed, max_terms, ledger):

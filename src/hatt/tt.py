@@ -74,14 +74,14 @@ class TTCore:
 
 
 def h_unfold(core):
-    """Horizontal matricization: r_{k-1} x (n_k r_k)."""
-    v = core.values if isinstance(core, TTCore) else np.asarray(core)
+    """Horizontal matricization of a TTCore: r_{k-1} x (n_k r_k)."""
+    v = core.values
     return v.reshape(v.shape[0], -1)
 
 
 def v_unfold(core):
-    """Vertical matricization: (r_{k-1} n_k) x r_k."""
-    v = core.values if isinstance(core, TTCore) else np.asarray(core)
+    """Vertical matricization of a TTCore: (r_{k-1} n_k) x r_k."""
+    v = core.values
     return v.reshape(-1, v.shape[2])
 
 

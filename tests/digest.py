@@ -1,4 +1,4 @@
-"""Output digest of the benchmark's computations, two SHA-256 lines per group.
+"""Output digest of the benchmark's computations, SHA-256 lines per group.
 
 Run from the repository root:
 
@@ -8,10 +8,11 @@ Each line is ``group/values sha256`` or ``group/flops sha256``.  The first
 hash covers the outputs of every run in the group: the ranks and float64
 bytes of each output core, or a power iteration's estimate, history,
 iteration count and ranks.  The second covers the flop ledger's three
-counters of those runs.  Two trees that print the same line compute the same
-values, or charge the same flops, bit for bit; the two are kept apart so
-that a change of bookkeeping shows apart from a change of values.  The
-groups follow perfbench's workloads:
+counters of those runs (a group that charges no ledger has no such line).
+Two trees that print the same line compute the same values, or charge the
+same flops, bit for bit; the two are kept apart so that a change of
+bookkeeping shows apart from a change of values.  The
+groups follow perfbench's workloads, and example 1's Fourier pair:
 
 * ``large/hatt-2``, ``large/hatt-1``, ``large/rand-orth``: gaussian factors
   with d=10, n=32, r=s=20 (product rank 400) at target 10, sketch seeds 7-9;
@@ -19,7 +20,12 @@ groups follow perfbench's workloads:
 * ``hilbert/hatt-2``, ``hilbert/hatt-1`` (max_terms=5), ``hilbert/rand-orth``:
   the same product and targets, 16 sketch seeds each;
 * ``power/qing``, ``power/alpine``: power_iteration_max with the hatt-2
-  backend on d=6, n=10 at target 8, 100 iterations.
+  backend on d=6, n=10 at target 8, 100 iterations;
+* ``fourier/tt-svd``: the ranks and cores of fourier_tt((8,)*5, 12, seed=0),
+  which tt_svd builds (values only);
+* ``fourier/hatt-2``, ``fourier/hatt-1`` (max_terms=5),
+  ``fourier/tt-rounding``: that pair's product at target 4, sketch seeds
+  0-3.
 
 This file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -31,6 +37,7 @@ import numpy as np
 from hatt import (
     FlopLedger,
     SeparableFunctionSpec,
+    fourier_tt,
     gaussian_tt,
     hilbert_tt,
     power_iteration_max,
@@ -42,7 +49,11 @@ from hatt import (
 LARGE_SEEDS = (7, 8, 9)
 HILBERT_TARGETS = (4, 8)
 HILBERT_SKETCHES = 16
-HILBERT_MAX_TERMS = 5
+HATT1_MAX_TERMS = 5
+FOURIER_SHAPE = (8,) * 5
+FOURIER_TERMS = 12
+FOURIER_TARGET = 4
+FOURIER_SEEDS = range(4)
 
 
 class Digest:
@@ -51,11 +62,12 @@ class Digest:
     def __init__(self):
         self.values, self.flops = hashlib.sha256(), hashlib.sha256()
 
-    def add(self, arrays, ledger):
+    def add(self, arrays, ledger=None):
         for a in arrays:
             self.values.update(np.ascontiguousarray(a).tobytes())
-        self.flops.update(np.array([ledger.matmul_flops, ledger.qr_flops, ledger.svd_flops],
-                                   dtype=np.int64).tobytes())
+        if ledger is not None:
+            self.flops.update(np.array([ledger.matmul_flops, ledger.qr_flops, ledger.svd_flops],
+                                       dtype=np.int64).tobytes())
 
     def recompress(self, algorithm, y, z, ell, seeds, max_terms=None):
         for seed in seeds:
@@ -80,7 +92,7 @@ def groups():
         seeds = (None,) if alg == "tt-rounding" else range(HILBERT_SKETCHES)
         digest = Digest()
         for ell in HILBERT_TARGETS:
-            digest.recompress(alg, h, h, ell, seeds, HILBERT_MAX_TERMS)
+            digest.recompress(alg, h, h, ell, seeds, HATT1_MAX_TERMS)
         yield from digest.lines(f"hilbert/{alg}")
     for k, kind in enumerate(("qing", "alpine")):
         ledger = FlopLedger()
@@ -90,6 +102,16 @@ def groups():
         digest.add([np.array([result.estimate] + result.history),
                     np.array((result.iterations_used,) + result.ranks, dtype=np.int64)], ledger)
         yield from digest.lines(f"power/{kind}")
+    pair = fourier_tt(FOURIER_SHAPE, FOURIER_TERMS, seed=0)
+    digest = Digest()
+    for x in pair:
+        digest.add([np.array(x.ranks, dtype=np.int64)] + [c.values for c in x.cores])
+    yield digest.lines("fourier/tt-svd")[0]  # tt_svd charges no ledger
+    for alg in ("hatt-2", "hatt-1", "tt-rounding"):
+        seeds = (None,) if alg == "tt-rounding" else FOURIER_SEEDS
+        digest = Digest()
+        digest.recompress(alg, *pair, FOURIER_TARGET, seeds, HATT1_MAX_TERMS)
+        yield from digest.lines(f"fourier/{alg}")
 
 
 if __name__ == "__main__":

@@ -54,6 +54,20 @@ def test_tt_svd_target_ranks(rng):
     assert out.ranks == (1, 2, 2, 1)
 
 
+def test_tt_svd_keeps_only_nonzero_singular_values(rng):
+    # a bond keeps no rank past its unfolding's last nonzero singular value
+    x = np.zeros((4, 5, 6))
+    x[1, 2, 3] = 2.5
+    out = tt_svd(x, targets=3)
+    assert out.ranks == (1, 1, 1, 1)
+    assert np.array_equal(tt_to_dense(out).values, x)
+    assert tt_svd(np.zeros((4, 5, 6)), targets=3).ranks == (1, 1, 1, 1)
+    # a floating-point outer product's tail singular values are tiny but
+    # not zero, so its bonds keep their targets
+    a, b, c = (rng.normal(size=n) for n in (4, 5, 6))
+    assert tt_svd(np.einsum("i,j,k->ijk", a, b, c), targets=3).ranks == (1, 3, 3, 1)
+
+
 def test_tt_svd_argument_check(rng):
     dense = DenseTensor(rng.normal(size=(2, 2)))
     with pytest.raises(ValueError):

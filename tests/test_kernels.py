@@ -78,7 +78,7 @@ def loop_hpcrl(y, z, r, max_terms, ledger):
             rep = SvdResult(w, np.ones(ell), np.eye(ell))
         else:
             rep = rank1_decompose(w, max_terms, ledger)
-        terms = rep.n_terms
+        terms = len(rep.s)
         r1, r2 = yc.left_rank, yc.right_rank
         s1, s2 = zc.left_rank, zc.right_rank
         u_fold = rep.u.T.reshape(terms, r2, s2).transpose(0, 2, 1)

@@ -90,7 +90,27 @@ def test_partial_contraction_slice_form_agrees(rng):
 def test_rank1_svd_rank_one(rng):
     w = np.outer(rng.normal(size=6), rng.normal(size=3))
     rep = rank1_decompose(w, 3)
-    assert rep.n_terms == 1
+    assert len(rep.s) == 1
+    assert np.allclose(rep.u @ np.diag(rep.s) @ rep.v.T, w, atol=1e-12)
+
+
+def test_rank1_decompose_keeps_the_terms_above_1e_10_sigma_1():
+    # HaTT-1's term rule: singular values above 1e-10 sigma_1, at most
+    # max_terms of them, and at least one (test_rank1_svd_rank_one: a rank-1
+    # outer product keeps one)
+    assert np.array_equal(rank1_decompose(np.diag([3.0, 2.0, 1e-11]), 3).s, [3.0, 2.0])
+    zero = rank1_decompose(np.zeros((3, 2)), 2)
+    assert zero.s.tolist() == [0.0] and zero.u.shape == (3, 1) and zero.v.shape == (2, 1)
+    x = np.diag([3.0, 2.0, 1.0])
+    assert np.array_equal(rank1_decompose(x, 2).s, [3.0, 2.0])
+    assert np.array_equal(rank1_decompose(x, 2.0).s, [3.0, 2.0])
+    assert len(rank1_decompose(x, 5).s) == 3
+
+
+@pytest.mark.parametrize("value, match", ((0, ">= 1"), (-1, ">= 1"), (2.5, "whole numbers")))
+def test_rank1_decompose_max_terms_are_whole_numbers_from_one(value, match):
+    with pytest.raises(ValueError, match=f"max_terms must be {match}"):
+        rank1_decompose(np.diag([3.0, 2.0, 1.0]), value)
 
 
 def test_rank1_svd_hilbert_truncation():
@@ -99,12 +119,12 @@ def test_rank1_svd_hilbert_truncation():
     sketch = gaussian_tt(y.shape, (1, 10, 10, 10, 1), seed=5)
     w = hpcrl(y, y, sketch)[1]
     rep = rank1_decompose(w, 5)
-    assert rep.n_terms <= 5
+    assert len(rep.s) <= 5
     recon = rep.u @ np.diag(rep.s) @ rep.v.T
     from hatt import truncated_svd
 
     full = truncated_svd(w, target_rank=min(w.shape))
-    tail = np.sqrt(np.sum(full.s[rep.n_terms:] ** 2))
+    tail = np.sqrt(np.sum(full.s[len(rep.s):] ** 2))
     assert np.linalg.norm(w - recon) == pytest.approx(tail, rel=1e-8, abs=1e-14)
 
 
@@ -535,14 +555,40 @@ def test_overflow_at_any_core_is_a_named_error(d, k, max_terms):
             hatt(y, z, 2, max_terms, seed=5)
 
 
-def test_rand_orth_overflow_is_a_named_error():
-    # cores 1 and 2 at 1e160: the train is finite, its entries (near 1e318) are not
-    a = gaussian_tt((6,) * 4, (1, 3, 3, 3, 1), seed=1)
-    a = scale_core(scale_core(a, 0, 1e160), 1, 1e160)
+@pytest.mark.parametrize("sweep", (lambda a: rand_orth(a, 2, seed=5), lambda a: tt_rounding(a, 2)),
+                         ids=("rand_orth", "tt_rounding"))
+@pytest.mark.parametrize("shape, ranks, k", [((6,) * 4, (1, 3, 3, 3, 1), 0),
+                                             ((4,) * 4, (1, 3, 3, 3, 1), 0),
+                                             ((4,) * 4, (1, 3, 3, 3, 1), 1),
+                                             ((4,) * 4, (1, 3, 3, 3, 1), 2),
+                                             ((2,) * 4, (1, 4, 4, 4, 1), 0),
+                                             ((2,) * 4, (1, 4, 4, 4, 1), 1),
+                                             ((2,) * 4, (1, 4, 4, 4, 1), 2)],
+                         ids=("n6-cores12", "n4-cores12", "n4-cores23", "n4-cores34",
+                              "n2r4-cores12", "n2r4-cores23", "n2r4-cores34"))
+def test_rand_orth_overflow_is_a_named_error(sweep, shape, ranks, k):
+    # cores k and k + 1 at 1e160: the train is finite, its entries (near
+    # 1e318) are not.  tt_rounding meets the overflow in a trim merge (at
+    # (2,) * 4, ranks 4) or an orthogonalization update; neither may let
+    # numpy warn first or reach a kernel's non-finite check
+    a = gaussian_tt(shape, ranks, seed=1)
+    a = scale_core(scale_core(a, k, 1e160), k + 1, 1e160)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="overflow"):
-            rand_orth(a, 2, seed=5)
+        with pytest.raises(ValueError, match="overflows float64"):
+            sweep(a)
+
+
+def test_tt_rounding_overflowing_carry_is_a_named_error():
+    # core 1's entries are finite, but its sigma_1 (3e308) is not, so the
+    # carry sigma V^T that the last pass pushes into core 2 overflows
+    first = np.full((1, 2, 2), 1.5e308)
+    middle, last = np.eye(4)[:2].reshape(2, 2, 2), np.eye(2).reshape(2, 2, 1)
+    a = TTTensor([first, middle, last])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="core 2 of the recompressed tensor overflows"):
+            tt_rounding(a, 2)
 
 
 def test_library_built_cores_are_read_only():
