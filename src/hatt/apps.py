@@ -15,7 +15,7 @@ from .dense import DenseTensor
 from .indexing import check_shape, positive_whole, whole_numbers
 from .limits import check_dense
 from .linalg import scale_columns, truncated_svd
-from .rand_tt import check_rank_chain, derive_seed, seed_sequence, uniform_chain
+from .rand_tt import check_rank_chain, check_seed, derive_seed, seed_sequence, uniform_chain
 from .recompress import (
     TargetRankWarning,
     _runner,
@@ -78,8 +78,7 @@ def fourier_coefficients(n_terms, seed=0):
     """The seeded (a, b) coefficient pair of :func:`fourier_tt`: n_terms
     uniform draws each from [COEFF_LOW, COEFF_HIGH)."""
     n_terms = positive_whole(n_terms, "n_terms")
-    (seed,) = whole_numbers((seed,), "seed")
-    rng = np.random.default_rng(seed_sequence(seed, 777))
+    rng = np.random.default_rng(seed_sequence(check_seed(seed), 777))
     a = rng.uniform(COEFF_LOW, COEFF_HIGH, size=n_terms)
     b = rng.uniform(COEFF_LOW, COEFF_HIGH, size=n_terms)
     return a, b
@@ -258,7 +257,7 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
             last = last / top
             flat = last.reshape(-1)
             last /= math.sqrt(flat.dot(flat))  # np.linalg.norm(last) without its dispatch
-            v = TTTensor._trusted(w.cores[:-1] + (TTCore._trusted(last),))
+            v = TTTensor(w.cores[:-1] + (TTCore._trusted(last),))
             if prev is not None and abs(estimate - prev) <= REL_CHANGE_TOL * abs(prev):
                 return PowerIterResult(estimate, t, history, v.ranks)
             prev = estimate

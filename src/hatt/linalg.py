@@ -86,9 +86,9 @@ def tri_matmul(a, t, ledger=None):
     """
     a = np.asarray(a)
     t = np.asarray(t)
-    if t.shape[0] != t.shape[1]:
+    if t.ndim != 2 or t.shape[0] != t.shape[1]:
         raise ValueError("tri_matmul needs a square triangular factor")
-    if a.shape[1] != t.shape[0]:
+    if a.ndim != 2 or a.shape[1] != t.shape[0]:
         raise ValueError(f"cannot multiply {a.shape} by {t.shape}")
     if ledger is not None:
         ledger.add_matmul(a.shape[0] * t.shape[0] * t.shape[1])

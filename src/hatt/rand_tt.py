@@ -35,16 +35,23 @@ def check_rank_chain(ranks, d):
     return chain
 
 
+def check_seed(seed):
+    """`seed` as an int; one that is not a whole number >= 0 is a ValueError."""
+    (seed,) = whole_numbers((seed,), "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def seed_sequence(seed, *keys):
     """The SeedSequence of the stream named by `keys` under `seed`, a whole
-    number its public callers check (numpy refuses a float)."""
+    number >= 0 that its public callers check with :func:`check_seed`."""
     return np.random.SeedSequence(entropy=seed, spawn_key=keys)
 
 
 def derive_seed(seed, *keys):
     """A 32-bit seed fixed by `seed` and the small ints `keys`."""
-    (seed,) = whole_numbers((seed,), "seed")
-    return int(seed_sequence(seed, *keys).generate_state(1)[0])
+    return int(seed_sequence(check_seed(seed), *keys).generate_state(1)[0])
 
 
 def random_tt(shape, ranks, kind="gaussian", seed=0):
@@ -54,7 +61,7 @@ def random_tt(shape, ranks, kind="gaussian", seed=0):
     ranks = check_rank_chain(ranks, len(shape))
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    (seed,) = whole_numbers((seed,), "seed")
+    seed = check_seed(seed)
     cores = []
     for k, n in enumerate(shape, start=1):
         l_prev, l_next = ranks[k - 1], ranks[k]
@@ -66,7 +73,7 @@ def random_tt(shape, ranks, kind="gaussian", seed=0):
             core = rng.uniform(0.0, 1.0, size=(l_prev, n, l_next))
         # draws are finite by construction, so they skip the finiteness scan
         cores.append(TTCore._trusted(core))
-    return TTTensor._trusted(cores)
+    return TTTensor(cores)
 
 
 def gaussian_tt(shape, ranks, seed=0):

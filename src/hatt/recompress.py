@@ -237,25 +237,28 @@ def _contract_slabs(m, yv, zv, ledger=None):
     return out
 
 
-def contract_m_onto_pkp(m, ycore, zcore, ledger=None):
+def contract_m_onto_pkp(m, y, z, ledger=None):
     """Contract an l x (r1 s1) matrix onto the implicit product core.
 
-    Returns the TT core with slices ``m @ kron(Y(i), Z(i))``; neither the
-    Kronecker slice nor the product core is formed.  Row g of m folds into
-    an r1 x s1 matrix M_g and its product with the Kronecker slice is
-    ``Y(i)^T M_g Z(i)``.  Per slab of mode slices (see :func:`_slab_size`)
-    that is one GEMM, m as an (l r1) x s1 matrix against the slab's Z
-    slices as an s1 x (n s2) matrix, then one ``np.matmul`` batched over
-    (row, slice) that applies the Y slices and writes straight into the
-    output core.  The output is not scanned for non-finite values.
+    `y` and `z` are two cores' arrays (r1 x n x r2, s1 x n x s2), or slabs
+    of the same mode slices of them.  Returns the (l, n, r2 s2) array of
+    slices ``m @ kron(Y(i), Z(i))``, forming neither the Kronecker slice
+    nor the product core: row g of m folds into an r1 x s1 matrix M_g, and
+    its product with the Kronecker slice is ``Y(i)^T M_g Z(i)``.  Per slab
+    (see :func:`_slab_size`) that is one GEMM, m as an (l r1) x s1 matrix
+    against the slab's Z slices as an s1 x (n s2) matrix, then one
+    ``np.matmul`` batched over (row, slice) that applies the Y slices and
+    writes straight into the output, which is not scanned.
     """
     m = np.asarray(m)
-    if ycore.mode_size != zcore.mode_size:
-        raise ValueError(f"mode mismatch {ycore.mode_size} vs {zcore.mode_size}")
-    r1, s1 = ycore.left_rank, zcore.left_rank
+    if y.ndim != 3 or z.ndim != 3:
+        raise ValueError(f"core arrays must be 3-way, got shapes {y.shape} and {z.shape}")
+    (r1, n, _), (s1, nz, _) = y.shape, z.shape
+    if n != nz:
+        raise ValueError(f"mode mismatch {n} vs {nz}")
     if m.ndim != 2 or m.shape[1] != r1 * s1:
         raise ValueError(f"matrix columns {m.shape} incompatible with ranks {r1}*{s1}")
-    return TTCore._trusted(_contract_slabs(m, ycore.values, zcore.values, ledger))
+    return _contract_slabs(m, y, z, ledger)
 
 
 def tt_hadamard_dot(x, y, z):
@@ -328,14 +331,16 @@ def _sketch(shape, ranks, targets, seed, sketch_tt):
     """The sketch tensor of a randomized sweep over a tensor of TT `ranks`.
 
     Without `sketch_tt`, one is drawn from `seed` at the `targets` clamped
-    by :func:`_clamp_targets`.  A caller-supplied `sketch_tt` must have
-    shape `shape`; its ranks are clamped the same way (with a
-    :class:`TargetRankWarning` naming the bond), by keeping the leading
-    rows and columns of its cores.
+    by :func:`_clamp_targets`.  A caller-supplied `sketch_tt` replaces both
+    (giving them too is a ValueError) and must have shape `shape`; its
+    ranks are clamped the same way (with a :class:`TargetRankWarning`
+    naming the bond), by keeping the leading rows and columns of its cores.
     """
     if sketch_tt is None:
         chain = _clamp_targets(normalize_targets(targets, len(shape)), shape, ranks, stacklevel=4)
         return _draw_sketch_tensor(shape, chain, seed)
+    if targets is not None or seed is not None:
+        raise ValueError("give sketch_tt or targets and seed, not both")
     check_trains(sketch_tt=sketch_tt)
     if sketch_tt.shape != tuple(shape):
         raise ValueError(f"sketch tensor shape {sketch_tt.shape} does not match {tuple(shape)}")
@@ -425,7 +430,7 @@ def _sweep_result(cores):
     factors of matrices that ``econ_qr`` or ``truncated_svd`` found finite;
     only the last core can overflow, so it alone is scanned."""
     _finite_core(cores[-1], len(cores))
-    return TTTensor._trusted([TTCore._trusted(c) for c in cores])
+    return TTTensor([TTCore._trusted(c) for c in cores])
 
 
 def _orthogonalize_sweep(cores, sketches, contract, ledger):
@@ -436,10 +441,10 @@ def _orthogonalize_sweep(cores, sketches, contract, ledger):
     (axis 1): (A_k,) for rand_orth, (Y_k, Z_k) for hatt.  `sketches[k - 1]`
     is the C-ordered sketch matrix W^(k) of bond k, and the sweep takes one
     step per sketch; it sets W^(k) to None once step k has used it.
-    `contract(m, *slab)` must return core k's mode slices in `slab` (the
-    arrays of `cores[k - 1]`, cut to those slices by :func:`_slabs`)
-    contracted against m, an array of shape (rows(m), slices, right rank);
-    m = 1 (the 1 x 1 identity) for core 1, so that step is like the others.
+    `contract(m, *slab, ledger)` must return core k's mode slices in `slab`
+    (`cores[k - 1]` cut to those slices by :func:`_slabs`) contracted
+    against m, an array of shape (rows(m), slices, right rank); m = 1 (the
+    1 x 1 identity) for core 1, so that step is like the others.
 
     Step k holds its core update C (the contracted core k, as a
     (rows n_k) x r_k matrix) one slab of mode slices at a time, as many as
@@ -468,7 +473,7 @@ def _orthogonalize_sweep(cores, sketches, contract, ledger):
         rows, n, cols = m.shape[0], arrays[0].shape[1], w.shape[0]
         r = None
         for slab in _slabs(_slab_size(n, rows * cols, _SWEEP_BLOCK), *arrays):
-            c = contract(m, *slab).reshape(-1, cols)
+            c = contract(m, *slab, ledger).reshape(-1, cols)
             del slab  # its views, not held through the QR
             s = matmul(c, w, ledger)
             if not np.isfinite(s).all():
@@ -495,7 +500,7 @@ def _orthogonalize_sweep(cores, sketches, contract, ledger):
         out.append(q.reshape(rows, n, -1))
         m = h
         del w, r  # before the next core update is pulled
-    out.append(contract(m, *cores[-1]))
+    out.append(contract(m, *cores[-1], ledger))
     return _sweep_result(out)
 
 
@@ -503,25 +508,26 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     """Randomize-then-orthogonalize rounding of a TT tensor.
 
     Sketches come from :func:`partial_contraction_rl` against a gaussian TT
-    tensor with the target ranks (drawn from `seed`, or supplied explicitly
-    via `sketch_tt`).  The sweep (:func:`_orthogonalize_sweep`) pulls each
-    core update slab by slab, as m times a block of columns of the next
-    core's horizontal matricization (a view, not a copy).  If a sketched
-    matrix is rank deficient the QR keeps its full width.  Target ranks, or
-    `sketch_tt` ranks, above the ranks of `a` or above feasible values are
-    clamped with a :class:`TargetRankWarning`.
+    tensor with the target ranks, drawn from `seed` or supplied as
+    `sketch_tt` in place of both.  The sweep (:func:`_orthogonalize_sweep`)
+    pulls each core update slab by slab, as m times a block of columns of
+    the next core's horizontal matricization (a view, not a copy).  If a
+    sketched matrix is rank deficient the QR keeps its full width.  Target
+    ranks, or `sketch_tt` ranks, above the ranks of `a` or above feasible
+    values are clamped with a :class:`TargetRankWarning`.
     """
     check_trains(a=a)
     sketch = _sketch(a.shape, a.ranks, targets, seed, sketch_tt)
-
-    def contract(m, values):
-        r1, slices, r2 = values.shape
-        return matmul(m, values.reshape(r1, slices * r2), ledger).reshape(-1, slices, r2)
-
     # an overflow is the sweep's named ValueError, not a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
         sketches = partial_contraction_rl(a, sketch, ledger)
-        return _orthogonalize_sweep([(c.values,) for c in a.cores], sketches, contract, ledger)
+        return _orthogonalize_sweep([(c.values,) for c in a.cores], sketches, _core_update, ledger)
+
+
+def _core_update(m, a, ledger):
+    """m H<A_k> for a core's array A_k, or a slab of it, shaped (rows(m), slices, r_k)."""
+    r1, slices, r2 = a.shape
+    return matmul(m, a.reshape(r1, slices * r2), ledger).reshape(-1, slices, r2)
 
 
 def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=None):
@@ -537,22 +543,20 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
     the others, so no product core is formed, and no core update that spans
     more than one slab is held whole.  A product that overflows float64 is
     a ValueError from :func:`hpcrl`, the sweep or its last-core check.
-    Target ranks, or `sketch_tt` ranks, above the product rank r_k s_k or
-    above feasible values are clamped with a :class:`TargetRankWarning`.
+    Target ranks, or `sketch_tt` ranks (given in place of `targets` and
+    `seed`), above the product rank r_k s_k or above feasible values are
+    clamped with a :class:`TargetRankWarning`.
     """
     check_trains(y=y, z=z)
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
     sketch = _sketch(y.shape, products, targets, seed, sketch_tt)
-
-    def contract(m, ys, zs):
-        return contract_m_onto_pkp(m, TTCore._trusted(ys), TTCore._trusted(zs), ledger).values
-
     cores = [(cy.values, cz.values) for cy, cz in zip(y.cores, z.cores)]
     # an overflow is hpcrl's or the sweep's named ValueError, not a RuntimeWarning
     with np.errstate(over="ignore", invalid="ignore"):
         sketches = hpcrl(y, z, sketch, max_terms, ledger)
         del sketch
-        return _orthogonalize_sweep(cores, sketches, contract, ledger)
+        # looked up here, so a function swapped into this module is seen
+        return _orthogonalize_sweep(cores, sketches, contract_m_onto_pkp, ledger)
 
 
 # --- the algorithm table -----------------------------------------------------

@@ -14,14 +14,14 @@ and ``TTTensor`` built from raw arrays copy and scan every core.  So does
 the public arithmetic that can overflow: :func:`tt_scale` scans its one
 scaled core, :func:`tt_add` the sum it forms for d = 1, and
 :func:`pkp_cores` its product (only when max|Y| max|Z| is not finite).
-Cores that the package builds from cores it has already validated (kernel
-outputs, sweep outputs, random draws, the block cores of :func:`tt_add`,
-which only rearrange their factors' values) go through ``TTCore._trusted``,
-which skips the copy and the scan but keeps the core cap and the read-only
-flag; the sweeps scan where every path crosses: each sketch of ``hpcrl``,
-each sketched block and the last output core.  Tensors whose rank chain
-the package built itself (sweep outputs, power iterates, random draws) go
-through ``TTTensor._trusted``, which skips the rank checks.
+Cores that the package builds from cores it has already validated (sweep
+outputs, power iterates, random draws, the product cores of
+:func:`pkp_cores`, the block cores of :func:`tt_add`, which only rearrange
+their factors' values) go through ``TTCore._trusted``, which skips the copy
+and the scan but keeps the core cap and the read-only flag; the sweeps scan
+where every path crosses: each sketch of ``hpcrl``, each sketched block and
+the last output core.  Every ``TTTensor`` checks its boundary and rank
+chain, reading each core's shape once.
 """
 
 import math
@@ -86,32 +86,21 @@ def v_unfold(core):
 
 
 class TTTensor:
-    """A sequence of compatible TT cores."""
+    """A sequence of compatible TT cores, kept as given (arrays become TTCores)."""
 
     def __init__(self, cores):
         cores = tuple(c if isinstance(c, TTCore) else TTCore(c) for c in cores)
         if not cores:
             raise ValueError("a TT tensor needs at least one core")
-        if cores[0].left_rank != 1 or cores[-1].right_rank != 1:
+        shapes = [c.values.shape for c in cores]
+        if shapes[0][0] != 1 or shapes[-1][2] != 1:
             raise ValueError("boundary ranks must be 1")
-        for k in range(len(cores) - 1):
-            if cores[k].right_rank != cores[k + 1].left_rank:
-                raise ValueError(
-                    f"rank mismatch between cores {k + 1} and {k + 2}: "
-                    f"{cores[k].right_rank} vs {cores[k + 1].left_rank}"
-                )
+        for k, (left, right) in enumerate(zip(shapes, shapes[1:]), start=1):
+            if left[2] != right[0]:
+                raise ValueError(f"rank mismatch between cores {k} and {k + 1}: "
+                                 f"{left[2]} vs {right[0]}")
         self.cores = cores
-        self.shape = tuple(c.mode_size for c in cores)
-
-    @classmethod
-    def _trusted(cls, cores):
-        """A tensor of cores the package built with matching ranks and unit
-        boundary ranks (sweep outputs, power iterates, random draws): no
-        rank checks."""
-        x = cls.__new__(cls)
-        x.cores = tuple(cores)
-        x.shape = tuple(c.values.shape[1] for c in x.cores)
-        return x
+        self.shape = tuple(s[1] for s in shapes)
 
     @property
     def d(self):
@@ -252,7 +241,8 @@ def tt_add(y, z):
     """
     check_trains(y=y, z=z)
     if y.d == 1:
-        return TTTensor([y.cores[0].values + z.cores[0].values])
+        with np.errstate(over="ignore", invalid="ignore"):  # TTCore names an overflow
+            return TTTensor([y.cores[0].values + z.cores[0].values])
     cores = []
     for k, (cy, cz) in enumerate(zip(y.cores, z.cores)):
         n = cy.mode_size
@@ -273,9 +263,8 @@ def tt_add(y, z):
 def tt_scale(y, c):
     """Multiply a TT tensor by a scalar (absorbed into the first core)."""
     check_trains(y=y)
-    cores = [TTCore(y.cores[0].values * float(c))]
-    cores.extend(y.cores[1:])
-    return TTTensor(cores)
+    with np.errstate(over="ignore", invalid="ignore"):  # TTCore names an overflow
+        return TTTensor((TTCore(y.cores[0].values * float(c)),) + y.cores[1:])
 
 
 def tt_ones(shape):

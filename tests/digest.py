@@ -4,15 +4,16 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/digest.py
 
-Each line is ``group/values sha256`` or ``group/flops sha256``.  The first
-hash covers the outputs of every run in the group: the ranks and float64
-bytes of each output core, or a power iteration's estimate, history,
-iteration count and ranks.  The second covers the flop ledger's three
-counters of those runs (a group that charges no ledger has no such line).
-Two trees that print the same line compute the same values, or charge the
-same flops, bit for bit; the two are kept apart so that a change of
-bookkeeping shows apart from a change of values.  The
-groups follow perfbench's workloads, and example 1's Fourier pair:
+Each line is ``group/values sha256``, ``group/flops sha256`` or
+``group/rows sha256``.  The first hash covers the outputs of every run in
+the group: the ranks and float64 bytes of each output core, or a power
+iteration's estimate, history, iteration count and ranks.  The second
+covers the flop ledger's three counters of those runs (a group that
+charges no ledger has no such line).  Two trees that print the same line
+compute the same values, or charge the same flops, bit for bit; the two
+are kept apart so that a change of bookkeeping shows apart from a change
+of values.  The groups follow perfbench's workloads, example 1's Fourier
+pair and two ``hatt-bench`` scenarios:
 
 * ``large/hatt-2``, ``large/hatt-1``, ``large/rand-orth``: gaussian factors
   with d=10, n=32, r=s=20 (product rank 400) at target 10, sketch seeds 7-9;
@@ -25,7 +26,10 @@ groups follow perfbench's workloads, and example 1's Fourier pair:
   which tt_svd builds (values only);
 * ``fourier/hatt-2``, ``fourier/hatt-1`` (max_terms=5),
   ``fourier/tt-rounding``: that pair's product at target 4, sketch seeds
-  0-3.
+  0-3;
+* ``bench/example1``, ``bench/appendixF``: the CSV rows ``hatt-bench``
+  writes for that scenario at seeds 0-1 and its default grid, each without
+  its ``wall_time_s`` field (the third kind of line).
 
 This file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -45,6 +49,7 @@ from hatt import (
     separable_tt,
     uniform_chain,
 )
+from hatt.bench import CSV_COLUMNS, Scenario, run_scenario
 
 LARGE_SEEDS = (7, 8, 9)
 HILBERT_TARGETS = (4, 8)
@@ -54,6 +59,8 @@ FOURIER_SHAPE = (8,) * 5
 FOURIER_TERMS = 12
 FOURIER_TARGET = 4
 FOURIER_SEEDS = range(4)
+BENCH_SCENARIOS = ("example1", "appendixF")
+BENCH_SEEDS = (0, 1)
 
 
 class Digest:
@@ -112,6 +119,14 @@ def groups():
         digest = Digest()
         digest.recompress(alg, *pair, FOURIER_TARGET, seeds, HATT1_MAX_TERMS)
         yield from digest.lines(f"fourier/{alg}")
+    timed = CSV_COLUMNS.index("wall_time_s")
+    for name in BENCH_SCENARIOS:
+        rows = hashlib.sha256()
+        for row in run_scenario(Scenario(name, seeds=BENCH_SEEDS)):
+            fields = row.to_csv()
+            del fields[timed]
+            rows.update((",".join(fields) + "\n").encode())
+        yield f"bench/{name}/rows", rows.hexdigest()
 
 
 if __name__ == "__main__":

@@ -157,6 +157,36 @@ def test_term_caps_and_seeds_must_be_whole_numbers(bad):
         assert all(np.array_equal(a.values, b.values) for a, b in zip(got.cores, want.cores))
 
 
+def test_negative_seeds_are_named_value_errors():
+    # numpy's SeedSequence raised "expected non-negative integer" from
+    # inside the draw
+    y = gaussian_tt((3, 3, 3), (1, 2, 2, 1), seed=1)
+    calls = (lambda: hatt(y, y, 2, seed=-1),
+             lambda: rand_orth(tt_hadamard(y, y), 2, seed=-1),
+             lambda: random_tt((3,), (1, 1), "uniform", -1),
+             lambda: gaussian_tt((3,), (1, 1), seed=-1),
+             lambda: derive_seed(-1, 2),
+             lambda: fourier_tt((4, 4), 3, seed=-1),
+             lambda: power_iteration_max(y, 2, max_iter=2, recompressor="hatt-2", seed=-1))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            call()
+
+
+@pytest.mark.parametrize("sweep", (
+    lambda y, **kw: hatt(y, y, **kw),
+    lambda y, **kw: rand_orth(tt_hadamard(y, y), **kw),
+), ids=("hatt", "rand_orth"))
+@pytest.mark.parametrize("extra", ({"targets": 1}, {"seed": 0}), ids=("targets", "seed"))
+def test_sketch_tt_refuses_targets_and_seed(sweep, extra):
+    # hatt(y, z, 1, seed=0, sketch_tt=s) returned the sketch's ranks (1, 3,
+    # 3, 3, 1) and ignored both the target and the seed
+    y = gaussian_tt((3,) * 4, (1, 2, 2, 2, 1), seed=1)
+    sketch = gaussian_tt((3,) * 4, (1, 3, 3, 3, 1), seed=2)
+    with pytest.raises(ValueError, match="^give sketch_tt or targets and seed, not both$"):
+        sweep(y, sketch_tt=sketch, **extra)
+
+
 TRAIN = gaussian_tt((4,) * 4, (1, 2, 2, 2, 1), seed=1)
 ARRAY = np.zeros((4,) * 4)
 
@@ -209,19 +239,22 @@ SHAPES = (str(TRAIN.shape), str(SHORT.shape))
     (lambda: hatt(TRAIN, TRAIN, sketch_tt=SHORT), SHAPES),
     (lambda: rand_orth(TRAIN, sketch_tt=SHORT), SHAPES),
     (lambda: recompress_hadamard("hatt-2", SHORT, TRAIN, 2, seed=0), SHAPES),
-    (lambda: contract_m_onto_pkp(np.ones((1, 4)), TRAIN.cores[1], SHORT.cores[1]),
-     ("mode mismatch 4 vs 3",)),
-    (lambda: contract_m_onto_pkp(np.ones((1, 5)), TRAIN.cores[1], TRAIN.cores[1]),
-     ("(1, 5)", "2*2")),
+    (lambda: contract_m_onto_pkp(np.ones((1, 4)), TRAIN.cores[1].values,
+                                 SHORT.cores[1].values), ("mode mismatch 4 vs 3",)),
+    (lambda: contract_m_onto_pkp(np.ones((1, 5)), TRAIN.cores[1].values,
+                                 TRAIN.cores[1].values), ("(1, 5)", "2*2")),
+    (lambda: contract_m_onto_pkp(np.ones((1, 4)), TRAIN.cores[1].values[0],
+                                 TRAIN.cores[1].values), ("(4, 2)", "(2, 4, 2)")),
 ), ids=("tt_hadamard", "tt_add", "tt_dot", "relative_error", "relative_error-dense",
         "tt_hadamard_dot", "partial_contraction_rl", "hpcrl", "hpcrl-sketch", "hatt",
         "hatt-sketch", "rand_orth-sketch", "recompress_hadamard", "contract_m-mode",
-        "contract_m-columns"))
+        "contract_m-columns", "contract_m-ndim"))
 def test_mismatched_arguments_are_value_errors_naming_both(call, names):
     """Every public function that takes two or more trains refuses trains of
     different shapes with a ValueError naming both shapes, and
-    contract_m_onto_pkp refuses cores of different mode sizes or a matrix
-    whose columns do not match their ranks, naming both."""
+    contract_m_onto_pkp refuses core arrays that are not 3-way or of
+    different mode sizes, or a matrix whose columns do not match their
+    ranks, naming both."""
     with pytest.raises(ValueError) as err:
         call()
     assert all(name in str(err.value) for name in names), str(err.value)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from hatt import (
     FlopLedger,
     SeparableFunctionSpec,
-    TTCore,
     contract_m_onto_pkp,
     gaussian_tt,
     hatt,
@@ -99,14 +98,13 @@ def loop_hpcrl(y, z, r, max_terms, ledger):
     return mats
 
 
-def loop_contract(m, ycore, zcore, ledger):
-    r1, s1 = ycore.left_rank, zcore.left_rank
-    r2, s2 = ycore.right_rank, zcore.right_rank
+def loop_contract(m, y, z, ledger):
+    (r1, n, r2), (s1, _, s2) = y.shape, z.shape
     rows = m.shape[0]
     m_fold = m.reshape(rows, r1, s1).transpose(0, 2, 1)
-    out = np.empty((rows, ycore.mode_size, r2 * s2))
-    for i in range(1, ycore.mode_size + 1):
-        t = (zcore.values[:, i - 1, :].T @ m_fold) @ ycore.values[:, i - 1, :]
+    out = np.empty((rows, n, r2 * s2))
+    for i in range(1, n + 1):
+        t = (z[:, i - 1, :].T @ m_fold) @ y[:, i - 1, :]
         out[:, i - 1, :] = t.transpose(0, 2, 1).reshape(rows, r2 * s2)
         ledger.add_matmul(rows * (s2 * (2 * s1 - 1) * r1 + s2 * (2 * r1 - 1) * r2))
     return out
@@ -158,13 +156,13 @@ def test_hpcrl_matches_materialized_product_and_loop(tts, max_terms):
 def test_contract_m_matches_kron_slices_and_loop(ranks, n, rows, seed):
     r1, r2, s1, s2 = ranks
     rng = np.random.default_rng(seed)
-    y = TTCore(rng.normal(size=(r1, n, r2)))
-    z = TTCore(rng.normal(size=(s1, n, s2)))
+    y = rng.normal(size=(r1, n, r2))
+    z = rng.normal(size=(s1, n, s2))
     m = rng.normal(size=(rows, r1 * s1))
     ledger, loop_ledger = FlopLedger(), FlopLedger()
-    got = contract_m_onto_pkp(m, y, z, ledger).values
+    got = contract_m_onto_pkp(m, y, z, ledger)
     for i in range(1, n + 1):
-        want = m @ np.kron(y.values[:, i - 1, :], z.values[:, i - 1, :])
+        want = m @ np.kron(y[:, i - 1, :], z[:, i - 1, :])
         assert rel_gap(got[:, i - 1, :], want) <= 1e-13
     assert rel_gap(got, loop_contract(m, y, z, loop_ledger)) <= 1e-13
     assert counts(ledger) == counts(loop_ledger)

@@ -36,6 +36,11 @@ def test_matmul_shape_error():
         tri_matmul(np.ones((2, 3)), np.ones((3, 2)))
     with pytest.raises(ValueError, match="cannot multiply"):
         tri_matmul(np.ones((2, 3)), np.ones((2, 2)))
+    # 1-D operands raised IndexError: tuple index out of range
+    with pytest.raises(ValueError, match="cannot multiply"):
+        tri_matmul(np.ones(3), np.ones((3, 3)))
+    with pytest.raises(ValueError, match="square triangular"):
+        tri_matmul(np.ones((3, 3)), np.ones(3))
 
 
 def test_ledger_sums_exactly(rng):

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 from unittest.mock import patch
 
 import numpy as np
@@ -244,6 +245,29 @@ def test_add_and_scale_reject_overflow():
             tt_scale(tt_scale(y, 1e300), 1e300)
         with pytest.raises(ValueError, match="non-finite"):
             tt_add(line, line)
+
+
+def test_add_and_scale_overflow_without_a_runtime_warning():
+    # both raised numpy's overflow RuntimeWarning before TTCore's error
+    y = gaussian_tt((3, 3), (1, 2, 1), seed=11)
+    line = TTTensor([np.full((1, 3, 1), 1e308)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            tt_scale(tt_scale(y, 1e300), 1e300)
+        with pytest.raises(ValueError, match="non-finite"):
+            tt_add(line, line)
+
+
+def test_tensor_keeps_its_cores_and_checks_their_ranks():
+    cores = [TTCore(np.ones((1, 3, 2))), TTCore(np.ones((2, 4, 1)))]
+    out = TTTensor(cores)
+    assert all(out.cores[k] is core for k, core in enumerate(cores))
+    assert out.shape == (3, 4) and out.ranks == (1, 2, 1)
+    with pytest.raises(ValueError, match="^rank mismatch between cores 1 and 2: 2 vs 3$"):
+        TTTensor([cores[0], TTCore(np.ones((3, 4, 1)))])
+    with pytest.raises(ValueError, match="^boundary ranks must be 1$"):
+        TTTensor(cores[:1])
 
 
 def test_relative_error_trivial_cases():
