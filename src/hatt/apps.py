@@ -5,6 +5,7 @@ tensors small enough for the dense brute-force oracles in :mod:`hatt.dense`
 to verify results exactly.
 """
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ def tt_svd(x, targets=None, rel_tol=None):
     most rel_tol / sqrt(d-1) * ||x||_F, so the reconstruction error is at
     most rel_tol * ||x||_F.  With `targets`, a bond keeps at most as many
     ranks as its unfolding has nonzero singular values, and at least one.
+    A 1-way tensor has no bond: it is its one core.
     """
     if (targets is None) == (rel_tol is None):
         raise ValueError("give exactly one of targets or rel_tol")
@@ -45,10 +47,9 @@ def tt_svd(x, targets=None, rel_tol=None):
     values = x.values if isinstance(x, DenseTensor) else np.asarray(x, dtype=float)
     shape = check_shape(values.shape)
     d = len(shape)
-    if d == 1:
-        return TTTensor([values.reshape(1, -1, 1)])
     chain = None if targets is None else normalize_targets(targets, d)
-    budget = None if rel_tol is None else rel_tol / math.sqrt(d - 1) * np.linalg.norm(values)
+    budget = (None if rel_tol is None
+              else rel_tol / math.sqrt(max(d - 1, 1)) * np.linalg.norm(values))
     cores = []
     rank = 1
     rest = values.reshape(rank * shape[0], -1)
@@ -156,18 +157,10 @@ def separable_tt(spec):
     univariate factor on mode i and ones elsewhere), so the rank chain is
     exactly (1, d, ..., d, 1).
     """
-    grid = spec.grid()
-    total = None
-    for i in range(1, spec.d + 1):
-        cores = []
-        for mode in range(1, spec.d + 1):
-            if mode == i:
-                cores.append(spec.term(i, grid).reshape(1, spec.n, 1))
-            else:
-                cores.append(np.ones((1, spec.n, 1)))
-        term = TTTensor(cores)
-        total = term if total is None else tt_add(total, term)
-    return total
+    grid, ones = spec.grid(), [TTCore(np.ones((1, spec.n, 1)))] * spec.d
+    terms = (TTTensor(ones[:i - 1] + [TTCore(spec.term(i, grid).reshape(1, -1, 1))] + ones[i:])
+             for i in range(1, spec.d + 1))
+    return functools.reduce(tt_add, terms)
 
 
 def separable_dense(spec):

@@ -25,6 +25,7 @@ each algorithm, so measured ledgers can be checked against predictions.
 (tt-rounding, rand-orth, hatt-1, hatt-2) to the code that runs it.
 """
 
+import sys
 import time
 import warnings
 from dataclasses import dataclass
@@ -47,6 +48,7 @@ from .tt import (
     _BLOCK,
     TTCore,
     TTTensor,
+    _finite_scalar,
     check_trains,
     h_unfold,
     tt_hadamard,
@@ -271,10 +273,11 @@ def tt_hadamard_dot(x, y, z):
     """
     check_trains(x=x, y=y, z=z)
     c = np.ones((1, 1))
-    for cx, cy, cz in zip(x.cores, y.cores, z.cores):
-        slabs = _contract_slabs(c, cy.values, cz.values)
-        c = v_unfold(cx).T @ slabs.reshape(-1, slabs.shape[2])
-    return float(c[0, 0])
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        for cx, cy, cz in zip(x.cores, y.cores, z.cores):
+            slabs = _contract_slabs(c, cy.values, cz.values)
+            c = v_unfold(cx).T @ slabs.reshape(-1, slabs.shape[2])
+    return _finite_scalar(c)
 
 
 # --- target chains ----------------------------------------------------------
@@ -296,15 +299,14 @@ def normalize_targets(targets, d):
     return check_rank_chain(chain, d)
 
 
-def _clamp_targets(targets, shape, ranks, stacklevel=3):
+def _clamp_targets(targets, shape, ranks):
     """The output ranks of every rounding sweep: the one rank rule of the package.
 
     l_k = min(t_k, ranks[k], l_{k-1} n_k) from left to right, then
     l_k = min(l_k, l_{k+1} n_{k+1}) from right to left, where `ranks` are
     the TT ranks of the tensor being rounded: no sweep returns a rank above
     the tensor's own, or one its neighbouring bonds cannot realize.
-    Clamping warns, at `stacklevel` (the caller of the public function by
-    default).
+    Clamping warns at the first frame outside the package, the caller's.
     """
     d = len(shape)
     out = [1]
@@ -316,8 +318,11 @@ def _clamp_targets(targets, shape, ranks, stacklevel=3):
     clamped = [(k, targets[k], out[k]) for k in range(1, d) if out[k] != targets[k]]
     if clamped:
         desc = ", ".join(f"l_{k}: {a} -> {b}" for k, a, b in clamped)
+        frame, level = sys._getframe(1), 2
+        while frame.f_globals.get("__package__") == __package__:
+            frame, level = frame.f_back, level + 1
         warnings.warn(f"target ranks clamped to feasible values ({desc})",
-                      TargetRankWarning, stacklevel=stacklevel)
+                      TargetRankWarning, stacklevel=level)
     return tuple(out)
 
 
@@ -337,14 +342,14 @@ def _sketch(shape, ranks, targets, seed, sketch_tt):
     naming the bond), by keeping the leading rows and columns of its cores.
     """
     if sketch_tt is None:
-        chain = _clamp_targets(normalize_targets(targets, len(shape)), shape, ranks, stacklevel=4)
+        chain = _clamp_targets(normalize_targets(targets, len(shape)), shape, ranks)
         return _draw_sketch_tensor(shape, chain, seed)
     if targets is not None or seed is not None:
         raise ValueError("give sketch_tt or targets and seed, not both")
     check_trains(sketch_tt=sketch_tt)
     if sketch_tt.shape != tuple(shape):
         raise ValueError(f"sketch tensor shape {sketch_tt.shape} does not match {tuple(shape)}")
-    chain = _clamp_targets(sketch_tt.ranks, shape, ranks, stacklevel=4)
+    chain = _clamp_targets(sketch_tt.ranks, shape, ranks)
     if chain == sketch_tt.ranks:
         return sketch_tt
     return TTTensor([c.values[:chain[k], :, :chain[k + 1]]

@@ -13,7 +13,8 @@ Non-finite values are rejected where data enters the package: ``TTCore``
 and ``TTTensor`` built from raw arrays copy and scan every core.  So does
 the public arithmetic that can overflow: :func:`tt_scale` scans its one
 scaled core, :func:`tt_add` the sum it forms for d = 1, and
-:func:`pkp_cores` its product (only when max|Y| max|Z| is not finite).
+:func:`pkp_cores` its product (only when max|Y| max|Z| is not finite), and
+the inner products (``tt_dot``, ``tt_hadamard_dot``) their one result.
 Cores that the package builds from cores it has already validated (sweep
 outputs, power iterates, random draws, the product cores of
 :func:`pkp_cores`, the block cores of :func:`tt_add`, which only rearrange
@@ -235,7 +236,8 @@ def tt_hadamard(y, z):
 
 
 def tt_add(y, z):
-    """Sum of two TT tensors by block-core concatenation (no rounding).
+    """Sum of two TT tensors by block cores (no rounding): core k is zero
+    but for y's core in its leading block and z's in its trailing one.
 
     Interior ranks add exactly; boundary ranks stay 1.
     """
@@ -243,19 +245,13 @@ def tt_add(y, z):
     if y.d == 1:
         with np.errstate(over="ignore", invalid="ignore"):  # TTCore names an overflow
             return TTTensor([y.cores[0].values + z.cores[0].values])
+    ranks = (1,) + tuple(r + s for r, s in zip(y.ranks[1:-1], z.ranks[1:-1])) + (1,)
     cores = []
     for k, (cy, cz) in enumerate(zip(y.cores, z.cores)):
-        n = cy.mode_size
-        if k == 0:
-            block = np.concatenate([cy.values, cz.values], axis=2)
-        elif k == y.d - 1:
-            block = np.concatenate([cy.values, cz.values], axis=0)
-        else:
-            r1, r2 = cy.left_rank, cy.right_rank
-            s1, s2 = cz.left_rank, cz.right_rank
-            block = np.zeros((r1 + s1, n, r2 + s2))
-            block[:r1, :, :r2] = cy.values
-            block[r1:, :, r2:] = cz.values
+        (r1, n, r2), (s1, _, s2) = cy.values.shape, cz.values.shape
+        block = np.zeros((ranks[k], n, ranks[k + 1]))
+        block[:r1, :, :r2] = cy.values
+        block[-s1:, :, -s2:] = cz.values
         cores.append(TTCore._trusted(block))
     return TTTensor(cores)
 
@@ -281,9 +277,17 @@ def tt_dot(y, z):
     """
     check_trains(y=y, z=z)
     c = np.ones((1, 1))
-    for cy, cz in zip(y.cores, z.cores):
-        u = (c.T @ h_unfold(cy)).reshape(-1, cy.right_rank)
-        c = u.T @ v_unfold(cz)
+    with np.errstate(over="ignore", invalid="ignore"):  # named below
+        for cy, cz in zip(y.cores, z.cores):
+            u = (c.T @ h_unfold(cy)).reshape(-1, cy.right_rank)
+            c = u.T @ v_unfold(cz)
+    return _finite_scalar(c)
+
+
+def _finite_scalar(c):
+    """An inner product's 1 x 1 carry as a float; past float64, the named error."""
+    if not np.isfinite(c[0, 0]):
+        raise ValueError("the inner product overflows float64")
     return float(c[0, 0])
 
 
@@ -304,7 +308,8 @@ def tt_norm(y):
         carry = np.linalg.qr(rows, mode="r")
         shift = int(np.frexp(np.max(np.abs(carry)))[1])
         carry, exponent = np.ldexp(carry, -shift), exponent + shift
-    return float(np.ldexp(abs(carry[0, 0]), exponent))
+    with np.errstate(over="ignore"):  # a norm past float64 is inf
+        return float(np.ldexp(abs(carry[0, 0]), exponent))
 
 
 def relative_error(x_approx, x_ref):
@@ -319,19 +324,16 @@ def relative_error(x_approx, x_ref):
     check_trains(x_approx=x_approx, **({} if ref_dense else {"x_ref": x_ref}))
     _check_shapes({"x_approx": x_approx, "x_ref": x_ref})  # a dense reference too
     cap = dense_cap()
-    if ref_dense or cap is None or x_ref.size <= cap:
-        ref = x_ref if ref_dense else tt_to_dense(x_ref)
-        ref_norm = ref.norm()
-        if ref_norm == 0.0:
-            raise ZeroDivisionError("reference tensor has zero norm")
-        diff = _dense_values(x_approx)
-        diff -= ref.values
-        return float(np.linalg.norm(diff) / ref_norm)
-    ref_norm = tt_norm(x_ref)
+    if not ref_dense and (cap is None or x_ref.size <= cap):
+        x_ref, ref_dense = tt_to_dense(x_ref), True
+    ref_norm = x_ref.norm() if ref_dense else tt_norm(x_ref)
     if ref_norm == 0.0:
         raise ZeroDivisionError("reference tensor has zero norm")
-    diff = tt_add(x_approx, tt_scale(x_ref, -1.0))
-    return tt_norm(diff) / ref_norm
+    if not ref_dense:
+        return tt_norm(tt_add(x_approx, tt_scale(x_ref, -1.0))) / ref_norm
+    diff = _dense_values(x_approx)
+    diff -= x_ref.values
+    return float(np.linalg.norm(diff) / ref_norm)
 
 
 def left_orthogonality_defect(x):

@@ -29,7 +29,14 @@ pair and two ``hatt-bench`` scenarios:
   0-3;
 * ``bench/example1``, ``bench/appendixF``: the CSV rows ``hatt-bench``
   writes for that scenario at seeds 0-1 and its default grid, each without
-  its ``wall_time_s`` field (the third kind of line).
+  its ``wall_time_s`` field (the third kind of line);
+* the TT layer, values only: ``tt/add``, tt_add of gaussian pairs with
+  ranks 3 and 2 at d = 1, 2 and 4; ``tt/separable``, separable_tt of qing
+  and alpine (n=10) at d = 1, 3 and 6; ``tt/svd``, tt_svd of a seeded
+  1-way array (at a target and at a tolerance) and of a 3-way one (the
+  same); ``tt/relative-error``, relative_error of gaussian pairs through
+  its TT path (``dense_limit(1)``); ``tt/inner``, tt_dot, tt_hadamard_dot
+  and tt_norm of gaussian trains.
 
 This file has no ``test_`` prefix, so pytest does not collect it.
 """
@@ -41,12 +48,19 @@ import numpy as np
 from hatt import (
     FlopLedger,
     SeparableFunctionSpec,
+    dense_limit,
     fourier_tt,
     gaussian_tt,
     hilbert_tt,
     power_iteration_max,
     recompress_hadamard,
+    relative_error,
     separable_tt,
+    tt_add,
+    tt_dot,
+    tt_hadamard_dot,
+    tt_norm,
+    tt_svd,
     uniform_chain,
 )
 from hatt.bench import CSV_COLUMNS, Scenario, run_scenario
@@ -61,6 +75,8 @@ FOURIER_TARGET = 4
 FOURIER_SEEDS = range(4)
 BENCH_SCENARIOS = ("example1", "appendixF")
 BENCH_SEEDS = (0, 1)
+TT_ORDERS = (1, 2, 4)
+SEPARABLE_ORDERS = (1, 3, 6)
 
 
 class Digest:
@@ -76,12 +92,14 @@ class Digest:
             self.flops.update(np.array([ledger.matmul_flops, ledger.qr_flops, ledger.svd_flops],
                                        dtype=np.int64).tobytes())
 
+    def train(self, x, ledger=None):
+        self.add([np.array(x.ranks, dtype=np.int64)] + [c.values for c in x.cores], ledger)
+
     def recompress(self, algorithm, y, z, ell, seeds, max_terms=None):
         for seed in seeds:
             out, report = recompress_hadamard(algorithm, y, z, ell, seed=seed,
                                               max_terms=max_terms)
-            ranks = np.array(out.ranks, dtype=np.int64)
-            self.add([ranks] + [c.values for c in out.cores], report.flops_measured)
+            self.train(out, report.flops_measured)
 
     def lines(self, group):
         return [(f"{group}/values", self.values.hexdigest()),
@@ -112,7 +130,7 @@ def groups():
     pair = fourier_tt(FOURIER_SHAPE, FOURIER_TERMS, seed=0)
     digest = Digest()
     for x in pair:
-        digest.add([np.array(x.ranks, dtype=np.int64)] + [c.values for c in x.cores])
+        digest.train(x)
     yield digest.lines("fourier/tt-svd")[0]  # tt_svd charges no ledger
     for alg in ("hatt-2", "hatt-1", "tt-rounding"):
         seeds = (None,) if alg == "tt-rounding" else FOURIER_SEEDS
@@ -127,6 +145,37 @@ def groups():
             del fields[timed]
             rows.update((",".join(fields) + "\n").encode())
         yield f"bench/{name}/rows", rows.hexdigest()
+    yield from tt_groups()
+
+
+def tt_groups():
+    """The ``tt/*`` lines: plain TT arithmetic, which charges no ledger."""
+    pairs = [[gaussian_tt((5,) * d, uniform_chain(d, r), seed=10 * d + r) for r in (3, 2)]
+             for d in TT_ORDERS]
+    digest = Digest()
+    for y, z in pairs:
+        digest.train(tt_add(y, z))
+    yield digest.lines("tt/add")[0]
+    digest = Digest()
+    for kind in ("qing", "alpine"):
+        for d in SEPARABLE_ORDERS:
+            digest.train(separable_tt(SeparableFunctionSpec(kind, d, 10)))
+    yield digest.lines("tt/separable")[0]
+    rng = np.random.default_rng(5)
+    digest = Digest()
+    for x in (rng.normal(size=12), rng.normal(size=(6, 5, 4))):
+        digest.train(tt_svd(x, targets=3))
+        digest.train(tt_svd(x, rel_tol=0.3))
+    yield digest.lines("tt/svd")[0]
+    digest = Digest()
+    with dense_limit(1):
+        digest.add([np.array([relative_error(y, z) for y, z in pairs[1:]])])
+    yield digest.lines("tt/relative-error")[0]
+    digest = Digest()
+    for y, z in pairs:
+        digest.add([np.array([tt_dot(y, z), tt_hadamard_dot(y, y, z), tt_hadamard_dot(z, y, z),
+                              tt_norm(y), tt_norm(z)])])
+    yield digest.lines("tt/inner")[0]
 
 
 if __name__ == "__main__":

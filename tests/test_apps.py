@@ -76,6 +76,12 @@ def test_tt_svd_argument_check(rng):
         tt_svd(dense, targets=1, rel_tol=1e-8)
 
 
+def test_tt_svd_checks_the_rank_chain_of_a_one_way_tensor():
+    # a 1-way tensor runs the bond loop zero times; its chain is (1, 1)
+    with pytest.raises(ValueError, match="rank chain must have length 2"):
+        tt_svd(np.arange(1.0, 5.0), targets=(1, 2, 1))
+
+
 def test_tt_svd_rejects_scalars_and_negative_tolerances(rng):
     # a 0-d array has no mode to unfold, and a negative rel_tol would keep
     # full rank silently: both are named ValueErrors, not "math domain error"
@@ -143,6 +149,12 @@ def test_fourier_product_pipeline():
 def test_separable_rank_chain():
     spec = SeparableFunctionSpec("qing", 10, 3)
     assert separable_tt(spec).ranks == (1,) + (10,) * 9 + (1,)
+
+
+def test_separable_of_one_mode_is_its_term():
+    spec = SeparableFunctionSpec("alpine", 1, 5)
+    (core,) = separable_tt(spec).cores
+    assert np.array_equal(core.values, spec.term(1, spec.grid()).reshape(1, 5, 1))
 
 
 def test_qing_dense_values():

@@ -352,6 +352,16 @@ def test_sweeps_share_one_rank_rule(shape, rank, target, want):
     assert len(record) == 3 and {w.filename for w in record} == {__file__}
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_clamp_warning_names_the_caller_of_recompress_hadamard(algorithm):
+    # the clamp runs three or four calls deep in the package; the warning
+    # still names this line
+    y = random_tt((4,) * 3, (1, 2, 2, 1), "gaussian", 1)
+    with pytest.warns(TargetRankWarning) as record:
+        recompress_hadamard(algorithm, y, y, 100, seed=0)
+    assert len(record) == 1 and record[0].filename == __file__
+
+
 def test_hatt_avoids_product_cores():
     # cap forbids any product-core allocation; hatt still completes
     y = gaussian_tt((5,) * 5, (1, 8, 8, 8, 8, 1), seed=73)

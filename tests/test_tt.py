@@ -23,6 +23,7 @@ from hatt import (
     tt_add,
     tt_dot,
     tt_hadamard,
+    tt_hadamard_dot,
     tt_norm,
     tt_ones,
     tt_scale,
@@ -216,6 +217,17 @@ def test_add_rank_sums():
                        tt_to_dense(y).values + tt_to_dense(z).values)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_add_is_the_dense_sum_at_every_order(d):
+    # one block rule for every core; the chains differ bond by bond
+    y = gaussian_tt((3, 4, 2, 3)[:d], (1, 2, 3, 1, 1)[:d] + (1,), seed=d)
+    z = gaussian_tt((3, 4, 2, 3)[:d], (1, 3, 1, 2, 1)[:d] + (1,), seed=d + 10)
+    out = tt_add(y, z)
+    assert out.ranks == (1, 5, 4, 3)[:d] + (1,)
+    assert np.allclose(tt_to_dense(out).values,
+                       tt_to_dense(y).values + tt_to_dense(z).values, rtol=1e-14, atol=1e-15)
+
+
 def test_dot_matches_dense(rng):
     y, z = random_pair(rng, 3, 3, 3)
     dense = float(np.sum(tt_to_dense(y).values * tt_to_dense(z).values))
@@ -257,6 +269,32 @@ def test_add_and_scale_overflow_without_a_runtime_warning():
             tt_scale(tt_scale(y, 1e300), 1e300)
         with pytest.raises(ValueError, match="non-finite"):
             tt_add(line, line)
+
+
+def test_inner_products_name_an_overflow_of_the_carry():
+    # a change of gauge leaves the tensor as it is, but pushes the carry
+    # after core 2 past float64; the answer is the balanced one or the
+    # named error, never a NaN after numpy's RuntimeWarnings
+    balanced = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
+    gauged = TTTensor([c.values * f for c, f in zip(balanced.cores, (1, 1e160, 1e-160, 1))])
+    y = gaussian_tt((4,) * 4, (1, 2, 2, 2, 1), seed=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for inner in (lambda g: tt_dot(g, g), lambda g: tt_hadamard_dot(y, g, g)):
+            want = inner(balanced)
+            try:
+                got = inner(gauged)
+            except ValueError as err:
+                assert "overflows float64" in str(err)
+            else:
+                assert got == pytest.approx(want, rel=1e-14, abs=0)
+
+
+def test_tt_norm_past_float64_is_inf_without_a_warning():
+    y = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert tt_norm(TTTensor([c.values * 1e200 for c in y.cores])) == np.inf
 
 
 def test_tensor_keeps_its_cores_and_checks_their_ranks():
