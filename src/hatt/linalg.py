@@ -53,6 +53,12 @@ class FlopLedger:
         )
 
 
+class _NonFiniteInput(ValueError):
+    """A factorization's input holds an inf or a NaN.  The kernels' one scan
+    of their input raises it, so a caller that names the matrix catches it
+    instead of scanning the matrix again."""
+
+
 @dataclass
 class QrResult:
     q: np.ndarray
@@ -120,7 +126,7 @@ def econ_qr(x, ledger=None):
     if x.ndim != 2:
         raise ValueError("econ_qr expects a matrix")
     if not np.isfinite(x).all():
-        raise ValueError("econ_qr input contains non-finite values")
+        raise _NonFiniteInput("econ_qr input contains non-finite values")
     m, n = x.shape
     q, r = np.linalg.qr(x, mode="reduced")
     # multiplying by +1.0 is exact, so negating always costs less than testing
@@ -145,8 +151,8 @@ def truncated_svd(x, target_rank=None, ledger=None):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError("truncated_svd expects a matrix")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("truncated_svd input contains non-finite values")
+    if not np.isfinite(x).all():
+        raise _NonFiniteInput("truncated_svd input contains non-finite values")
     m, n = x.shape
     if target_rank is not None and target_rank > min(m, n):
         raise ValueError(f"target rank {target_rank} exceeds min(m, n) = {min(m, n)}")

@@ -6,9 +6,13 @@ squared norm per entry at any rank chain); uniform cores draw i.i.d. from
 [0, 1].
 
 Every seeded stream of the package comes from :func:`seed_sequence`, numpy's
-``SeedSequence(seed, spawn_key=keys)``.  Streams are counter-stable: core k
-consumes PCG64 seeded from ``seed_sequence(seed, k)``, so the same (seed, k)
-always yields the same core regardless of the total order d.
+``SeedSequence(seed, spawn_key=keys)``.  One draw is one stream: a single
+PCG64 generator seeded from ``seed_sequence(seed)`` fills cores 1..d in
+order, one numpy call per core.  Streams are prefix-stable: core k depends
+on the seed and on the mode sizes and ranks of cores 1..k only, so trains
+that share a seed and their first k cores' shapes share those cores
+whatever follows (appending modes reshuffles nothing).  They are not
+counter-stable: a change to the shape of core j moves every core after it.
 :func:`derive_seed` turns (seed, keys) into one 32-bit seed, as the power
 iteration (per step) and ``hatt-bench`` (per input tensor) use.
 """
@@ -56,16 +60,16 @@ def derive_seed(seed, *keys):
 
 def random_tt(shape, ranks, kind="gaussian", seed=0):
     """A random TT tensor of `shape` and rank chain `ranks`; `kind` is
-    "gaussian" or "uniform", and `seed` fully determines the output."""
+    "gaussian" or "uniform", and `seed` fully determines the output: one
+    generator draws the cores in order (see the module docstring)."""
     shape = check_shape(shape)
     ranks = check_rank_chain(ranks, len(shape))
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    seed = check_seed(seed)
+    rng = np.random.default_rng(seed_sequence(check_seed(seed)))
     cores = []
     for k, n in enumerate(shape, start=1):
         l_prev, l_next = ranks[k - 1], ranks[k]
-        rng = np.random.default_rng(seed_sequence(seed, k))
         if kind == "gaussian":
             sigma = 1.0 / math.sqrt(l_prev * n * l_next)
             core = rng.normal(0.0, sigma, size=(l_prev, n, l_next))

@@ -37,6 +37,7 @@ from .linalg import (
     SVD_COST_FACTOR,
     FlopLedger,
     SvdResult,
+    _NonFiniteInput,
     econ_qr,
     matmul,
     scale_columns,
@@ -388,7 +389,8 @@ def tt_rounding(a, targets, ledger=None):
     d = a.d
     targets = _clamp_targets(normalize_targets(targets, d), a.shape, a.ranks)
     cores = [c.values for c in a.cores]
-    # an overflow is a named ValueError before a factorization reads it
+    # an overflow is a named ValueError before a factorization reads it: the
+    # factorization's own scan (_factor), or a merge's scan of the core it reads
     with np.errstate(over="ignore", invalid="ignore"):
         # left-to-right trim of the bonds wider than their leading modes
         for k in range(1, d):
@@ -401,33 +403,47 @@ def tt_rounding(a, targets, ledger=None):
             cores[k - 1] = np.eye(r1 * n).reshape(r1, n, r1 * n)
         # right-to-left orthogonalization, merging the cores that trim their bond
         for k in range(d, 1, -1):
-            core, prev = _finite_core(cores[k - 1], k), cores[k - 2]
+            core, prev = cores[k - 1], cores[k - 2]
             (r1, n, r2), (p1, pn, _) = core.shape, prev.shape
             prev_mat = prev.reshape(p1 * pn, r1)
             if n * r2 < r1:
-                updated = matmul(prev_mat, core.reshape(r1, n * r2), ledger)
+                updated = matmul(prev_mat, _finite_core(core, k).reshape(r1, n * r2), ledger)
                 cores[k - 1] = np.eye(n * r2).reshape(n * r2, n, r2)
             else:
-                res = econ_qr(core.reshape(r1, n * r2).T, ledger=ledger)
+                res = _factor(econ_qr, k, core.reshape(r1, n * r2).T, ledger=ledger)
                 updated = tri_matmul(prev_mat, res.r.T, ledger)
                 cores[k - 1] = res.q.T.reshape(r1, n, r2)
             cores[k - 2] = updated.reshape(p1, pn, -1)
         # left-to-right compression
         for k in range(1, d):
             (r1, n, r2), bond, nxt = cores[k - 1].shape, targets[k], cores[k]
-            mat = _finite_core(cores[k - 1], k).reshape(r1 * n, r2)
-            svd = truncated_svd(mat, target_rank=bond, ledger=ledger)
+            mat = cores[k - 1].reshape(r1 * n, r2)
+            svd = _factor(truncated_svd, k, mat, target_rank=bond, ledger=ledger)
             cores[k - 1] = svd.u.reshape(r1, n, bond)
             carry = scale_columns(svd.v, svd.s, ledger).T
             cores[k] = matmul(carry, nxt.reshape(r2, -1), ledger).reshape(bond, *nxt.shape[1:])
         return _sweep_result(cores)
 
 
+def _core_overflow(k):
+    return ValueError(f"core {k} of the recompressed tensor overflows float64")
+
+
 def _finite_core(core, k):
     """Core k (1-based) of a sweep, or a ValueError if it overflows float64."""
     if not np.isfinite(core).all():
-        raise ValueError(f"core {k} of the recompressed tensor overflows float64")
+        raise _core_overflow(k)
     return core
+
+
+def _factor(kernel, k, mat, **options):
+    """`kernel` (econ_qr or truncated_svd) of core k's matrix `mat`; the
+    kernel's own finiteness scan is the core's, so a non-finite core is the
+    ValueError of :func:`_finite_core` without a second scan."""
+    try:
+        return kernel(mat, **options)
+    except _NonFiniteInput:
+        raise _core_overflow(k) from None
 
 
 def _sweep_result(cores):
@@ -481,19 +497,23 @@ def _orthogonalize_sweep(cores, sketches, contract, ledger):
             c = contract(m, *slab, ledger).reshape(-1, cols)
             del slab  # its views, not held through the QR
             s = matmul(c, w, ledger)
-            if not np.isfinite(s).all():
-                raise ValueError(f"the sketched update of core {k + 1} overflows float64")
-            if r is None:
-                res = econ_qr(s, ledger=ledger)
-                q, h = res.q, matmul(res.q.T, c, ledger)
-            else:
+            if r is not None:
                 # [R; S_b] in LAPACK's column-major layout, which numpy's QR
                 # copies in and out of its workspace faster than a C-ordered one
                 t = r.shape[0]
-                stacked = np.empty((t + s.shape[0], s.shape[1]), order="F")
-                stacked[:t], stacked[t:] = r, s
-                res = econ_qr(stacked, ledger=ledger)
-                del stacked
+                s_b, s = s, np.empty((t + s.shape[0], s.shape[1]), order="F")
+                s[:t], s[t:] = r, s_b
+                del s_b
+            # econ_qr's scan is the sweep's: a non-finite [R; S_b] is an
+            # overflow of the sketched update (R carries its norm so far)
+            try:
+                res = econ_qr(s, ledger=ledger)
+            except _NonFiniteInput:
+                raise ValueError(f"the sketched update of core {k + 1} overflows float64") from None
+            del s
+            if r is None:
+                q, h = res.q, matmul(res.q.T, c, ledger)
+            else:
                 top, bottom = res.q[:t], res.q[t:]
                 q = np.concatenate((matmul(q.reshape(-1, t), top, ledger).reshape(rows, -1),
                                     bottom.reshape(rows, -1)), axis=1)
@@ -501,7 +521,7 @@ def _orthogonalize_sweep(cores, sketches, contract, ledger):
                 del top, bottom  # views that would keep this QR's Q alive
             r = res.r
             # one slab of the core update at a time
-            del c, s, res
+            del c, res
         out.append(q.reshape(rows, n, -1))
         m = h
         del w, r  # before the next core update is pulled

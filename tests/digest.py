@@ -2,7 +2,14 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/digest.py
+    PYTHONPATH=src python tests/digest.py > saved.txt
+    PYTHONPATH=src python tests/digest.py --against saved.txt
+
+The first form prints every line.  With ``--against FILE`` (the output of
+an earlier run, of this tree or another) it prints only the lines that
+differ from that file, as ``- name hash`` for the saved line and
+``+ name hash`` for this run's, and exits with status 1 if there is any;
+a line present on one side only is printed alone.
 
 Each line is ``group/values sha256``, ``group/flops sha256`` or
 ``group/rows sha256``.  The first hash covers the outputs of every run in
@@ -41,7 +48,9 @@ pair and two ``hatt-bench`` scenarios:
 This file has no ``test_`` prefix, so pytest does not collect it.
 """
 
+import argparse
 import hashlib
+import sys
 
 import numpy as np
 
@@ -178,6 +187,36 @@ def tt_groups():
     yield digest.lines("tt/inner")[0]
 
 
+def differences(lines, saved):
+    """The diff lines between this run's (name, hash) `lines` and the
+    `saved` text of an earlier run, in this run's order, then the saved
+    names this run did not print."""
+    before = dict(line.split() for line in saved.splitlines() if line.strip())
+    out = []
+    for name, value in lines:
+        old = before.pop(name, None)
+        if old != value:
+            if old is not None:
+                out.append(f"- {name} {old}")
+            out.append(f"+ {name} {value}")
+    return out + [f"- {name} {value}" for name, value in before.items()]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="print only the lines that differ from FILE, a saved run")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for name, value in groups():
+            print(name, value, flush=True)
+        return 0
+    with open(args.against) as f:
+        diff = differences(groups(), f.read())
+    for line in diff:
+        print(line)
+    return 1 if diff else 0
+
+
 if __name__ == "__main__":
-    for name, digest in groups():
-        print(name, digest, flush=True)
+    sys.exit(main())

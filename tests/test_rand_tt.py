@@ -3,6 +3,7 @@ import pytest
 from scipy import stats
 
 from hatt import gaussian_tt, random_tt
+from hatt.rand_tt import seed_sequence
 
 
 def test_same_seed_bit_identical():
@@ -20,6 +21,32 @@ def test_core_streams_stable_under_order_change():
     longer = gaussian_tt((4, 4, 4, 4), (1, 2, 2, 2, 1), seed=7)
     for k in (0, 1):
         assert np.array_equal(short.cores[k].values, longer.cores[k].values)
+
+
+@pytest.mark.parametrize("kind", ("gaussian", "uniform"))
+def test_one_generator_draws_the_cores_in_order(kind):
+    shape, ranks, seed = (3, 5, 2, 4), (1, 2, 3, 2, 1), 11
+    rng = np.random.default_rng(seed_sequence(seed))
+    for core, n, l_prev, l_next in zip(random_tt(shape, ranks, kind, seed).cores, shape,
+                                       ranks, ranks[1:]):
+        size = (l_prev, n, l_next)
+        if kind == "gaussian":
+            want = rng.normal(0.0, 1.0 / np.sqrt(l_prev * n * l_next), size=size)
+        else:
+            want = rng.uniform(0.0, 1.0, size=size)
+        assert np.array_equal(core.values, want)
+
+
+def test_a_draw_builds_one_seed_sequence(monkeypatch):
+    real, built = np.random.SeedSequence, []
+
+    def counting(*args, **kwargs):
+        built.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counting)
+    random_tt((4,) * 8, (1,) + (3,) * 7 + (1,), "gaussian", 5)
+    assert len(built) == 1
 
 
 def test_invalid_chain_rejected():

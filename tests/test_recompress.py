@@ -518,6 +518,36 @@ def test_max_terms_below_one_is_a_value_error():
     assert flop_model("hatt-2", 4, 4, 3, 2, 3, max_terms=0) == flop_model("hatt-2", 4, 4, 3, 2, 3)
 
 
+def test_a_randomized_call_draws_its_sketch_once(monkeypatch):
+    # perfbench's tracer times the draw by wrapping recompress.random_tt, so
+    # every randomized call draws through that module attribute, once, and a
+    # caller-supplied sketch draws nothing
+    draws = []
+
+    def counting(*args):
+        draws.append(args)
+        return random_tt(*args)
+
+    monkeypatch.setattr(recompress, "random_tt", counting)
+    y = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
+    z = gaussian_tt((4,) * 4, (1, 2, 2, 2, 1), seed=2)
+    sketch = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=3)
+    calls = [lambda: hatt(y, z, 3, seed=4), lambda: hatt(y, z, 3, max_terms=2, seed=4),
+             lambda: rand_orth(tt_hadamard(y, z), 3, seed=4)]
+    calls += [lambda alg=alg: recompress_hadamard(alg, y, z, 3, seed=4)
+              for alg in ("rand-orth", "hatt-1", "hatt-2")]
+    for call in calls:
+        draws.clear()
+        call()
+        assert len(draws) == 1
+    draws.clear()
+    recompress_hadamard("tt-rounding", y, z, 3)
+    hatt(y, z, sketch_tt=sketch)
+    hatt(y, z, max_terms=2, sketch_tt=sketch)
+    rand_orth(tt_hadamard(y, z), sketch_tt=sketch)
+    assert draws == []
+
+
 # --- overflow, and the cores built without a finiteness scan --------------------
 
 
