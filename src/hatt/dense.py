@@ -52,6 +52,7 @@ class DenseTensor:
         return f"DenseTensor(shape={self.shape})"
 
 
+@np.errstate(over="ignore")  # an overflow is DenseTensor's ValueError
 def hadamard_dense(y, z):
     """Elementwise product of two equal-shape dense tensors."""
     if y.shape != z.shape:

@@ -119,6 +119,7 @@ def _slabs(step, *arrays):
     return ([a[:, i0:i0 + step] for a in arrays] for i0 in range(0, n, step))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is _finite_sketch's error
 def partial_contraction_rl(a, r, ledger=None):
     """Right-to-left partial contractions of a TT tensor against a sketch.
 
@@ -131,7 +132,8 @@ def partial_contraction_rl(a, r, ledger=None):
     horizontal matricization of `r`).  The temporary folded core exists
     only as a matrix.  The skinny fold ``V<A_k> W^(k)`` is computed as
     ``(W^(k)^T V<A_k>^T)^T`` in row blocks, an orientation OpenBLAS runs
-    faster; same ledger charge.
+    faster; same ledger charge.  A sketch W^(k) that overflows float64 is
+    a ValueError.
     """
     check_trains(a=a, r=r)
     mats = [None] * (a.d - 1)
@@ -144,10 +146,18 @@ def partial_contraction_rl(a, r, ledger=None):
         for j in range(0, v.shape[0], step):
             b[j:j + step] = matmul(w_t, v[j:j + step].T, ledger).T
         bh = b.reshape(core.left_rank, -1)
-        w = mats[k - 2] = matmul(bh, h_unfold(r.cores[k - 1]).T, ledger)
+        w = mats[k - 2] = _finite_sketch(matmul(bh, h_unfold(r.cores[k - 1]).T, ledger), k - 1)
     return mats
 
 
+def _finite_sketch(w, k):
+    """W^(k) of a sketch pass, which nothing factors, or its overflow's ValueError."""
+    if not np.isfinite(w).all():
+        raise ValueError(f"the sketch W^({k}) overflows float64")
+    return w
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is _finite_sketch's error
 def hpcrl(y, z, r, max_terms=None, ledger=None):
     """Sketches of the Hadamard product y ⊙ z without forming its cores.
 
@@ -164,7 +174,7 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
     intermediate a fraction of a factor core.  As in
     :func:`partial_contraction_rl`, the recursion starts from W^(d) = 1 and
     every W^(k) is returned C-ordered; a 1 x 1 sketch is its own rank-1
-    term, never decomposed.  A sketch W^(k-1) that overflows float64 is a
+    term, never decomposed.  A sketch W^(k) that overflows float64 is a
     ValueError.
     """
     check_trains(y=y, z=z, r=r)
@@ -201,8 +211,7 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
             del x  # one slab's x at a time
             acc = closed if acc is None else np.add(acc, closed, out=acc)
             del closed
-        if not np.isfinite(acc).all():
-            raise ValueError(f"the sketch W^({k - 1}) of the Hadamard product overflows float64")
+        _finite_sketch(acc, k - 1)
         mats[k - 2], w_t = np.ascontiguousarray(acc.T), acc  # one copy per bond
     return mats
 
@@ -383,77 +392,65 @@ def tt_rounding(a, targets, ledger=None):
     factors on both sides, so no QR needs to come first.  Output ranks are
     the targets clamped to the ranks of `a` and to feasible values (with a
     :class:`TargetRankWarning`), and cores 1..d-1 are left-orthogonal.  A
-    core that overflows float64 is a ValueError before a QR or SVD reads it.
+    core that overflows float64, or a merge or carry pushed into it, is a
+    ValueError naming the core that the next QR or SVD reads (the last core
+    is scanned).
     """
     check_trains(a=a)
     d = a.d
     targets = _clamp_targets(normalize_targets(targets, d), a.shape, a.ranks)
     cores = [c.values for c in a.cores]
-    # an overflow is a named ValueError before a factorization reads it: the
-    # factorization's own scan (_factor), or a merge's scan of the core it reads
-    with np.errstate(over="ignore", invalid="ignore"):
-        # left-to-right trim of the bonds wider than their leading modes
-        for k in range(1, d):
-            r1, n, r2 = cores[k - 1].shape
-            if r1 * n >= r2:
-                continue
-            nxt = cores[k]
-            merged = matmul(cores[k - 1].reshape(r1 * n, r2), nxt.reshape(r2, -1), ledger)
-            cores[k] = merged.reshape(r1 * n, *nxt.shape[1:])
-            cores[k - 1] = np.eye(r1 * n).reshape(r1, n, r1 * n)
-        # right-to-left orthogonalization, merging the cores that trim their bond
-        for k in range(d, 1, -1):
-            core, prev = cores[k - 1], cores[k - 2]
-            (r1, n, r2), (p1, pn, _) = core.shape, prev.shape
-            prev_mat = prev.reshape(p1 * pn, r1)
-            if n * r2 < r1:
-                updated = matmul(prev_mat, _finite_core(core, k).reshape(r1, n * r2), ledger)
-                cores[k - 1] = np.eye(n * r2).reshape(n * r2, n, r2)
-            else:
-                res = _factor(econ_qr, k, core.reshape(r1, n * r2).T, ledger=ledger)
-                updated = tri_matmul(prev_mat, res.r.T, ledger)
-                cores[k - 1] = res.q.T.reshape(r1, n, r2)
-            cores[k - 2] = updated.reshape(p1, pn, -1)
-        # left-to-right compression
-        for k in range(1, d):
-            (r1, n, r2), bond, nxt = cores[k - 1].shape, targets[k], cores[k]
-            mat = cores[k - 1].reshape(r1 * n, r2)
-            svd = _factor(truncated_svd, k, mat, target_rank=bond, ledger=ledger)
-            cores[k - 1] = svd.u.reshape(r1, n, bond)
-            carry = scale_columns(svd.v, svd.s, ledger).T
-            cores[k] = matmul(carry, nxt.reshape(r2, -1), ledger).reshape(bond, *nxt.shape[1:])
-        return _sweep_result(cores)
+    # the QR or SVD that reads core k scans it, so an overflow names the loop's k
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            # left-to-right trim of the bonds wider than their leading modes
+            for k in range(1, d):
+                r1, n, r2 = cores[k - 1].shape
+                if r1 * n >= r2:
+                    continue
+                nxt = cores[k]
+                merged = matmul(cores[k - 1].reshape(r1 * n, r2), nxt.reshape(r2, -1), ledger)
+                cores[k] = merged.reshape(r1 * n, *nxt.shape[1:])
+                cores[k - 1] = np.eye(r1 * n).reshape(r1, n, r1 * n)
+            # right-to-left orthogonalization, merging the cores that trim their bond
+            for k in range(d, 1, -1):
+                core, prev = cores[k - 1], cores[k - 2]
+                (r1, n, r2), (p1, pn, _) = core.shape, prev.shape
+                prev_mat = prev.reshape(p1 * pn, r1)
+                if n * r2 < r1:
+                    updated = matmul(prev_mat, core.reshape(r1, n * r2), ledger)
+                    cores[k - 1] = np.eye(n * r2).reshape(n * r2, n, r2)
+                else:
+                    res = econ_qr(core.reshape(r1, n * r2).T, ledger)
+                    updated = tri_matmul(prev_mat, res.r.T, ledger)
+                    cores[k - 1] = res.q.T.reshape(r1, n, r2)
+                cores[k - 2] = updated.reshape(p1, pn, -1)
+            # left-to-right compression
+            for k in range(1, d):
+                (r1, n, r2), bond, nxt = cores[k - 1].shape, targets[k], cores[k]
+                svd = truncated_svd(cores[k - 1].reshape(r1 * n, r2), bond, ledger)
+                cores[k - 1] = svd.u.reshape(r1, n, bond)
+                carry = scale_columns(svd.v, svd.s, ledger).T
+                cores[k] = matmul(carry, nxt.reshape(r2, -1), ledger).reshape(bond, *nxt.shape[1:])
+    except _NonFiniteInput:
+        raise _core_overflow(k) from None
+    return _sweep_result(cores)
 
 
 def _core_overflow(k):
     return ValueError(f"core {k} of the recompressed tensor overflows float64")
 
 
-def _finite_core(core, k):
-    """Core k (1-based) of a sweep, or a ValueError if it overflows float64."""
-    if not np.isfinite(core).all():
-        raise _core_overflow(k)
-    return core
-
-
-def _factor(kernel, k, mat, **options):
-    """`kernel` (econ_qr or truncated_svd) of core k's matrix `mat`; the
-    kernel's own finiteness scan is the core's, so a non-finite core is the
-    ValueError of :func:`_finite_core` without a second scan."""
-    try:
-        return kernel(mat, **options)
-    except _NonFiniteInput:
-        raise _core_overflow(k) from None
-
-
 def _sweep_result(cores):
     """The output tensor of a rounding sweep.  Cores 1..d-1 are orthonormal
     factors of matrices that ``econ_qr`` or ``truncated_svd`` found finite;
     only the last core can overflow, so it alone is scanned."""
-    _finite_core(cores[-1], len(cores))
+    if not np.isfinite(cores[-1]).all():
+        raise _core_overflow(len(cores))
     return TTTensor([TTCore._trusted(c) for c in cores])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # econ_qr's scan and _sweep_result name it
 def _orthogonalize_sweep(cores, sketches, contract, ledger):
     """Shared left-to-right randomized sweep of :func:`rand_orth` and
     :func:`hatt`.
@@ -539,14 +536,14 @@ def rand_orth(a, targets=None, seed=None, sketch_tt=None, ledger=None):
     the next core's horizontal matricization (a view, not a copy).  If a
     sketched matrix is rank deficient the QR keeps its full width.  Target
     ranks, or `sketch_tt` ranks, above the ranks of `a` or above feasible
-    values are clamped with a :class:`TargetRankWarning`.
+    values are clamped with a :class:`TargetRankWarning`.  An overflow is a
+    ValueError that the sketch pass raises naming the sketch, or the sweep
+    naming the core (each QR's scan, and the last core's).
     """
     check_trains(a=a)
     sketch = _sketch(a.shape, a.ranks, targets, seed, sketch_tt)
-    # an overflow is the sweep's named ValueError, not a RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
-        sketches = partial_contraction_rl(a, sketch, ledger)
-        return _orthogonalize_sweep([(c.values,) for c in a.cores], sketches, _core_update, ledger)
+    sketches = partial_contraction_rl(a, sketch, ledger)
+    return _orthogonalize_sweep([(c.values,) for c in a.cores], sketches, _core_update, ledger)
 
 
 def _core_update(m, a, ledger):
@@ -566,8 +563,9 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
     core update from :func:`contract_m_onto_pkp` one slab of mode slices of
     the factor cores at a time.  The boundary cores take the same steps as
     the others, so no product core is formed, and no core update that spans
-    more than one slab is held whole.  A product that overflows float64 is
-    a ValueError from :func:`hpcrl`, the sweep or its last-core check.
+    more than one slab is held whole.  An overflow is a ValueError that
+    :func:`hpcrl` raises naming the sketch, or the sweep naming the core
+    (each QR's scan, and the last core's), as in :func:`rand_orth`.
     Target ranks, or `sketch_tt` ranks (given in place of `targets` and
     `seed`), above the product rank r_k s_k or above feasible values are
     clamped with a :class:`TargetRankWarning`.
@@ -576,12 +574,10 @@ def hatt(y, z, targets=None, max_terms=None, seed=None, sketch_tt=None, ledger=N
     products = tuple(ry * rz for ry, rz in zip(y.ranks, z.ranks))
     sketch = _sketch(y.shape, products, targets, seed, sketch_tt)
     cores = [(cy.values, cz.values) for cy, cz in zip(y.cores, z.cores)]
-    # an overflow is hpcrl's or the sweep's named ValueError, not a RuntimeWarning
-    with np.errstate(over="ignore", invalid="ignore"):
-        sketches = hpcrl(y, z, sketch, max_terms, ledger)
-        del sketch
-        # looked up here, so a function swapped into this module is seen
-        return _orthogonalize_sweep(cores, sketches, contract_m_onto_pkp, ledger)
+    sketches = hpcrl(y, z, sketch, max_terms, ledger)
+    del sketch
+    # looked up here, so a function swapped into this module is seen
+    return _orthogonalize_sweep(cores, sketches, contract_m_onto_pkp, ledger)
 
 
 # --- the algorithm table -----------------------------------------------------

@@ -10,23 +10,24 @@ core (mode-1 unfolding, size ``r_{k-1} x n_k r_k``) and the vertical
 matricization ``V<G>`` (size ``r_{k-1} n_k x r_k``) are plain reshapes.
 
 Non-finite values are rejected where data enters the package: ``TTCore``
-and ``TTTensor`` built from raw arrays copy and scan every core.  So does
-the public arithmetic that can overflow: :func:`tt_scale` scans its one
-scaled core, :func:`tt_add` the sum it forms for d = 1, and
-:func:`pkp_cores` its product (only when max|Y| max|Z| is not finite), and
-the inner products (``tt_dot``, ``tt_hadamard_dot``) their one result.
-Cores that the package builds from cores it has already validated (sweep
-outputs, power iterates, random draws, the product cores of
-:func:`pkp_cores`, the block cores of :func:`tt_add`, which only rearrange
-their factors' values) go through ``TTCore._trusted``, which skips the copy
-and the scan but keeps the core cap and the read-only flag; the sweeps scan
-where every path crosses: each sketch of ``hpcrl``, each sketched block and
-the last output core.  Every ``TTTensor`` checks its boundary and rank
-chain, reading each core's shape once.
+and ``TTTensor`` built from raw arrays copy and scan every core.  Past
+that, overflow has one rule: the function that computes runs with numpy's
+overflow warnings off and names an overflow itself, as a ValueError.  A QR
+or SVD that reads a matrix is the detector (its own scan raises
+``linalg._NonFiniteInput``, which the caller renames); an explicit scan
+stays only where nothing factors the value: :func:`tt_scale`'s one core,
+:func:`tt_add`'s sum for d = 1, :func:`pkp_cores`' product (when max|Y|
+max|Z| is not finite), the inner products' one result, each sketch that a
+sketch pass returns, a sweep's last core and every dense tensor.  Cores
+built from validated cores (sweep outputs, power iterates, random draws,
+the product cores of :func:`pkp_cores` and the block cores of
+:func:`tt_add`) go through ``TTCore._trusted``, which skips the copy and
+the scan but keeps the core cap and the read-only flag.  Every
+``TTTensor`` checks its boundary and rank chain, reading each core's shape
+once.
 """
 
 import math
-from contextlib import nullcontext
 
 import numpy as np
 
@@ -163,10 +164,8 @@ def pkp_cores(y, z):
     is expanded once, Y in blocks of ``_BLOCK`` elements (one for small
     cores); :func:`tt_hadamard` forms the baselines' product with it.  A
     product that overflows float64 raises ValueError.  Each element is one
-    rounded product, and rounding is monotone, so no element can overflow
-    unless max|Y| * max|Z| does: that bound is taken first, and only when
-    it is not finite does the multiply run with overflow warnings off and
-    the output get scanned.
+    rounded product, and rounding is monotone, so the output is scanned
+    only when max|Y| * max|Z| is not finite.
     """
     if y.mode_size != z.mode_size:
         raise ValueError(f"mode mismatch {y.mode_size} vs {z.mode_size}")
@@ -176,15 +175,13 @@ def pkp_cores(y, z):
     # zx[b, i, c s2 + e] = Z[b, i, e]; yx[a, i, c s2 + e] = Y[a, i, c]
     zx = np.repeat(z.values[:, :, None], r2, axis=2).reshape(s1, -1)
     step = max(1, _BLOCK // out.shape[2])
-    # Python floats: an infinite bound is a value here, not a RuntimeWarning
-    finite = math.isfinite(_max_abs(y.values) * _max_abs(z.values))
-    # an overflow is the ValueError below
-    with nullcontext() if finite else np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow is the ValueError below
         for a0 in range(0, r1, step):
             yx = np.repeat(y.values[a0:a0 + step], s2, axis=2)
             np.multiply(yx.reshape(len(yx), 1, -1), zx, out=out[a0:a0 + step])
             del yx  # one block's expansion at a time
-    if not finite and not np.isfinite(out).all():
+    # Python floats: an infinite bound is a value here, not a RuntimeWarning
+    if not math.isfinite(_max_abs(y.values) * _max_abs(z.values)) and not np.isfinite(out).all():
         raise ValueError("the Hadamard product of these finite cores overflows float64")
     return TTCore._trusted(out.reshape(r1 * s1, n, r2 * s2))
 
@@ -201,6 +198,7 @@ def tt_to_dense(x):
     return DenseTensor._adopt(_dense_values(x))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the callers name an overflow
 def _dense_values(x):
     """The array :func:`tt_to_dense` wraps: fresh, writable, not scanned."""
     check_dense(x.size, "TT reconstruction")
@@ -319,6 +317,8 @@ def relative_error(x_approx, x_ref):
     a DenseTensor reference, or a tensor whose element count fits the dense
     cap, is subtracted densely, in place (numerically safer for very small
     errors); a larger TT reference through the norm of the TT difference.
+    An approximant past float64 is at error inf on both paths, where its
+    norm (TT) or its contraction (dense) overflows.
     """
     ref_dense = isinstance(x_ref, DenseTensor)
     check_trains(x_approx=x_approx, **({} if ref_dense else {"x_ref": x_ref}))
@@ -333,7 +333,9 @@ def relative_error(x_approx, x_ref):
         return tt_norm(tt_add(x_approx, tt_scale(x_ref, -1.0))) / ref_norm
     diff = _dense_values(x_approx)
     diff -= x_ref.values
-    return float(np.linalg.norm(diff) / ref_norm)
+    # a NaN is inf - inf inside an overflowed contraction
+    norm = float(np.linalg.norm(diff))
+    return (math.inf if math.isnan(norm) else norm) / ref_norm
 
 
 def left_orthogonality_defect(x):

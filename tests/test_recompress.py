@@ -631,6 +631,43 @@ def test_tt_rounding_overflowing_carry_is_a_named_error():
             tt_rounding(a, 2)
 
 
+def sketch_pass(name, k):
+    """A sketch pass over trains whose core k + 1 is at 1e200: both factors'
+    for hpcrl, the tensor's and the sketch's for partial_contraction_rl."""
+    y, z, r = (gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=s) for s in (1, 2, 3))
+    big_y, big_z, big_r = (scale_core(x, k, 1e200) for x in (y, z, r))
+    if name == "partial_contraction_rl":
+        return lambda: partial_contraction_rl(big_y, big_r)
+    return lambda: hpcrl(big_y, big_z, r, None if name == "hatt-2" else 2)
+
+
+@pytest.mark.parametrize("name", ("hatt-2", "hatt-1", "partial_contraction_rl"))
+@pytest.mark.parametrize("k", range(4))
+def test_a_sketch_pass_names_an_overflow_at_any_core(name, k):
+    # entries near 1e400 meet the pass first in W^(k), which it names; both
+    # passes warned first and partial_contraction_rl returned inf and NaN.
+    # The passes read cores d..2, so an overflow in core 1 is not theirs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if k == 0:
+            assert all(np.isfinite(w).all() for w in sketch_pass(name, k)())
+        else:
+            with pytest.raises(ValueError, match=rf"the sketch W\^\({k}\) overflows float64"):
+                sketch_pass(name, k)()
+
+
+def test_tt_rounding_names_a_merge_overflow_at_the_core_a_qr_reads():
+    # cores 3 and 4 at 1e160: pass 2 merges core 4 into core 3 (n_4 r_4 = 2 <
+    # r_3 = 4), whose entries, near 1e320, overflow; core 3 (n_3 r_3 = 4 < 16)
+    # merges on into core 2, and the QR that reads core 2 names it
+    a = gaussian_tt((4, 4, 2, 2), (1, 4, 16, 4, 1), seed=1)
+    a = scale_core(scale_core(a, 2, 1e160), 3, 1e160)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="core 2 of the recompressed tensor overflows"):
+            tt_rounding(a, 2)
+
+
 def test_library_built_cores_are_read_only():
     y = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
     z = gaussian_tt((4,) * 4, (1, 2, 2, 2, 1), seed=2)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hatt import (
+    DenseTensor,
     ResourceLimitError,
     TTCore,
     TTTensor,
@@ -295,6 +296,25 @@ def test_tt_norm_past_float64_is_inf_without_a_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert tt_norm(TTTensor([c.values * 1e200 for c in y.cores])) == np.inf
+
+
+def test_dense_oracles_meet_an_overflow_without_a_warning():
+    # cores 3 and 4 at 1e160: the train is finite, its entries (near 1e320)
+    # are not.  Each of these warned first; relative_error's dense path
+    # returned nan where its TT path returned inf
+    x = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
+    x = TTTensor(x.cores[:2] + tuple(TTCore(c.values * 1e160) for c in x.cores[2:]))
+    ref = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=2)
+    big = DenseTensor(np.array([1e200, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="non-finite"):
+            tt_to_dense(x)
+        with pytest.raises(ValueError, match="non-finite"):
+            hadamard_dense(big, big)
+        assert relative_error(x, tt_to_dense(ref)) == np.inf  # the dense path
+        with dense_limit(10):
+            assert relative_error(x, ref) == np.inf  # the TT path
 
 
 def test_tensor_keeps_its_cores_and_checks_their_ranks():
