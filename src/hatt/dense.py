@@ -4,6 +4,8 @@ Values are stored in C order, which matches the package's last-index-fastest
 multi-index convention.
 """
 
+import math
+
 import numpy as np
 
 from .indexing import check_shape
@@ -46,10 +48,27 @@ class DenseTensor:
         return self.values.size
 
     def norm(self):
-        return float(np.linalg.norm(self.values))
+        return _frobenius_norm(self.values)
 
     def __repr__(self):
         return f"DenseTensor(shape={self.shape})"
+
+
+@np.errstate(over="ignore")  # an overflowing norm is rescaled below
+def _frobenius_norm(values):
+    """Frobenius norm of an array, finite wherever the norm is representable.
+
+    ``np.linalg.norm`` squares the entries, so finite entries past about
+    1e154 overflow it; only then is the array rescaled by a power of two
+    and its norm taken again, so a representable norm of squares
+    takes one pass.  An array holding an inf has norm inf, one holding a
+    NaN NaN.
+    """
+    norm = float(np.linalg.norm(values))
+    if norm == math.inf:
+        shift = int(np.frexp(np.max(np.abs(values)))[1])
+        norm = float(np.ldexp(np.linalg.norm(np.ldexp(values, -shift)), shift))
+    return norm
 
 
 @np.errstate(over="ignore")  # an overflow is DenseTensor's ValueError

@@ -14,7 +14,11 @@ flop count:
 
 Factorizations are LAPACK-backed (numpy.linalg) with deterministic sign
 conventions: R's diagonal is nonnegative (sign bit clear), and the first
-nonzero entry of each left singular vector is nonnegative.
+nonzero entry of each left singular vector is nonnegative.  That SVD
+convention is ``truncated_svd``'s, for the outputs whose singular vectors
+are cores (``tt_rounding``, ``tt_svd``); HaTT-1's term rule
+(``recompress.rank1_decompose``) calls numpy's SVD itself and keeps
+LAPACK's signs, which cancel within each term it uses.
 """
 
 from dataclasses import dataclass

@@ -69,11 +69,30 @@ _RANK1_TOL = 1e-10
 def rank1_decompose(w, max_terms, ledger=None):
     """HaTT-1's term rule: a sketch matrix as its singular triplets above
     _RANK1_TOL sigma_1, at most `max_terms` and at least one; the dropped
-    tail is the only approximation in the whole sketch recursion."""
+    tail is the only approximation in the whole sketch recursion.
+
+    The triplets are views of numpy's thin SVD, with LAPACK's signs and no
+    convention of their own (:func:`truncated_svd` fixes one for the cores
+    it outputs): a term u_g sigma_g v_g^T is unchanged when u_g and v_g
+    flip sign together, and negation is exact in floating point, so in
+    :func:`hpcrl` the sign of u_g (the kernel's rows) cancels bit for bit
+    against that of v_g (the closing R(i) v_g sigma_g).  The SVD is charged
+    as :func:`truncated_svd` charges it.  A matrix with an inf or a NaN is
+    a ValueError; `w` is scanned before the SVD reads it, since LAPACK's
+    SVD may never return on an inf.
+    """
     max_terms = positive_whole(max_terms, "max_terms")
-    svd = truncated_svd(w, ledger=ledger)
-    keep = max(1, min(max_terms, int(np.sum(svd.s > _RANK1_TOL * svd.s.max(initial=0.0)))))
-    return SvdResult(svd.u[:, :keep], svd.s[:keep], svd.v[:, :keep])
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 2:
+        raise ValueError("rank1_decompose expects a matrix")
+    if not np.isfinite(w).all():
+        raise _NonFiniteInput("rank1_decompose input contains non-finite values")
+    u, s, vt = np.linalg.svd(w, full_matrices=False)
+    if ledger is not None:
+        m, n = w.shape
+        ledger.add_svd(SVD_COST_FACTOR * max(m, n) * min(m, n) ** 2)
+    keep = max(1, min(max_terms, int(np.sum(s > _RANK1_TOL * s.max(initial=0.0)))))
+    return SvdResult(u[:, :keep], s[:keep], vt[:keep].T)
 
 
 # --- sketches ---------------------------------------------------------------
@@ -153,11 +172,15 @@ def partial_contraction_rl(a, r, ledger=None):
 def _finite_sketch(w, k):
     """W^(k) of a sketch pass, which nothing factors, or its overflow's ValueError."""
     if not np.isfinite(w).all():
-        raise ValueError(f"the sketch W^({k}) overflows float64")
+        raise _sketch_overflow(k)
     return w
 
 
-@np.errstate(over="ignore", invalid="ignore")  # an overflow is _finite_sketch's error
+def _sketch_overflow(k):
+    return ValueError(f"the sketch W^({k}) overflows float64")
+
+
+@np.errstate(over="ignore", invalid="ignore")  # rank1_decompose or _finite_sketch names it
 def hpcrl(y, z, r, max_terms=None, ledger=None):
     """Sketches of the Hadamard product y ⊙ z without forming its cores.
 
@@ -175,7 +198,12 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
     :func:`partial_contraction_rl`, the recursion starts from W^(d) = 1 and
     every W^(k) is returned C-ordered; a 1 x 1 sketch is its own rank-1
     term, never decomposed.  A sketch W^(k) that overflows float64 is a
-    ValueError.
+    ValueError; when HaTT-1's rule decomposes W^(k) at the next step, the
+    SVD's input scan is the detector, and every other sketch is scanned.
+    HaTT-1's terms carry LAPACK's signs, with no convention: the sign of
+    u_g in the kernel's rows and that of v_g in the closing R(i) v_g
+    sigma_g cancel exactly, so the sketches are those of any sign choice,
+    bit for bit.
     """
     check_trains(y=y, z=z, r=r)
     max_terms = None if max_terms is None else positive_whole(max_terms, "max_terms")
@@ -188,7 +216,10 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
         if max_terms is None or w_t.size == 1:
             u_t, right = w_t, rc
         else:
-            svd = rank1_decompose(mats[k - 1], max_terms, ledger)
+            try:
+                svd = rank1_decompose(mats[k - 1], max_terms, ledger)
+            except _NonFiniteInput:
+                raise _sketch_overflow(k) from None
             u_t, right = svd.u.T, matmul(rc.reshape(l1 * n, -1), svd.v, ledger)
             right = scale_columns(right, svd.s, ledger).reshape(l1, n, len(svd.s))
         terms = u_t.shape[0]
@@ -211,7 +242,8 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
             del x  # one slab's x at a time
             acc = closed if acc is None else np.add(acc, closed, out=acc)
             del closed
-        _finite_sketch(acc, k - 1)
+        if max_terms is None or k == 2 or acc.size == 1:
+            _finite_sketch(acc, k - 1)  # no SVD reads this sketch
         mats[k - 2], w_t = np.ascontiguousarray(acc.T), acc  # one copy per bond
     return mats
 

@@ -18,11 +18,11 @@ or SVD that reads a matrix is the detector (its own scan raises
 stays only where nothing factors the value: :func:`tt_scale`'s one core,
 :func:`tt_add`'s sum for d = 1, :func:`pkp_cores`' product (when max|Y|
 max|Z| is not finite), the inner products' one result, each sketch that a
-sketch pass returns, a sweep's last core and every dense tensor.  Cores
-built from validated cores (sweep outputs, power iterates, random draws,
-the product cores of :func:`pkp_cores` and the block cores of
-:func:`tt_add`) go through ``TTCore._trusted``, which skips the copy and
-the scan but keeps the core cap and the read-only flag.  Every
+sketch pass returns and no SVD reads next, a sweep's last core and every
+dense tensor.  Cores built from validated cores (sweep outputs, power
+iterates, random draws, the product cores of :func:`pkp_cores` and the
+block cores of :func:`tt_add`) go through ``TTCore._trusted``, which skips
+the copy and the scan but keeps the core cap and the read-only flag.  Every
 ``TTTensor`` checks its boundary and rank chain, reading each core's shape
 once.
 """
@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, _frobenius_norm
 from .indexing import check_shape
 from .limits import check_core, check_dense, dense_cap
 
@@ -334,7 +334,7 @@ def relative_error(x_approx, x_ref):
     diff = _dense_values(x_approx)
     diff -= x_ref.values
     # a NaN is inf - inf inside an overflowed contraction
-    norm = float(np.linalg.norm(diff))
+    norm = _frobenius_norm(diff)
     return (math.inf if math.isnan(norm) else norm) / ref_norm
 
 

@@ -35,7 +35,7 @@ from hatt import (
     uniform_chain,
 )
 from hatt import recompress
-from hatt.linalg import SvdResult, matmul, scale_columns
+from hatt.linalg import SvdResult, matmul, scale_columns, truncated_svd
 from hatt.tt import h_unfold, v_unfold
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -192,6 +192,37 @@ def test_direct_hpcrl_uses_the_sketch_columns_without_rank1_decompose(monkeypatc
     monkeypatch.setattr(recompress, "rank1_decompose", refuse)
     for w, w_want in zip(hpcrl(y, z, sketch), want):
         assert np.array_equal(w, w_want)
+
+
+def signed_rank1_decompose(w, max_terms, ledger=None):
+    """HaTT-1's term rule on truncated_svd: copied triplets with its sign
+    convention, which rank1_decompose does without."""
+    svd = truncated_svd(w, ledger=ledger)
+    keep = max(1, min(max_terms, int(np.sum(svd.s > recompress._RANK1_TOL * svd.s.max()))))
+    return SvdResult(svd.u[:, :keep], svd.s[:keep], svd.v[:, :keep])
+
+
+@pytest.mark.parametrize("ell", (4, 8))
+def test_capped_hpcrl_is_bit_identical_to_the_signed_term_rule(ell, monkeypatch):
+    # a term u_g sigma_g v_g^T keeps its value when u_g and v_g flip sign
+    # together, and negation is exact, so LAPACK's signs change no bit of
+    # the sketches; the cells flip some, or this would show nothing
+    hilbert = hilbert_tt(5, 8, 20)
+    gaussian = [gaussian_tt((6,) * 5, (1, 4, 6, 5, 3, 1), seed=s) for s in (1, 2)]
+    flipped = 0
+    for y, z in ((hilbert, hilbert), gaussian):
+        for seed in range(4):
+            sketch = gaussian_tt(y.shape, uniform_chain(y.d, ell), seed=seed)
+            ledger, ref_ledger = FlopLedger(), FlopLedger()
+            got = hpcrl(y, z, sketch, 5, ledger)
+            with monkeypatch.context() as patch:
+                patch.setattr(recompress, "rank1_decompose", signed_rank1_decompose)
+                ref = hpcrl(y, z, sketch, 5, ref_ledger)
+            assert all(np.array_equal(w, w_ref) for w, w_ref in zip(got, ref))
+            assert counts(ledger) == counts(ref_ledger)
+            for w in got[1:]:
+                flipped += np.sum(rank1_decompose(w, 5).u != signed_rank1_decompose(w, 5).u)
+    assert flipped > 0
 
 
 @SETTINGS

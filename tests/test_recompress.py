@@ -113,6 +113,21 @@ def test_rank1_decompose_max_terms_are_whole_numbers_from_one(value, match):
         rank1_decompose(np.diag([3.0, 2.0, 1.0]), value)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf), ids=("nan", "inf", "-inf"))
+def test_rank1_decompose_names_a_non_finite_input_without_a_warning(bad):
+    # numpy's SVD raises LinAlgError on this NaN and, on this inf, does not
+    # return; the scan before it names both with one ValueError, charged
+    # nothing
+    w = np.diag([3.0, 2.0, 1.0])
+    w[2, 0] = bad
+    ledger = FlopLedger()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^rank1_decompose input contains non-finite values$"):
+            rank1_decompose(w, 2, ledger)
+    assert ledger.total() == 0
+
+
 def test_rank1_svd_hilbert_truncation():
     # sketches of a Hilbert-type square have fast singular decay
     y = hilbert_tt(4, 5, 8)
@@ -631,10 +646,12 @@ def test_tt_rounding_overflowing_carry_is_a_named_error():
             tt_rounding(a, 2)
 
 
-def sketch_pass(name, k):
-    """A sketch pass over trains whose core k + 1 is at 1e200: both factors'
-    for hpcrl, the tensor's and the sketch's for partial_contraction_rl."""
-    y, z, r = (gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=s) for s in (1, 2, 3))
+def sketch_pass(name, k, rank=3):
+    """A sketch pass over trains of one rank whose core k + 1 is at 1e200:
+    both factors' for hpcrl, the tensor's and the sketch's for
+    partial_contraction_rl.  At rank 1 every sketch is 1 x 1, which hatt-1
+    does not decompose."""
+    y, z, r = (gaussian_tt((4,) * 4, (1, rank, rank, rank, 1), seed=s) for s in (1, 2, 3))
     big_y, big_z, big_r = (scale_core(x, k, 1e200) for x in (y, z, r))
     if name == "partial_contraction_rl":
         return lambda: partial_contraction_rl(big_y, big_r)
@@ -654,6 +671,16 @@ def test_a_sketch_pass_names_an_overflow_at_any_core(name, k):
         else:
             with pytest.raises(ValueError, match=rf"the sketch W\^\({k}\) overflows float64"):
                 sketch_pass(name, k)()
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_hatt1_names_an_overflow_of_a_sketch_it_does_not_decompose(k):
+    # hatt-1's SVD scan names a sketch it decomposes; these 1 x 1 sketches
+    # are their own terms, so hpcrl scans them itself
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"the sketch W\^\({k}\) overflows float64"):
+            sketch_pass("hatt-1", k, rank=1)()
 
 
 def test_tt_rounding_names_a_merge_overflow_at_the_core_a_qr_reads():

@@ -317,6 +317,24 @@ def test_dense_oracles_meet_an_overflow_without_a_warning():
             assert relative_error(x, ref) == np.inf  # the TT path
 
 
+def test_dense_norms_past_1e154_match_the_tt_path_without_a_warning():
+    # finite entries near 1e200 have squares past float64; the dense path
+    # warned and returned inf (a large approximant) or nan (a large
+    # reference), where the TT path rescales by powers of two
+    x = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=1)
+    ref = gaussian_tt((4,) * 4, (1, 3, 3, 3, 1), seed=2)
+    big_x, big_ref = tt_scale(x, 1e200), tt_scale(ref, 1e200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with dense_limit(10):
+            tt_path = relative_error(big_x, ref)
+            assert relative_error(x, big_ref) == pytest.approx(1.0, rel=1e-14)
+        assert tt_path == pytest.approx(6.80e199, rel=1e-3)
+        assert relative_error(big_x, tt_to_dense(ref)) == pytest.approx(tt_path, rel=1e-14)
+        assert relative_error(x, tt_to_dense(big_ref)) == pytest.approx(1.0, rel=1e-14)
+        assert tt_to_dense(big_x).norm() == pytest.approx(tt_norm(big_x), rel=1e-14)
+
+
 def test_tensor_keeps_its_cores_and_checks_their_ranks():
     cores = [TTCore(np.ones((1, 3, 2))), TTCore(np.ones((2, 4, 1)))]
     out = TTTensor(cores)
