@@ -200,10 +200,10 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
     term, never decomposed.  A sketch W^(k) that overflows float64 is a
     ValueError; when HaTT-1's rule decomposes W^(k) at the next step, the
     SVD's input scan is the detector, and every other sketch is scanned.
-    HaTT-1's terms carry LAPACK's signs, with no convention: the sign of
-    u_g in the kernel's rows and that of v_g in the closing R(i) v_g
-    sigma_g cancel exactly, so the sketches are those of any sign choice,
-    bit for bit.
+    HaTT-1's terms carry LAPACK's signs, with no convention: a term's sign
+    cancels exactly between the kernel's rows and the closing (see
+    :func:`rank1_decompose`), so the sketches are bit for bit those of any
+    sign choice.
     """
     check_trains(y=y, z=z, r=r)
     max_terms = None if max_terms is None else positive_whole(max_terms, "max_terms")
