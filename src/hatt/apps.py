@@ -23,7 +23,7 @@ from .recompress import (
     normalize_targets,
     tt_hadamard_dot,
 )
-from .tt import TTCore, TTTensor, _max_abs, check_trains, tt_add, tt_ones, tt_scale
+from .tt import TTCore, TTTensor, check_trains, tt_add, tt_ones, tt_scale
 
 # Not used here: perfbench/tracing.py wraps these names on this module.
 from .recompress import hatt, rand_orth, tt_rounding  # noqa: F401
@@ -227,11 +227,14 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
     an iterate is the Frobenius norm of its last core, which is also the
     core that is rescaled.  That norm is taken after dividing by the core's
     largest entry, so it neither overflows nor underflows while it is
-    representable, and the estimate scales with y.
+    representable, and the estimate scales with y.  A bad `max_terms` is
+    refused before the first step, whatever the recompressor.  A `ledger`
+    is charged by the recompressions only, not by the readouts.
     """
     check_trains(y=y)
     max_iter = positive_whole(max_iter, "max_iter")
     run = _runner(recompressor)
+    max_terms = None if max_terms is None else positive_whole(max_terms, "max_terms")
     chain = normalize_targets(ell, y.d)
     v = tt_scale(tt_ones(y.shape), 1.0 / math.sqrt(y.size))
     history = []
@@ -244,7 +247,7 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
             estimate = tt_hadamard_dot(v, y, v)
             history.append(estimate)
             last = w.cores[-1].values
-            top = _max_abs(last)
+            top = np.abs(last).max()
             if top == 0.0:
                 raise ArithmeticError("power iteration collapsed to a zero iterate")
             last = last / top

@@ -276,9 +276,9 @@ def _power_rows(config):
 
     Row semantics here: r is the input tensor's maximal rank, s the iterate
     rank bound (= ell), rel_error compares the estimate against the dense
-    brute-force maximum, flops cover the whole iteration, flops_predicted
-    is the per-recompression model times iterations used, and output_ranks
-    is the last iterate's rank chain.
+    brute-force maximum, flops count the recompressions but not the readouts
+    <v, y ⊙ v>, flops_predicted is the per-recompression model times
+    iterations used, and output_ranks is the last iterate's rank chain.
     """
     d, n = config.d, config.n
     rows = []

@@ -44,9 +44,8 @@ from .linalg import (
     tri_matmul,
     truncated_svd,
 )
-from .rand_tt import check_rank_chain, random_tt, uniform_chain
+from .rand_tt import check_rank_chain, check_seed, random_tt, uniform_chain
 from .tt import (
-    _BLOCK,
     TTCore,
     TTTensor,
     _finite_scalar,
@@ -97,15 +96,16 @@ def rank1_decompose(w, max_terms, ledger=None):
 
 # --- sketches ---------------------------------------------------------------
 
-# Mode slices per slab, in the kernels (_contract_slabs, hpcrl) and in the
-# randomized sweep's core updates alike: as many as keep a slab within a
-# budget of elements, but at least _MIN_SLAB, and at most all of them (see
-# _slab_size).  The kernels' budget is tt._BLOCK, counted over one slab's
-# intermediate; small cores then take one slab per core, so a kernel pays
-# its per-call overhead once per core.  Large cores keep 4-slice slabs: at
-# 8 slices the tracemalloc peak of hatt-2 on hilbert_tt(5, 8, 20) squared
-# rises from 0.57 to 0.95 MiB, and the 2-slice slabs that the budget alone
-# gives at r = s = 20, ell = 10 were no faster there in interleaved timings.
+# Every budgeted block of the package is cut by _slab_size: the kernels'
+# slabs (_contract_slabs, hpcrl), partial_contraction_rl's fold blocks and
+# the sweep's core-update slabs.  The kernels' and the fold's budget is
+# _BLOCK (2^13 elements; 2^15 ran alike, with a higher peak), counted over
+# one slab's intermediate or one block of folded rows; small cores take one
+# slab per core, so a kernel pays its per-call overhead once per core.
+# Large cores keep 4-slice slabs: at 8 slices the tracemalloc peak of hatt-2
+# on hilbert_tt(5, 8, 20) squared rises from 0.57 to 0.95 MiB, and the
+# 2-slice slabs that the budget alone gives at r = s = 20, ell = 10 were no
+# faster there in interleaved timings.
 # The sweep's budget is _SWEEP_BLOCK (2^16 elements, 512 KiB), counted over
 # one slab of a core update: hadamard-large's core updates (10 x 32 x 400
 # elements) split into 2 slabs of 16 slices, and the tracemalloc peak of
@@ -117,14 +117,15 @@ def rank1_decompose(w, max_terms, ledger=None):
 # unslabbed time and 4-slice slabs 1.02x (20 calls each), at the same
 # 5.76 MiB peak, which hpcrl sets there.
 _MIN_SLAB = 4
+_BLOCK = 1 << 13
 _SWEEP_BLOCK = 1 << 16
 
 
 def _slab_size(n, slice_elements, budget):
-    """Mode slices per slab of n slices that hold `slice_elements` elements
-    each: as many as fit in `budget` elements, at least _MIN_SLAB, at most
-    n.  The budget is passed at each call, so a patched module constant is
-    seen."""
+    """Items (mode slices or rows) per block of n items that hold
+    `slice_elements` elements each: as many as fit in `budget` elements, at
+    least _MIN_SLAB, at most n.  The budget is passed at each call, so a
+    patched module constant is seen."""
     return min(n, max(_MIN_SLAB, budget // slice_elements))
 
 
@@ -161,7 +162,7 @@ def partial_contraction_rl(a, r, ledger=None):
         core = a.cores[k - 1]
         v, w_t = v_unfold(core), w.T
         b = np.empty((v.shape[0], w_t.shape[0]))
-        step = max(1, _BLOCK // w_t.shape[0])
+        step = _slab_size(v.shape[0], w_t.shape[0], _BLOCK)
         for j in range(0, v.shape[0], step):
             b[j:j + step] = matmul(w_t, v[j:j + step].T, ledger).T
         bh = b.reshape(core.left_rank, -1)
@@ -170,17 +171,13 @@ def partial_contraction_rl(a, r, ledger=None):
 
 
 def _finite_sketch(w, k):
-    """W^(k) of a sketch pass, which nothing factors, or its overflow's ValueError."""
+    """W^(k) of a sketch pass, scanned where it is made, or its overflow's ValueError."""
     if not np.isfinite(w).all():
-        raise _sketch_overflow(k)
+        raise ValueError(f"the sketch W^({k}) overflows float64")
     return w
 
 
-def _sketch_overflow(k):
-    return ValueError(f"the sketch W^({k}) overflows float64")
-
-
-@np.errstate(over="ignore", invalid="ignore")  # rank1_decompose or _finite_sketch names it
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is _finite_sketch's error
 def hpcrl(y, z, r, max_terms=None, ledger=None):
     """Sketches of the Hadamard product y ⊙ z without forming its cores.
 
@@ -198,12 +195,10 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
     :func:`partial_contraction_rl`, the recursion starts from W^(d) = 1 and
     every W^(k) is returned C-ordered; a 1 x 1 sketch is its own rank-1
     term, never decomposed.  A sketch W^(k) that overflows float64 is a
-    ValueError; when HaTT-1's rule decomposes W^(k) at the next step, the
-    SVD's input scan is the detector, and every other sketch is scanned.
-    HaTT-1's terms carry LAPACK's signs, with no convention: a term's sign
-    cancels exactly between the kernel's rows and the closing (see
-    :func:`rank1_decompose`), so the sketches are bit for bit those of any
-    sign choice.
+    ValueError: each sketch is scanned where it is made.  HaTT-1's terms
+    carry LAPACK's signs, with no convention: a term's sign cancels exactly
+    between the kernel's rows and the closing (see :func:`rank1_decompose`),
+    so the sketches are bit for bit those of any sign choice.
     """
     check_trains(y=y, z=z, r=r)
     max_terms = None if max_terms is None else positive_whole(max_terms, "max_terms")
@@ -216,10 +211,7 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
         if max_terms is None or w_t.size == 1:
             u_t, right = w_t, rc
         else:
-            try:
-                svd = rank1_decompose(mats[k - 1], max_terms, ledger)
-            except _NonFiniteInput:
-                raise _sketch_overflow(k) from None
+            svd = rank1_decompose(mats[k - 1], max_terms, ledger)
             u_t, right = svd.u.T, matmul(rc.reshape(l1 * n, -1), svd.v, ledger)
             right = scale_columns(right, svd.s, ledger).reshape(l1, n, len(svd.s))
         terms = u_t.shape[0]
@@ -242,8 +234,7 @@ def hpcrl(y, z, r, max_terms=None, ledger=None):
             del x  # one slab's x at a time
             acc = closed if acc is None else np.add(acc, closed, out=acc)
             del closed
-        if max_terms is None or k == 2 or acc.size == 1:
-            _finite_sketch(acc, k - 1)  # no SVD reads this sketch
+        _finite_sketch(acc, k - 1)
         mats[k - 2], w_t = np.ascontiguousarray(acc.T), acc  # one copy per bond
     return mats
 
@@ -527,12 +518,8 @@ def _orthogonalize_sweep(cores, sketches, contract, ledger):
             del slab  # its views, not held through the QR
             s = matmul(c, w, ledger)
             if r is not None:
-                # [R; S_b] in LAPACK's column-major layout, which numpy's QR
-                # copies in and out of its workspace faster than a C-ordered one
                 t = r.shape[0]
-                s_b, s = s, np.empty((t + s.shape[0], s.shape[1]), order="F")
-                s[:t], s[t:] = r, s_b
-                del s_b
+                s = np.vstack((r, s))  # [R; S_b]
             # econ_qr's scan is the sweep's: a non-finite [R; S_b] is an
             # overflow of the sketched update (R carries its norm so far)
             try:
@@ -671,7 +658,8 @@ def flop_model(algorithm, d, n, r, s, ell, max_terms=None):
 
     hatt-1 keeps :func:`_term_cap` rank-1 terms per sketch, and its
     ell^2-order SVD term uses the calibrated bucket constant, so it is
-    approximate by nature; the other algorithms ignore `max_terms`.
+    approximate by nature; the other algorithms ignore `max_terms` but
+    refuse the caps that hatt-1 refuses.
 
     The tt-rounding formula assumes every product rank r s is feasible (at
     most the product of the mode sizes on either side of its bond).  Where
@@ -690,6 +678,7 @@ def flop_model(algorithm, d, n, r, s, ell, max_terms=None):
     d, n, r, s, ell = whole_numbers((d, n, r, s, ell), "flop model arguments")
     if min(d, n, r, s, ell) < 1:
         raise ValueError("flop model arguments must be positive")
+    terms = _term_cap(max_terms, ell)
     if algorithm == "tt-rounding":
         per_core = n * (5 * r**3 * s**3 + 6 * r**2 * s**2 * ell + 2 * r * s * ell**2)
     elif algorithm == "rand-orth":
@@ -697,7 +686,7 @@ def flop_model(algorithm, d, n, r, s, ell, max_terms=None):
     elif algorithm == "hatt-2":
         per_core = n * r * s * ell * (4 * r + 4 * s + 6 * ell)
     else:  # hatt-1
-        r_hat = (_term_cap(max_terms, ell) + ell) / 2
+        r_hat = (terms + ell) / 2
         per_core = (n * r * s * (r_hat * (4 * r + 4 * s + 4 * ell) + 2 * ell**2)
                     + SVD_COST_FACTOR * r * s * ell**2)
     if algorithm != "tt-rounding":
@@ -733,16 +722,18 @@ def recompress_hadamard(algorithm, y, z, targets, seed=None, max_terms=None):
     The baselines (tt-rounding, rand-orth) materialize the Hadamard product
     first; that step is part of their timed region, mirroring how they would
     actually be used.  `max_terms` caps hatt-1's sketches (None: at the
-    target rank); the other algorithms ignore it.
+    target rank); the other algorithms ignore it, but the prediction, made
+    before the run, refuses the caps hatt-1 refuses, and a seed is checked.
     """
     run = _runner(algorithm)
     check_trains(y=y, z=z)
-    ledger = FlopLedger()
     d = y.d
     ell = max(normalize_targets(targets, d))
+    predicted = flop_model(algorithm, d, max(y.shape), max(y.ranks), max(z.ranks), ell,
+                           max_terms)
+    seed = None if seed is None else check_seed(seed)
+    ledger = FlopLedger()
     start = time.perf_counter()
     out = run(y, z, targets, seed, max_terms, ledger)
     elapsed = time.perf_counter() - start
-    predicted = flop_model(algorithm, d, max(y.shape), max(y.ranks), max(z.ranks), ell,
-                           max_terms)
     return out, RecompressReport(elapsed, ledger, predicted)

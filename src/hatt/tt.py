@@ -18,11 +18,11 @@ or SVD that reads a matrix is the detector (its own scan raises
 stays only where nothing factors the value: :func:`tt_scale`'s one core,
 :func:`tt_add`'s sum for d = 1, :func:`pkp_cores`' product (when max|Y|
 max|Z| is not finite), the inner products' one result, each sketch that a
-sketch pass returns and no SVD reads next, a sweep's last core and every
-dense tensor.  Cores built from validated cores (sweep outputs, power
-iterates, random draws, the product cores of :func:`pkp_cores` and the
-block cores of :func:`tt_add`) go through ``TTCore._trusted``, which skips
-the copy and the scan but keeps the core cap and the read-only flag.  Every
+sketch pass returns, a sweep's last core and every dense tensor.  Cores
+built from validated cores (sweep outputs, power iterates, random draws,
+the product cores of :func:`pkp_cores` and the block cores of
+:func:`tt_add`) go through ``TTCore._trusted``, which skips the copy and
+the scan but keeps the core cap and the read-only flag.  Every
 ``TTTensor`` checks its boundary and rank chain, reading each core's shape
 once.
 """
@@ -140,18 +140,6 @@ def _check_shapes(named):
         raise ValueError(f"shape mismatch: {desc}")
 
 
-# Elements (64 KiB) of every transient block: pkp_cores' Y blocks, the fold
-# blocks of recompress.partial_contraction_rl, and the slabs of the kernels
-# recompress._contract_slabs and recompress.hpcrl; 2^13 to 2^15 ran alike,
-# the smaller with the lower peak.
-_BLOCK = 1 << 13
-
-
-def _max_abs(values):
-    """max |v| over an array, as a Python float, without an |v| copy."""
-    return max(float(values.max()), -float(values.min()))
-
-
 def pkp_cores(y, z):
     """Partial Kronecker product of two cores sharing a mode size.
 
@@ -161,27 +149,25 @@ def pkp_cores(y, z):
     1, last cores with right ranks 1) are this same operation.  Row (a, b)
     is Y's row a expanded across s2 times Z's row b expanded across r2: one
     contiguous multiply of n r2 s2 elements, not an einsum's runs of s2.  Z
-    is expanded once, Y in blocks of ``_BLOCK`` elements (one for small
-    cores); :func:`tt_hadamard` forms the baselines' product with it.  A
-    product that overflows float64 raises ValueError.  Each element is one
-    rounded product, and rounding is monotone, so the output is scanned
-    only when max|Y| * max|Z| is not finite.
+    is expanded once, and Y one row at a time; :func:`tt_hadamard` forms
+    the baselines' product with it.  A product that overflows float64
+    raises ValueError.  Each element is one rounded product, and rounding
+    is monotone, so the output is scanned only when max|Y| * max|Z| is not
+    finite.
     """
     if y.mode_size != z.mode_size:
         raise ValueError(f"mode mismatch {y.mode_size} vs {z.mode_size}")
     check_core(y.values.size * z.values.size // y.mode_size)
     (r1, n, r2), (s1, _, s2) = y.values.shape, z.values.shape
     out = np.empty((r1, s1, n * r2 * s2))
-    # zx[b, i, c s2 + e] = Z[b, i, e]; yx[a, i, c s2 + e] = Y[a, i, c]
+    # zx[b, i, c s2 + e] = Z[b, i, e]; Y's row a expanded is [i, c s2 + e] = Y[a, i, c]
     zx = np.repeat(z.values[:, :, None], r2, axis=2).reshape(s1, -1)
-    step = max(1, _BLOCK // out.shape[2])
     with np.errstate(over="ignore"):  # an overflow is the ValueError below
-        for a0 in range(0, r1, step):
-            yx = np.repeat(y.values[a0:a0 + step], s2, axis=2)
-            np.multiply(yx.reshape(len(yx), 1, -1), zx, out=out[a0:a0 + step])
-            del yx  # one block's expansion at a time
+        for a in range(r1):
+            np.multiply(np.repeat(y.values[a], s2, axis=1).reshape(-1), zx, out=out[a])
     # Python floats: an infinite bound is a value here, not a RuntimeWarning
-    if not math.isfinite(_max_abs(y.values) * _max_abs(z.values)) and not np.isfinite(out).all():
+    bound = float(np.abs(y.values).max()) * float(np.abs(z.values).max())
+    if not math.isfinite(bound) and not np.isfinite(out).all():
         raise ValueError("the Hadamard product of these finite cores overflows float64")
     return TTCore._trusted(out.reshape(r1 * s1, n, r2 * s2))
 

@@ -8,6 +8,7 @@ from hatt.bench import (
     CSV_COLUMNS,
     ResultRow,
     Scenario,
+    flop_report,
     run_scenario,
     summarize,
     write_csv,
@@ -165,6 +166,21 @@ def test_summarize_recomputes_exactly():
         assert entry["cells"] == len(cell)
         if entry["algorithm"] != "tt-rounding":
             assert entry["speedup_vs_tt_rounding"] is not None
+
+
+def test_flop_report_prints_the_first_completed_row_of_each_cell():
+    cell, ranks = ("custom", "hatt-2", 4, 5, 3, 3, 2), (1, 2, 2, 2, 1)
+    rows = [ResultRow(*cell, 0),  # capped
+            ResultRow(*cell, 1, 0.1, 0.5, 0, 100, ranks),  # no measured flops
+            ResultRow(*cell, 2, 0.1, 0.5, 150, 100, ranks),
+            ResultRow(*cell, 3, 0.1, 0.5, 999, 100, ranks),  # the same cell again
+            ResultRow("custom", "tt-rounding", 4, 5, 3, 3, 2, 0, 0.1, 0.5, 80, 0, ranks)]
+    header, *lines = flop_report(rows).splitlines()
+    assert header.split() == ["scenario", "algorithm", "r", "ell", "measured", "predicted",
+                              "ratio"]
+    assert [line.split() for line in lines] == [
+        ["custom", "hatt-2", "3", "2", "150", "100", "1.50"],
+        ["custom", "tt-rounding", "3", "2", "80", "0", "nan"]]
 
 
 def test_result_row_parse_nan_free(tmp_path):

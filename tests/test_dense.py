@@ -73,6 +73,9 @@ def test_construction_copies_the_callers_array():
     values[0] = 5.0  # still the caller's own, writable array
     assert x.values[0] == 1.0 and not x.values.flags.writeable
     assert DenseTensor(np.arange(3)).values.tolist() == [0.0, 1.0, 2.0]
+    # a 0-d input is a 1-way tensor of one element
+    scalar = DenseTensor(2.5)
+    assert scalar.shape == (1,) and scalar.size == 1 and scalar.values.tolist() == [2.5]
 
 
 def test_brute_force_max_ones():

@@ -171,7 +171,7 @@ def test_contract_m_matches_kron_slices_and_loop(ranks, n, rows, seed):
 @pytest.mark.parametrize("block", (1, 64, 2**15))
 def test_partial_contraction_rl_blocks_repeat_the_plain_fold(block, monkeypatch):
     # rank-400 product cores with 32 slices: the fold runs in blocks of
-    # block // ell rows (one row per block at the smallest budget)
+    # block // ell rows, and of _MIN_SLAB rows at the smallest budget
     monkeypatch.setattr(recompress, "_BLOCK", block)
     y, z = (gaussian_tt((32,) * 4, (1, 20, 20, 20, 1), seed=s) for s in (1, 2))
     a, sketch = tt_hadamard(y, z), gaussian_tt((32,) * 4, (1, 10, 10, 10, 1), seed=3)

@@ -5,6 +5,7 @@ from hatt import (
     FlopLedger,
     econ_qr,
     matmul,
+    rank1_decompose,
     tri_matmul,
     truncated_svd,
 )
@@ -116,6 +117,8 @@ def test_econ_qr_rejects_nonfinite():
         econ_qr(np.ones(3))
     with pytest.raises(ValueError, match="truncated_svd expects a matrix"):
         truncated_svd(np.ones(3))
+    with pytest.raises(ValueError, match="rank1_decompose expects a matrix"):
+        rank1_decompose(np.ones(3), 1)
     with pytest.raises(ValueError, match="truncated_svd input contains non-finite"):
         truncated_svd(np.array([[np.nan, 1.0]]))
 

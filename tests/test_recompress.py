@@ -528,9 +528,24 @@ def test_max_terms_below_one_is_a_value_error():
         # the model refuses the run that hatt-1 refuses
         with pytest.raises(ValueError, match="max_terms"):
             flop_model("hatt-1", 4, 4, 3, 2, 3, max_terms=bad)
-    # the other algorithms ignore max_terms, as their runs do
-    recompress_hadamard("hatt-2", y, z, 3, seed=5, max_terms=0)
-    assert flop_model("hatt-2", 4, 4, 3, 2, 3, max_terms=0) == flop_model("hatt-2", 4, 4, 3, 2, 3)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_algorithm_refuses_a_bad_cap_or_seed(algorithm):
+    # only hatt-1 reads max_terms and tt-rounding draws nothing, but no
+    # algorithm runs with a cap or a seed that hatt-1 or a draw refuses
+    y = gaussian_tt((3,) * 4, (1, 2, 2, 2, 1), seed=1)
+    for bad, match in ((0, ">= 1, got 0"), (-1, ">= 1, got -1"),
+                       (2.5, r"whole numbers, got \(2.5,\)")):
+        calls = (lambda: recompress_hadamard(algorithm, y, y, 2, seed=0, max_terms=bad),
+                 lambda: flop_model(algorithm, 4, 3, 2, 2, 2, max_terms=bad),
+                 lambda: power_iteration_max(y, 2, max_iter=1, recompressor=algorithm,
+                                             max_terms=bad))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^max_terms must be {match}$"):
+                call()
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
+        recompress_hadamard(algorithm, y, y, 2, seed=-5)
 
 
 def test_a_randomized_call_draws_its_sketch_once(monkeypatch):

@@ -1,7 +1,6 @@
 import itertools
 import tracemalloc
 import warnings
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from hatt import (
     tt_to_dense,
     v_unfold,
 )
-from hatt import tt as tt_module
 from conftest import random_chain, random_pair
 
 
@@ -104,15 +102,13 @@ def test_pkp_bound_overflows_but_no_element_does():
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(ranks=st.tuples(*[st.integers(1, 5)] * 4), n=st.integers(1, 4),
-       block=st.integers(1, 400), seed=st.integers(0, 2**31 - 1))
-def test_pkp_is_the_einsum_bit_for_bit(ranks, n, block, seed):
-    # ranks of 1 on either side, n = 1 and r != s all occur; a small block
-    # budget splits Y's rows into blocks with a partial last one
+       seed=st.integers(0, 2**31 - 1))
+def test_pkp_is_the_einsum_bit_for_bit(ranks, n, seed):
+    # ranks of 1 on either side, n = 1 and r != s all occur
     r1, r2, s1, s2 = ranks
     rng = np.random.default_rng(seed)
     y, z = rng.normal(size=(r1, n, r2)), rng.normal(size=(s1, n, s2))
-    with patch.object(tt_module, "_BLOCK", block):
-        out = pkp_cores(TTCore(y), TTCore(z)).values
+    out = pkp_cores(TTCore(y), TTCore(z)).values
     want = np.einsum("aic,bid->abicd", y, z).reshape(r1 * s1, n, r2 * s2)
     assert np.array_equal(out, want)
 
@@ -138,12 +134,13 @@ def test_pkp_core_cap_raises_before_allocating():
 
 
 def test_pkp_peak_is_the_output_and_small_operands():
-    # besides the output: Z expanded across r2 (1/r1 of the output), one
-    # block of Y's rows expanded across s2, and 64 KiB for numpy's buffers
+    # besides the output: Z expanded across r2 (1/r1 of the output), one of
+    # Y's rows expanded across s2 (n r2 s2 elements), and 64 KiB for numpy's
+    # buffers
     rng = np.random.default_rng(5)
     y, z = (TTCore(rng.normal(size=(20, 8, 20))) for _ in range(2))
     output_bytes = 20 * 20 * 8 * 20 * 20 * 8
-    bound = output_bytes * (1 + 1 / 20) + tt_module._BLOCK * 8 + 2**16
+    bound = output_bytes * (1 + 1 / 20) + 8 * 20 * 20 * 8 + 2**16
     assert traced_peak(lambda: pkp_cores(y, z)) <= bound
 
 
