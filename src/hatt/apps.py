@@ -227,9 +227,11 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
     an iterate is the Frobenius norm of its last core, which is also the
     core that is rescaled.  That norm is taken after dividing by the core's
     largest entry, so it neither overflows nor underflows while it is
-    representable, and the estimate scales with y.  A bad `max_terms` is
-    refused before the first step, whatever the recompressor.  A `ledger`
-    is charged by the recompressions only, not by the readouts.
+    representable, and the estimate scales with y.  `seed` None runs
+    tt-rounding, which draws no sketch; a randomized recompressor refuses it
+    at step 1.  A bad `max_terms` is refused before the first step, whatever
+    the recompressor.  A `ledger` is charged by the recompressions only, not
+    by the readouts.
     """
     check_trains(y=y)
     max_iter = positive_whole(max_iter, "max_iter")
@@ -243,7 +245,8 @@ def power_iteration_max(y, ell, max_iter=100, recompressor="tt-rounding", seed=0
         # the iterate starts at rank 1, so early chains are clamped
         warnings.simplefilter("ignore", TargetRankWarning)
         for t in range(1, max_iter + 1):
-            w = run(y, v, chain, derive_seed(seed, t), max_terms, ledger)
+            step_seed = None if seed is None else derive_seed(seed, t)
+            w = run(y, v, chain, step_seed, max_terms, ledger)
             estimate = tt_hadamard_dot(v, y, v)
             history.append(estimate)
             last = w.cores[-1].values

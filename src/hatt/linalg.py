@@ -12,13 +12,11 @@ flop count:
   keeps; the exact constant of an SVD is implementation-dependent, so this
   counter is an order-of-magnitude estimate and is reported separately.
 
-Factorizations are LAPACK-backed (numpy.linalg) with deterministic sign
-conventions: R's diagonal is nonnegative (sign bit clear), and the first
-nonzero entry of each left singular vector is nonnegative.  That SVD
-convention is ``truncated_svd``'s, for the outputs whose singular vectors
-are cores (``tt_rounding``, ``tt_svd``); HaTT-1's term rule
-(``recompress.rank1_decompose``) calls numpy's SVD itself and keeps
-LAPACK's signs, which cancel within each term it uses.
+Factorizations are LAPACK-backed (numpy.linalg).  QR has a sign convention:
+R's diagonal is nonnegative (sign bit clear), so where x has full column
+rank R is the unique triangular factor, as the sweep's TSQR combine needs.
+SVD triplets keep LAPACK's signs: every consumer uses u sigma v^T, or
+left-orthogonal cores whose column signs do not change the tensor.
 """
 
 from dataclasses import dataclass
@@ -144,11 +142,14 @@ def econ_qr(x, ledger=None):
 
 
 def truncated_svd(x, target_rank=None, ledger=None):
-    """Leading singular triplets of a matrix.
+    """Leading singular triplets of a matrix: numpy's thin SVD as LAPACK
+    returns it, with its signs, the leading `target_rank` triplets as views.
 
-    Keeps the leading `target_rank` triplets, a whole number >= 1 and at
-    most min(m, n), or all min(m, n) of them for None.  Ties keep the
-    earlier-indexed triplets.
+    Keeps a whole number >= 1 and at most min(m, n) triplets, or all
+    min(m, n) of them for None.  Ties keep the earlier-indexed triplets.  A
+    matrix with an inf or a NaN is a ValueError, charged nothing: `x` is
+    scanned before the SVD reads it, since LAPACK's SVD may never return on
+    an inf.
     """
     if target_rank is not None:
         target_rank = positive_whole(target_rank, "target_rank")
@@ -164,16 +165,4 @@ def truncated_svd(x, target_rank=None, ledger=None):
     if ledger is not None:
         ledger.add_svd(SVD_COST_FACTOR * max(m, n) * min(m, n) ** 2)
     # a slice to None keeps every triplet
-    u, s, v = u[:, :target_rank].copy(), s[:target_rank].copy(), vt[:target_rank].T.copy()
-    # sign convention: first nonzero entry of each left singular vector >= 0
-    # (an all-zero column's argmax is row 0, which is not negative); a matrix
-    # with no rows has no entry to take an argmax over
-    if u.shape[0]:
-        first = u[np.argmax(u != 0, axis=0), np.arange(u.shape[1])]
-        negative = first < 0
-        if negative.any():
-            signs = np.where(negative, -1.0, 1.0)
-            u *= signs
-            v *= signs
-    return SvdResult(u, s, v)
-
+    return SvdResult(u[:, :target_rank], s[:target_rank], vt[:target_rank].T)

@@ -70,28 +70,18 @@ def rank1_decompose(w, max_terms, ledger=None):
     _RANK1_TOL sigma_1, at most `max_terms` and at least one; the dropped
     tail is the only approximation in the whole sketch recursion.
 
-    The triplets are views of numpy's thin SVD, with LAPACK's signs and no
-    convention of their own (:func:`truncated_svd` fixes one for the cores
-    it outputs): a term u_g sigma_g v_g^T is unchanged when u_g and v_g
-    flip sign together, and negation is exact in floating point, so in
-    :func:`hpcrl` the sign of u_g (the kernel's rows) cancels bit for bit
-    against that of v_g (the closing R(i) v_g sigma_g).  The SVD is charged
-    as :func:`truncated_svd` charges it.  A matrix with an inf or a NaN is
-    a ValueError; `w` is scanned before the SVD reads it, since LAPACK's
-    SVD may never return on an inf.
+    The triplets are :func:`truncated_svd`'s, which also checks, scans and
+    charges `w`; it is looked up in this module at call time, so a tracer's
+    wrapper sees HaTT-1's SVDs.  They carry LAPACK's signs: a term
+    u_g sigma_g v_g^T is unchanged when u_g and v_g flip sign together, and
+    negation is exact in floating point, so in :func:`hpcrl` the sign of u_g
+    (the kernel's rows) cancels bit for bit against that of v_g (the
+    closing R(i) v_g sigma_g).
     """
     max_terms = positive_whole(max_terms, "max_terms")
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 2:
-        raise ValueError("rank1_decompose expects a matrix")
-    if not np.isfinite(w).all():
-        raise _NonFiniteInput("rank1_decompose input contains non-finite values")
-    u, s, vt = np.linalg.svd(w, full_matrices=False)
-    if ledger is not None:
-        m, n = w.shape
-        ledger.add_svd(SVD_COST_FACTOR * max(m, n) * min(m, n) ** 2)
-    keep = max(1, min(max_terms, int(np.sum(s > _RANK1_TOL * s.max(initial=0.0)))))
-    return SvdResult(u[:, :keep], s[:keep], vt[:keep].T)
+    svd = truncated_svd(w, ledger=ledger)
+    keep = max(1, min(max_terms, int(np.sum(svd.s > _RANK1_TOL * svd.s.max(initial=0.0)))))
+    return SvdResult(svd.u[:, :keep], svd.s[:keep], svd.v[:, :keep])
 
 
 # --- sketches ---------------------------------------------------------------

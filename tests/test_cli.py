@@ -1,4 +1,7 @@
 import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,23 @@ def test_parse_defaults_to_stdout():
 def test_parse_scenario_alias():
     config = cli_parse(["--scenario", "hilbert"])
     assert config.name == "appendixF"
+
+
+def run_module(*args):
+    """`python -m hatt` in a subprocess, against the package in src/."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hatt", *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_the_module_entry_point_runs():
+    # the in-process tests call cli.main; this runs __main__.py itself
+    proc = run_module("--scenario", "custom", "--seeds", "0", "--algorithms", "hatt-2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
+    assert run_module("--scenario", "custom", "--ranks", "0").returncode == 2
 
 
 def test_unknown_flag_usage_error():

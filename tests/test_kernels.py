@@ -35,7 +35,7 @@ from hatt import (
     uniform_chain,
 )
 from hatt import recompress
-from hatt.linalg import SvdResult, matmul, scale_columns, truncated_svd
+from hatt.linalg import SvdResult, matmul, scale_columns
 from hatt.tt import h_unfold, v_unfold
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -195,11 +195,15 @@ def test_direct_hpcrl_uses_the_sketch_columns_without_rank1_decompose(monkeypatc
 
 
 def signed_rank1_decompose(w, max_terms, ledger=None):
-    """HaTT-1's term rule on truncated_svd: copied triplets with its sign
-    convention, which rank1_decompose does without."""
-    svd = truncated_svd(w, ledger=ledger)
-    keep = max(1, min(max_terms, int(np.sum(svd.s > recompress._RANK1_TOL * svd.s.max()))))
-    return SvdResult(svd.u[:, :keep], svd.s[:keep], svd.v[:, :keep])
+    """HaTT-1's term rule with a sign convention of its own: u_g and v_g
+    flip together wherever the first nonzero entry of u_g is negative."""
+    svd = rank1_decompose(w, max_terms, ledger)
+    u, v = svd.u.copy(), svd.v.copy()
+    for j in range(u.shape[1]):
+        nz = np.nonzero(u[:, j])[0]
+        if nz.size and u[nz[0], j] < 0:
+            u[:, j], v[:, j] = -u[:, j], -v[:, j]
+    return SvdResult(u, svd.s, v)
 
 
 @pytest.mark.parametrize("ell", (4, 8))

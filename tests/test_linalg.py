@@ -117,7 +117,7 @@ def test_econ_qr_rejects_nonfinite():
         econ_qr(np.ones(3))
     with pytest.raises(ValueError, match="truncated_svd expects a matrix"):
         truncated_svd(np.ones(3))
-    with pytest.raises(ValueError, match="rank1_decompose expects a matrix"):
+    with pytest.raises(ValueError, match="truncated_svd expects a matrix"):
         rank1_decompose(np.ones(3), 1)
     with pytest.raises(ValueError, match="truncated_svd input contains non-finite"):
         truncated_svd(np.array([[np.nan, 1.0]]))
@@ -190,39 +190,21 @@ def test_truncated_svd_sign_determinism(rng):
     a = truncated_svd(x)
     b = truncated_svd(x.copy())
     assert np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v)
-    for j in range(a.u.shape[1]):
-        col = a.u[:, j]
-        nz = np.nonzero(col)[0]
-        assert col[nz[0]] >= 0
 
 
-
-def _loop_signs(x):
-    """Reference sign convention, one column at a time: flip u[:, j] and
-    v[:, j] when the first nonzero entry of u[:, j] is negative."""
-    u, s, vt = np.linalg.svd(x, full_matrices=False)
-    u, v = u.copy(), vt.T.copy()
-    for j in range(u.shape[1]):
-        nz = np.nonzero(u[:, j])[0]
-        if nz.size and u[nz[0], j] < 0:
-            u[:, j], v[:, j] = -u[:, j], -v[:, j]
-    return u, s, v
-
-
-def test_truncated_svd_signs_skip_leading_zeros():
-    """Block-diagonal input: the two leading left singular vectors start
-    with a zero, and LAPACK returns the first with a negative first nonzero
-    entry; the vectorized flip matches the column loop bit for bit."""
+def test_truncated_svd_returns_lapack_triplets():
+    """Block-diagonal input, whose leading left singular vector LAPACK
+    returns with a zero first entry and a negative second one: the leading
+    triplets are numpy's thin SVD bit for bit, signs included."""
     x = np.zeros((4, 3))
     x[0, 0] = 0.5
     x[1:, 1:] = [[3.0, 1.0], [1.0, 2.0], [0.5, -1.0]]
-    raw = np.linalg.svd(x, full_matrices=False)[0]
-    assert raw[0, 0] == 0 and raw[1, 0] < 0
-    res = truncated_svd(x, target_rank=3)
-    u, s, v = _loop_signs(x)
-    assert np.array_equal(res.u, u) and np.array_equal(res.s, s) and np.array_equal(res.v, v)
-    assert res.u[1, 0] > 0 and res.u[0, 2] > 0
-    assert res.u.flags.c_contiguous and res.v.flags.c_contiguous
+    u, s, vt = np.linalg.svd(x, full_matrices=False)
+    assert u[0, 0] == 0 and u[1, 0] < 0
+    for rank in (2, None):
+        res = truncated_svd(x, target_rank=rank)
+        assert np.array_equal(res.u, u[:, :rank]) and np.array_equal(res.s, s[:rank])
+        assert np.array_equal(res.v, vt[:rank].T)
     np.testing.assert_allclose((res.u * res.s) @ res.v.T, x, atol=1e-14)
 
 

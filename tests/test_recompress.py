@@ -30,8 +30,11 @@ from hatt import (
     tt_scale,
     tt_svd,
     tt_to_dense,
+    truncated_svd,
+    uniform_chain,
 )
 from hatt import recompress
+from hatt.linalg import SVD_COST_FACTOR
 from hatt.recompress import normalize_targets
 from hatt.tt import TTCore, TTTensor, h_unfold
 from hatt.apps import hilbert_tt
@@ -116,14 +119,14 @@ def test_rank1_decompose_max_terms_are_whole_numbers_from_one(value, match):
 @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf), ids=("nan", "inf", "-inf"))
 def test_rank1_decompose_names_a_non_finite_input_without_a_warning(bad):
     # numpy's SVD raises LinAlgError on this NaN and, on this inf, does not
-    # return; the scan before it names both with one ValueError, charged
-    # nothing
+    # return; truncated_svd's scan before it names both with one ValueError,
+    # charged nothing
     w = np.diag([3.0, 2.0, 1.0])
     w[2, 0] = bad
     ledger = FlopLedger()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="^rank1_decompose input contains non-finite values$"):
+        with pytest.raises(ValueError, match="^truncated_svd input contains non-finite values$"):
             rank1_decompose(w, 2, ledger)
     assert ledger.total() == 0
 
@@ -546,6 +549,18 @@ def test_every_algorithm_refuses_a_bad_cap_or_seed(algorithm):
                 call()
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -5$"):
         recompress_hadamard(algorithm, y, y, 2, seed=-5)
+    # a power solve takes no seed as recompress_hadamard does: tt-rounding
+    # draws nothing, and a draw refuses it at step 1, before any recompression
+    if algorithm == "tt-rounding":
+        unseeded, seeded = (power_iteration_max(y, 2, max_iter=3, seed=seed)
+                            for seed in (None, 0))
+        assert unseeded.history == seeded.history and unseeded.ranks == seeded.ranks
+    else:
+        ledger = FlopLedger()
+        with pytest.raises(ValueError, match=r"^a seed \(or an explicit sketch tensor\) is required$"):
+            power_iteration_max(y, 2, max_iter=3, recompressor=algorithm, seed=None,
+                                ledger=ledger)
+        assert ledger.total() == 0
 
 
 def test_a_randomized_call_draws_its_sketch_once(monkeypatch):
@@ -576,6 +591,28 @@ def test_a_randomized_call_draws_its_sketch_once(monkeypatch):
     hatt(y, z, max_terms=2, sketch_tt=sketch)
     rand_orth(tt_hadamard(y, z), sketch_tt=sketch)
     assert draws == []
+
+
+def test_hatt1_svds_go_through_the_traced_name(monkeypatch):
+    # perfbench's tracer counts SVDs by wrapping recompress.truncated_svd, so
+    # HaTT-1's term rule reads its triplets through that module attribute:
+    # one SVD for each of W^(d-1), ..., W^(2), none for the 1 x 1 W^(d) and
+    # none without a cap
+    charges = []
+
+    def counting(x, *args, **kwargs):
+        m, n = np.shape(x)
+        charges.append(SVD_COST_FACTOR * max(m, n) * min(m, n) ** 2)
+        return truncated_svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(recompress, "truncated_svd", counting)
+    for d in (2, 3, 5):
+        y, z, sketch = (gaussian_tt((4,) * d, uniform_chain(d, r), seed=r) for r in (3, 2, 4))
+        for max_terms, calls in ((2, d - 2), (None, 0)):
+            charges.clear()
+            ledger = FlopLedger()
+            hpcrl(y, z, sketch, max_terms, ledger)
+            assert len(charges) == calls and sum(charges) == ledger.svd_flops
 
 
 # --- overflow, and the cores built without a finiteness scan --------------------
